@@ -3,7 +3,7 @@
 
 Runs each hot kernel through both implementations in one process and prints a
 timing table.  With MINORCLASS_NO_NUMBA=1 (or numba missing) only the fallback
-column is populated.
+column is populated.  The MCMC chain has a single pure-Python implementation.
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -69,27 +69,18 @@ def bench_sweep(n, want_bridges):
     return label, rows
 
 
-def bench_mcmc(steps):
-    n = 7
+def bench_mcmc(steps, n):
     m = n * (n - 1) // 2
     rng = np.random.default_rng(0)
     proposals = rng.integers(0, m, size=steps, dtype=np.int64)
     uniforms = rng.random(steps)
-    member = np.zeros(0, dtype=np.uint8)
-    pu, pv = K.pair_arrays(n)
     draws = steps // 20
 
-    def run(impl):
-        out = np.zeros(draws, dtype=np.int64)
-        impl(n, pu, pv, proposals, uniforms, 1.0, 1.0, K.MODE_FORESTS, member,
-             steps - draws * 10, 10, draws, out)
+    def run():
+        K.mcmc_chain(n, proposals, uniforms, 1.0, 1.0, K.MODE_FORESTS, None,
+                     steps - draws * 10, 10, draws)
 
-    rows = []
-    if K.HAVE_NUMBA:
-        run(K._mcmc_nb)
-        rows.append(("numba", _time(run, K._mcmc_nb)))
-    rows.append(("python", _time(run, K._mcmc_scalar, repeat=1)))
-    return f"mcmc_chain {steps} steps (n=7 forests)", rows
+    return f"mcmc_chain {steps} steps (n={n} forests)", [("python", _time(run, repeat=1))]
 
 
 def bench_tree_series(terms):
@@ -143,7 +134,8 @@ def main():
         bench_subset_stats(n_sweep),
         bench_sweep(n_sweep, want_bridges=False),
         bench_sweep(6, want_bridges=True),
-        bench_mcmc(steps),
+        bench_mcmc(steps, 7),
+        bench_mcmc(steps, 16),
         bench_tree_series(terms),
         bench_prufer(draws, 300),
     ]

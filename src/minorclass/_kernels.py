@@ -8,7 +8,7 @@ benchmark script under benchmarks/ compares the two.
 Kernels:
   * subset_stats      - component count / min-degree flag for every edge mask
   * sweep_counts      - aggregate member counts by (edges, components, ...)
-  * mcmc_chain        - Metropolis chain over edge toggles
+  * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n)
   * tree_series_sums  - partial sums of the weighted (rooted) tree series
   * prufer_decode     - batch decode of uniform parent sequences into trees
 """
@@ -419,78 +419,74 @@ def sweep_counts(n: int, member: np.ndarray | None = None, mode: int = MODE_MEMB
 # ---------------------------------------------------------------------------
 
 
-def _mcmc_scalar(n, pu, pv, proposals, uniforms, lam, nu, mode, member,
-                 burn_in, thin, draws, out):
-    mask = 0
-    e = 0
-    kappa = n
-    t = 0
-    kept = 0
-    total = burn_in + draws * thin
-    adj = np.zeros(n, dtype=np.int64)
-    while t < total:
-        b = proposals[t]
-        bit = 1 << b
-        new_mask = mask ^ bit
-        adding = (mask & bit) == 0
-        # components after the toggle
-        for v in range(n):
-            adj[v] = 0
-        for bb in range(pu.shape[0]):
-            if new_mask >> bb & 1:
-                adj[pu[bb]] |= 1 << pv[bb]
-                adj[pv[bb]] |= 1 << pu[bb]
-        seen = 0
-        new_kappa = 0
-        for v in range(n):
-            if not seen >> v & 1:
-                new_kappa += 1
-                comp = 1 << v
-                frontier = comp
-                while frontier:
-                    nxt = 0
-                    for w in range(n):
-                        if frontier >> w & 1:
-                            nxt |= adj[w]
-                    frontier = nxt & ~comp
-                    comp |= nxt
-                seen |= comp
-        new_e = e + 1 if adding else e - 1
-        if mode == 0:
-            ok = member[new_mask] != 0
-        elif mode == 1:
-            ok = True
-        else:
-            ok = new_e == n - new_kappa
-        if ok:
-            ratio = lam ** (new_e - e) * nu ** (new_kappa - kappa)
-            if ratio >= 1.0 or uniforms[t] < ratio:
-                mask = new_mask
-                e = new_e
-                kappa = new_kappa
-        t += 1
-        if t > burn_in and (t - burn_in) % thin == 0 and kept < draws:
-            out[kept] = mask
-            kept += 1
-    return kept
-
-
-_mcmc_nb = njit(nogil=True, cache=True)(_mcmc_scalar) if HAVE_NUMBA else None
+def _joined(adj: list[int], u: int, v: int) -> bool:
+    """True when u reaches v through the adjacency bitmasks; stops on the hit."""
+    target = 1 << v
+    seen = frontier = 1 << u
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        if nxt & target:
+            return True
+        frontier = nxt & ~seen
+        seen |= nxt
+    return False
 
 
 def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, nu: float,
                mode: int, member: np.ndarray | None, burn_in: int, thin: int,
-               draws: int) -> np.ndarray:
-    """Metropolis edge-toggle chain; returns the thinned post-burn-in masks."""
-    pu, pv = pair_arrays(n)
-    out = np.zeros(draws, dtype=np.int64)
-    if member is None:
-        member = np.zeros(0, dtype=np.uint8)
-    impl = _mcmc_nb if HAVE_NUMBA else _mcmc_scalar
-    kept = impl(n, pu, pv, proposals, uniforms, float(lam), float(nu), mode, member,
-                burn_in, thin, draws, out)
-    if kept != draws:
+               draws: int) -> list[int]:
+    """Metropolis edge-toggle chain; returns the thinned post-burn-in masks.
+
+    The edge mask is a Python int, so n is unbounded.  Per-vertex adjacency
+    bitmasks make each toggle local: adding u-v searches from u until it meets
+    v (in forest mode a hit is a cycle and the move is rejected), removing an
+    edge from a forest always splits a component, and other modes search
+    again after the removal.  The search is skipped where the component count
+    cannot change the decision (nu = 1 outside forest mode); member-array mode
+    rejects non-members by lookup before any search.
+    """
+    total = burn_in + draws * thin
+    if thin < 1 or burn_in < 0 or len(proposals) < total or len(uniforms) < total:
         raise ValueError("proposal stream too short for requested draws")
+    lam, nu = float(lam), float(nu)
+    # the acceptance ratio lam ** (new_e - e) * nu ** (new_kappa - kappa) of each toggle kind
+    add_merge, add_inside, drop_split, drop_inside = (
+        lam ** de * nu ** dk for de, dk in ((1, -1), (1, 0), (-1, 1), (-1, 0)))
+    forests = mode == MODE_FORESTS
+    count_kappa = not forests and nu != 1.0
+    members = member.tobytes() if mode == MODE_MEMBER_ARRAY else None
+    pu, pv = (a.tolist() for a in pair_arrays(n))
+    adj = [0] * n
+    mask = 0
+    out = []
+    keep = burn_in + thin - 1  # step index after which the next draw is kept
+    for t, (b, x) in enumerate(zip(proposals[:total].tolist(), uniforms[:total].tolist())):
+        bit = 1 << b
+        if members is None or members[mask ^ bit]:
+            u, v = pu[b], pv[b]
+            ub, vb = 1 << u, 1 << v
+            if mask & bit:
+                adj[u] ^= vb
+                adj[v] ^= ub
+                r = drop_inside if count_kappa and _joined(adj, u, v) else drop_split
+                if r >= 1.0 or x < r:
+                    mask ^= bit
+                else:
+                    adj[u] |= vb
+                    adj[v] |= ub
+            elif not (forests and _joined(adj, u, v)):
+                r = add_inside if count_kappa and _joined(adj, u, v) else add_merge
+                if r >= 1.0 or x < r:
+                    mask ^= bit
+                    adj[u] |= vb
+                    adj[v] |= ub
+        if t == keep:
+            out.append(mask)
+            keep += thin
     return out
 
 

@@ -48,6 +48,14 @@ def parse_number(s: str):
     return float(s)
 
 
+# smallest allowed value of each integer option, and the flags whose names
+# differ from the field's
+_INT_MINIMUM = {"n": 0, "n_max": 0, "cap": 0, "census_n_max": 0, "draws": 0, "steps": 0,
+                "burn_in": 0, "thin": 1, "seed": 0, "threads": 1, "minor_budget": 0}
+_FLAGS = {"n_max": "--nmax", "census_n_max": "--census-nmax", "burn_in": "--burn-in",
+          "minor_budget": "--minor-budget"}
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     """Flat bag of experiment options; JSON round-trips exactly."""
@@ -72,6 +80,21 @@ class ExperimentConfig:
     threads: int = 1
     minor_budget: int = 10_000_000
     out: str | None = None
+
+    def validate(self, command: str = "") -> None:
+        """Raise ValueError, naming the flag, for an integer option out of range."""
+        for name, low in _INT_MINIMUM.items():
+            value = getattr(self, name)
+            if value is None and name in ("n", "steps"):
+                continue
+            flag = "--nmax" if command == "census" and name == "census_n_max" \
+                else _FLAGS.get(name, "--" + name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{flag} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{flag} must be >= {low}, got {value}")
+        if self.seed >= 1 << 64:
+            raise ValueError(f"--seed must be below 2^64, got {self.seed}")
 
     def render(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -429,6 +452,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = _merge_config(args)
+        cfg.validate(args.command)
         if args.command == "enumerate":
             return cmd_enumerate(cfg)
         if args.command == "census":

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .canon import canonicalize
 from .enumeration import (
-    HARD_CAP,
+    BRUTE_FORCE_CAP,
     UnlabelledCensus,
     member_mask_array,
     member_masks,
@@ -165,13 +165,13 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
             mode, member = _kernels.MODE_ALL, None
         elif fam.predicate is is_forest:
             mode, member = _kernels.MODE_FORESTS, None
-        elif n <= HARD_CAP:
+        elif n <= BRUTE_FORCE_CAP:
             mode, member = _kernels.MODE_MEMBER_ARRAY, member_mask_array(fam, n)
         else:
             return _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws)
         masks = _kernels.mcmc_chain(n, proposals, uniforms, float(w.lam), float(w.nu),
                                     mode, member, burn_in, thin, draws)
-        return [Graph(n, int(s)) for s in masks]
+        return [Graph(n, s) for s in masks]
     proposals = rng.integers(0, m, size=total, dtype=np.int64)
     uniforms = rng.random(total)
     return _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from minorclass.cli import ExperimentConfig, main, parse_number
+from minorclass.cli import ExperimentConfig, graph_from_json, main, parse_number
 from minorclass.graphs import Graph, graph_to_text, path_graph
 
 
@@ -180,6 +180,38 @@ def test_config_file_merging(tmp_path, capsys):
 def test_exit_code_config_error(capsys):
     code, _ = run_cli(["enumerate", "--family", "no-such-family"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sample", "--method", "mcmc", "--thin", "0"], "--thin"),
+    (["sample", "--method", "mcmc", "--burn-in", "-5"], "--burn-in"),
+    (["sample", "--seed", "-1"], "--seed"),
+    (["enumerate", "--nmax", "-1"], "--nmax"),
+    (["sample", "--draws", "-3"], "--draws"),
+    (["census", "--nmax", "-1"], "--nmax"),
+], ids=["thin", "burn-in", "seed", "nmax", "draws", "census-nmax"])
+def test_bad_config_values_exit_2_naming_the_flag(argv, flag, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"configuration error: {flag} must be" in captured.err
+
+
+def test_mcmc_series_parallel_beyond_member_arrays(capsys):
+    # n=8 has no membership array; the chain tests membership per step
+    from minorclass.families import builtin_family
+
+    code, out = run_cli(["sample", "--family", "series-parallel", "--method", "mcmc", "--n", "8",
+                         "--draws", "20", "--burn-in", "3000", "--thin", "50", "--seed", "1"],
+                        capsys)
+    assert code == 0
+    sp = builtin_family("series-parallel")
+    lines = out.strip().splitlines()
+    assert len(lines) == 20
+    graphs = [graph_from_json(line) for line in lines]
+    assert all(g.n == 8 and sp.base_member(g) for g in graphs)
+    assert any(g.edge_count > 0 for g in graphs)
 
 
 def test_exit_code_resource_cap(capsys):

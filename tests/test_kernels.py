@@ -6,11 +6,16 @@ floating series must agree to close to machine precision.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from minorclass import _kernels as K
+from minorclass.enumeration import member_mask_array
+from minorclass.families import builtin_family
+from minorclass.graphs import Weighting
+from minorclass.sampling import _mcmc_python
 
 
 def _run_stats(impl, n):
@@ -79,21 +84,38 @@ def test_sweep_threads_match_sequential():
     assert (got1.core == got4.core).all()
 
 
-def test_mcmc_paths_agree_exactly():
-    n = 5
+@pytest.mark.parametrize("family, n", [("forests", 5), ("all", 5), ("series-parallel", 5),
+                                       ("forests", 12)])
+def test_mcmc_chain_matches_python_chain(family, n):
+    """Draw for draw on one stream, the incremental chain equals the generic
+    chain that recomputes membership and weights per step.  lam = 2 and
+    nu = 1/2 make both paths' weight ratios exact powers of two."""
+    fam = builtin_family(family)
+    w = Weighting(2, Fraction(1, 2))
     m = n * (n - 1) // 2
     rng = np.random.default_rng(12)
-    proposals = rng.integers(0, m, size=5000, dtype=np.int64)
-    uniforms = rng.random(5000)
-    member = np.zeros(0, dtype=np.uint8)
-    args = (n, *K.pair_arrays(n), proposals, uniforms, 1.5, 0.5, K.MODE_FORESTS,
-            member, 1000, 4, 1000)
-    out1 = np.zeros(1000, dtype=np.int64)
-    K._mcmc_scalar(*args, out1)
-    if K.HAVE_NUMBA:
-        out2 = np.zeros(1000, dtype=np.int64)
-        K._mcmc_nb(*args, out2)
-        assert (out1 == out2).all()
+    burn_in, thin, draws = 1000, 4, 1000
+    proposals = rng.integers(0, m, size=burn_in + thin * draws, dtype=np.int64)
+    uniforms = rng.random(len(proposals))
+    if family == "all":
+        mode, member = K.MODE_ALL, None
+    elif family == "forests":
+        mode, member = K.MODE_FORESTS, None
+    else:
+        mode, member = K.MODE_MEMBER_ARRAY, member_mask_array(fam, n)
+    got = K.mcmc_chain(n, proposals, uniforms, 2.0, 0.5, mode, member, burn_in, thin, draws)
+    want = _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws)
+    assert got == [g.mask for g in want]
+    assert len(set(got)) > 50
+
+
+def test_mcmc_chain_rejects_short_streams():
+    proposals = np.zeros(10, dtype=np.int64)
+    uniforms = np.zeros(10)
+    with pytest.raises(ValueError, match="too short"):
+        K.mcmc_chain(3, proposals, uniforms, 1.0, 1.0, K.MODE_ALL, None, 5, 2, 3)
+    with pytest.raises(ValueError, match="too short"):
+        K.mcmc_chain(3, proposals, uniforms, 1.0, 1.0, K.MODE_ALL, None, 5, 0, 3)
 
 
 def test_tree_series_paths_agree():

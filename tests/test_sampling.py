@@ -11,6 +11,7 @@ from minorclass.enumeration import (
     brute_force_tau,
     build_census,
     exact_frag_distribution,
+    forest_table,
     member_masks,
 )
 from minorclass.errors import EmptySliceError
@@ -128,6 +129,20 @@ def test_mcmc_matches_exact_sampler():
     xs = exact_sample(FORESTS, W11, 6, seed=1, draws=draws)
     ms = mcmc_sample(FORESTS, W11, 6, draws=draws, burn_in=10**5, thin=10, seed=2)
     assert tv_distance(e_kappa_histogram(xs), e_kappa_histogram(ms)) <= 0.02
+
+
+@pytest.mark.parametrize("n", [12, 20, 30])
+def test_mcmc_forest_connectivity_matches_forest_table(n):
+    """Past the enumeration range the forest chain's connected share matches
+    the exact c_n / a_n, within 5 batch-means standard errors."""
+    table = forest_table(W11, n)
+    p = float(table.c[n] / table.a[n])
+    samples = mcmc_sample(FORESTS, W11, n, draws=20000, burn_in=20000, thin=10, seed=5)
+    assert all(g.edge_count == n - component_count(g) for g in samples)
+    connected = np.array([g.edge_count == n - 1 for g in samples], dtype=float)
+    batches = connected.reshape(20, -1).mean(axis=1)
+    se = batches.std(ddof=1) / math.sqrt(len(batches))
+    assert abs(connected.mean() - p) <= 5 * se
 
 
 def test_mcmc_member_array_and_python_routes_agree_in_law():
