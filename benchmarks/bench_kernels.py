@@ -3,7 +3,8 @@
 
 Runs each hot kernel through both implementations in one process and prints a
 timing table.  With MINORCLASS_NO_NUMBA=1 (or numba missing) only the fallback
-column is populated.  The MCMC chain has a single pure-Python implementation.
+column is populated.  The MCMC chain has a single pure-Python implementation,
+and the membership arrays of minor-tested families a single numpy one.
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -119,6 +120,19 @@ def bench_prufer(draws, n):
     return f"prufer_decode {draws} trees on {n} vertices", rows
 
 
+def bench_member_array(name, n):
+    from minorclass.canon import _canon_data
+    from minorclass.enumeration import member_mask_array
+    from minorclass.families import builtin_family
+
+    def run():
+        # a fresh family and canonical cache per repeat, so no cached array hides the work
+        _canon_data.cache_clear()
+        member_mask_array(builtin_family(name), n)
+
+    return f"member_mask_array n={n} {name}", [("numpy", _time(run))]
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="smaller workloads")
@@ -138,7 +152,8 @@ def main():
         bench_mcmc(steps, 16),
         bench_tree_series(terms),
         bench_prufer(draws, 300),
-    ]
+    ] + [bench_member_array(name, n_sweep)
+         for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1")]
     width = max(len(label) for label, _ in benches) + 2
     for label, rows in benches:
         base = rows[-1][1]

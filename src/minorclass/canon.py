@@ -5,13 +5,18 @@ multisets (1-dimensional Weisfeiler-Leman); the candidate orderings are the
 ones listing colour classes in their refined order with arbitrary order inside
 a class, and the canonical edge mask is the maximum relabelled mask over those
 orderings.  The refinement is isomorphism-invariant, so the maximum is too.
-Automorphisms preserve the refined colouring, which makes the same machinery
-count them.
+Automorphisms preserve the refined colouring, so their number equals the
+number of orderings that reach the maximum, and one branch-and-bound search
+finds the maximum and counts those orderings.  Swapping two twins (vertices
+with the same neighbours apart from each other) is an automorphism, so the
+search lists every twin class in index order only and multiplies the count by
+the factorial of each class size.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .errors import ResourceCapError
@@ -67,67 +72,69 @@ def _row_bits(adj_v: int, order: list[int]) -> int:
     return r
 
 
-def _search_max_rows(n, adj, class_of_pos, members_by_class):
-    """Maximum row sequence over class-respecting orderings (branch and bound)."""
-    best: list[int] | None = None
+def _twin_classes(n: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(previous twin of each vertex or -1, size of each twin class).
+
+    Twins have the same neighbours apart from each other; being twins is an
+    equivalence relation, and swapping two twins is an automorphism.
+    """
+    prev = [-1] * n
+    sizes = []
+    placed = [False] * n
+    for u in range(n):
+        if placed[u]:
+            continue
+        last, size = u, 1
+        for w in range(u + 1, n):
+            if not placed[w] and adj[u] & ~(1 << w) == adj[w] & ~(1 << u):
+                prev[w], last, size = last, w, size + 1
+                placed[w] = True
+        sizes.append(size)
+    return prev, sizes
+
+
+def _search_max_rows(n, adj, class_of_pos, members_by_class, prev_twin):
+    """(maximum row sequence, number of orderings achieving it) over the
+    class-respecting orderings that list every twin class in index order.
+
+    Branch and bound: a prefix is cut only when it is smaller than the
+    incumbent's, so every ordering equal to the final maximum is counted.
+    """
+    best: list[int] = []
+    count = 0
     order: list[int] = []
+    rows: list[int] = []
     used = [False] * n
 
-    def dfs(p: int, tight: bool):
-        nonlocal best
+    def dfs(p: int, tight: bool) -> bool:
+        """tight: the prefix equals the incumbent's.  Returns whether the
+        incumbent changed, after which the prefix equals the new one."""
+        nonlocal best, count
         if p == n:
-            if best is None or rows > best:
-                best = rows.copy()
-            return
-        cls = class_of_pos[p]
-        for v in members_by_class[cls]:
-            if used[v]:
+            if tight:
+                count += 1
+                return False
+            best, count = rows.copy(), 1
+            return True
+        changed = False
+        for v in members_by_class[class_of_pos[p]]:
+            if used[v] or (prev_twin[v] >= 0 and not used[prev_twin[v]]):
                 continue
             r = _row_bits(adj[v], order)
-            if tight and best is not None and r < best[p]:
+            if tight and r < best[p]:
                 continue
-            # tight = current prefix matches the incumbent's prefix (or no
-            # incumbent exists yet); only then is position-wise pruning sound
-            t2 = tight and (best is None or r == best[p])
             used[v] = True
             order.append(v)
             rows.append(r)
-            dfs(p + 1, t2)
+            if dfs(p + 1, tight and r == best[p]):
+                tight = changed = True
             rows.pop()
             order.pop()
             used[v] = False
+        return changed
 
-    rows: list[int] = []
-    dfs(0, True)
-    assert best is not None
-    return best
-
-
-def _count_achievers(n, adj, class_of_pos, members_by_class, target_rows):
-    """Number of class-respecting orderings realizing the target row sequence."""
-    count = 0
-    order: list[int] = []
-    used = [False] * n
-
-    def dfs(p: int):
-        nonlocal count
-        if p == n:
-            count += 1
-            return
-        cls = class_of_pos[p]
-        for v in members_by_class[cls]:
-            if used[v]:
-                continue
-            if _row_bits(adj[v], order) != target_rows[p]:
-                continue
-            used[v] = True
-            order.append(v)
-            dfs(p + 1)
-            order.pop()
-            used[v] = False
-
-    dfs(0)
-    return count
+    dfs(0, False)
+    return best, count
 
 
 @functools.lru_cache(maxsize=1 << 18)
@@ -138,19 +145,27 @@ def _canon_data(n: int, mask: int) -> tuple[int, int]:
     g = Graph(n, mask)
     adj = g.adjacency()
     colors = _refine_colors(n, adj)
-    classes = sorted(set(colors))
-    members_by_class = {c: [v for v in range(n) if colors[v] == c] for c in classes}
-    class_of_pos = []
-    for c in classes:
-        class_of_pos.extend([c] * len(members_by_class[c]))
-    rows = _search_max_rows(n, adj, class_of_pos, members_by_class)
+    if len(set(colors)) == n:
+        # discrete colouring: one candidate ordering, trivial automorphism group
+        order = sorted(range(n), key=colors.__getitem__)
+        rows = [_row_bits(adj[v], order[:p]) for p, v in enumerate(order)]
+        aut = 1
+    else:
+        classes = sorted(set(colors))
+        members_by_class = {c: [v for v in range(n) if colors[v] == c] for c in classes}
+        class_of_pos = []
+        for c in classes:
+            class_of_pos.extend([c] * len(members_by_class[c]))
+        prev_twin, twin_sizes = _twin_classes(n, adj)
+        rows, aut = _search_max_rows(n, adj, class_of_pos, members_by_class, prev_twin)
+        for t in twin_sizes:
+            aut *= math.factorial(t)
     canon_mask = 0
     for p in range(n):
         # row bit for earlier position i sits at offset p-1-i; mask bit index is pair_bit
         for i in range(p):
             if rows[p] >> (p - 1 - i) & 1:
                 canon_mask |= 1 << pair_bit(i + 1, p + 1)
-    aut = _count_achievers(n, adj, class_of_pos, members_by_class, rows)
     return canon_mask, aut
 
 

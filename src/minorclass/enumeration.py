@@ -2,11 +2,16 @@
 
 The brute-force sweep iterates every edge-set integer, aggregates integer
 counts by (edges, components, ...) in a kernel, and only then applies the
-weighting, so rational parameters give exact rational totals.  Membership for
-excluded-minor families is resolved with an upward dynamic program over the
-subset lattice (a graph is out as soon as one edge-deletion is out) plus a
-canonically-memoized minor test on the survivors; a Betti-number filter
-(e - n + components) certifies cheap members without any search.
+weighting, so rational parameters give exact rational totals.
+
+Membership arrays for excluded-minor families come from a one-step-minor
+dynamic program with no per-graph search: a graph is a member iff it is not
+isomorphic to a listed minor and every graph one deletion or contraction
+below it is a member.  Contractions and vertex deletions are OR-linear maps
+on the edge mask, evaluated for all masks at once and looked up in the cached
+array of the order below; edge deletions are closed by a subset-AND pass over
+the lattice.  Only masks that match a minor's edge count and degree sequence
+are canonicalized.  Forests use the component count instead (e = n - kappa).
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from .graphs import (
     component_masks,
     induced_subgraph,
     is_forest,
+    pair_bit,
     pair_count,
+    pairs,
     weight,
 )
 
@@ -51,13 +58,6 @@ def subset_stats_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
     return stats
 
 
-def _betti_floor(minors: Sequence[Graph]) -> int | None:
-    """Smallest cycle rank among the excluded minors (None when unknown)."""
-    if not minors:
-        return None
-    return min(m.edge_count - m.n + len(component_masks(m)) for m in minors)
-
-
 def member_mask_array(fam: "GraphFamily", n: int) -> np.ndarray | None:
     """uint8 membership (base family, ignoring connected-only views) for every
     edge mask on n vertices; None means every graph is a member."""
@@ -78,36 +78,86 @@ def member_mask_array(fam: "GraphFamily", n: int) -> np.ndarray | None:
     return arr
 
 
-def _minor_closed_member_array(fam: "GraphFamily", n: int) -> np.ndarray:
+def _check_array_cap(n: int):
     if n > BRUTE_FORCE_CAP:
         raise ResourceCapError(
             f"membership arrays for minor-tested families stop at n={BRUTE_FORCE_CAP}; "
-            "only predicate families support the n=8 override"
+            "only forests and all support the n=8 override"
         )
-    kappa, _ = subset_stats_cached(n)
-    masks = np.arange(1 << pair_count(n), dtype=np.int64)
-    e = np.bitwise_count(masks).astype(np.int64)
-    member = np.zeros(len(masks), dtype=np.uint8)
-    betti = e - n + kappa.astype(np.int64)
-    floor = _betti_floor(fam.excluded_minors)
+
+
+def _check_caps(fam: "GraphFamily", n: int, cap: int):
+    """Raise ResourceCapError when the slice n is past the given cap, the hard
+    cap, or (for minor-tested families) the membership-array cap."""
+    if n > cap:
+        raise ResourceCapError(f"brute force at n={n} needs an explicit cap >= {n}")
+    if n > HARD_CAP:
+        raise ResourceCapError(f"brute force is limited to n <= {HARD_CAP}")
+    if fam.name != "all" and fam.predicate is not is_forest:
+        _check_array_cap(n)
+
+
+def _one_step_maps(n: int) -> list[tuple[list[int], int]]:
+    """The one-step minor maps from n to n-1 vertices, as OR-linear maps on edge masks.
+
+    Each map is (image of every edge bit as an (n-1)-vertex mask, edge bit that
+    must be present or -1): first the contraction of every pair, merging the
+    larger vertex into the smaller, then the deletion of every vertex.
+    """
+    ps = pairs(n)
+    relabel = [({w: u if w == v else w - (w > v) for w in range(1, n + 1)}, b)
+               for b, (u, v) in enumerate(ps)]
+    relabel += [({w: w - (w > v) for w in range(1, n + 1) if w != v}, -1)
+                for v in range(1, n + 1)]
+    return [([1 << pair_bit(phi[x], phi[y]) if x in phi and y in phi and b != need else 0
+              for b, (x, y) in enumerate(ps)], need)
+            for phi, need in relabel]
+
+
+def _minor_closed_member_array(fam: "GraphFamily", n: int) -> np.ndarray:
+    """One-step-minor DP.  G is in Ex(M) iff G is isomorphic to no listed minor
+    and every graph one step below it is a member: each single-edge deletion,
+    each edge contraction and each vertex deletion.  Contractions and vertex
+    deletions land in the cached (n-1)-vertex array; the edge deletions are
+    closed by one subset-AND pass over the lattice.
+    """
+    _check_array_cap(n)
+    if fam.predicate is not None and not fam.excluded_minors:
+        raise ValueError(f"family {fam.name!r} has no excluded minors to build its array from")
     m = pair_count(n)
-    for lvl in range(0, m + 1):
-        idx = np.nonzero(e == lvl)[0].astype(np.int64)
-        if len(idx) == 0:
-            continue
-        ok = np.ones(len(idx), dtype=bool)
-        for b in range(m):
-            sel = ((idx >> b) & 1).astype(bool)
-            if sel.any():
-                ok[sel] &= member[idx[sel] ^ (1 << b)] != 0
-        cands = idx[ok]
-        if floor is not None:
-            auto = betti[cands] < floor
-            member[cands[auto]] = 1
-            cands = cands[~auto]
+    ok = np.ones(1 << m, dtype=bool)
+    if n:
+        prev = member_mask_array(fam, n - 1)
+        # the upper half answers "member" for masks a contraction does not apply to
+        applies = np.concatenate([prev != 0, np.ones(len(prev), dtype=bool)])
+        absent = np.uint32(len(prev))
+        for images, need in _one_step_maps(n):
+            image = np.zeros(1, dtype=np.uint32)
+            for b, img in enumerate(images):
+                if b == need:
+                    image = np.concatenate([image | absent, image])
+                else:
+                    image = np.concatenate([image, image | np.uint32(img)])
+            ok &= applies[image]
+    same_order = [h for h in fam.excluded_minors if h.n == n]
+    if same_order:
+        masks = np.arange(1 << m, dtype=np.int64)
+        e = np.bitwise_count(masks)
+        incident = [sum(1 << pair_bit(u, v) for u in range(1, n + 1) if u != v)
+                    for v in range(1, n + 1)]
+    for h in same_order:
+        cands = masks[(e == h.edge_count) & ok]
+        degrees = np.sort(np.array([np.bitwise_count(cands & inc) for inc in incident],
+                                   dtype=np.int64).reshape(n, len(cands)), axis=0)
+        cands = cands[(degrees.T == sorted(h.degrees())).all(axis=1)]
+        code = canonicalize(h).code
         for s in cands.tolist():
-            member[s] = 1 if fam.base_member(Graph(n, int(s))) else 0
-    return member
+            if canonicalize(Graph(n, s)).code == code:
+                ok[s] = False
+    for b in range(m):
+        half = ok.reshape(-1, 2, 1 << b)
+        half[:, 1, :] &= half[:, 0, :]
+    return ok.astype(np.uint8)
 
 
 def member_masks(fam: "GraphFamily", n: int, connected: bool | None = None) -> list[int]:
@@ -169,10 +219,7 @@ def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int, cap: int = BRUTE_F
     Default cap is 7 (2^21 graphs); pass cap=8 explicitly to allow n=8.
     For a connected-members view the a-column equals the c-column.
     """
-    if n > cap:
-        raise ResourceCapError(f"brute force at n={n} needs an explicit cap >= {n}")
-    if n > HARD_CAP:
-        raise ResourceCapError(f"brute force is limited to n <= {HARD_CAP}")
+    _check_caps(fam, n, cap)
     want_bridges = not w.is_diagonal
     if fam.name == "all":
         member, mode = None, _kernels.MODE_ALL
@@ -320,10 +367,12 @@ def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
                          verbose: bool = False) -> WeightTable:
     """Brute-force table up to n_max (all entries enumerated exactly).
 
+    The caps are checked for n_max before any slice is enumerated.
     verbose prints one progress line per slice to standard error only.
     """
     import sys
 
+    _check_caps(fam, n_max, cap)
     a, c, b, methods = [], [], [], []
     for n in range(n_max + 1):
         if verbose and n >= 6:

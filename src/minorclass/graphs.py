@@ -41,6 +41,22 @@ def pairs(n: int) -> tuple[tuple[int, int], ...]:
     return got
 
 
+def set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative integer, ascending.
+
+    Reads the binary string once, so the cost stays linear in the width even
+    for masks of tens of thousands of bits (clearing one bit at a time would
+    copy the whole integer per bit).
+    """
+    digits = bin(mask)[:1:-1]
+    out = []
+    b = digits.find("1")
+    while b >= 0:
+        out.append(b)
+        b = digits.find("1", b + 1)
+    return out
+
+
 class Graph:
     """Simple labelled graph on vertex set {1, .., n}; n = 0 is the empty graph."""
 
@@ -70,13 +86,7 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as 1-indexed (u, v) pairs with u < v, sorted."""
         ps = pairs(self.n)
-        m = self.mask
-        out = []
-        while m:
-            b = (m & -m).bit_length() - 1
-            m &= m - 1
-            out.append(ps[b])
-        return tuple(sorted(out))
+        return tuple(sorted(ps[b] for b in set_bits(self.mask)))
 
     @property
     def edge_count(self) -> int:
@@ -89,11 +99,8 @@ class Graph:
         """Neighbour bitmask per 0-indexed vertex (bit w set = adjacent to w+1)."""
         if self._adj is None:
             adj = [0] * self.n
-            m = self.mask
             ps = pairs(self.n)
-            while m:
-                b = (m & -m).bit_length() - 1
-                m &= m - 1
+            for b in set_bits(self.mask):
                 u, v = ps[b]
                 adj[u - 1] |= 1 << (v - 1)
                 adj[v - 1] |= 1 << (u - 1)

@@ -1,5 +1,6 @@
 """Canonical codes and automorphism counting."""
 
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from minorclass.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
+    copies,
     cycle_graph,
     path_graph,
     star_graph,
@@ -85,6 +87,10 @@ def test_code_matches_oracle_on_seven_vertices():
         (star_graph(3), 6),
         (complete_bipartite(3, 3), 72),
         (Graph(5, 0), 120),
+        (Graph(9, 0), 362880),
+        (copies(cycle_graph(3), 3), 1296),
+        (complete_bipartite(4, 4), 1152),
+        (copies(complete_graph(2), 4), 384),
     ],
 )
 def test_automorphism_counts(g, expected):
@@ -103,6 +109,19 @@ def test_aut_times_class_size_is_factorial():
         for mask in range(1 << (n * (n - 1) // 2)):
             g = Graph(n, mask)
             assert automorphism_count(g) * sizes[canonicalize(g).hex] == math.factorial(n)
+
+
+def test_codes_and_counts_pinned_up_to_six_vertices():
+    """sha256 over "n mask code aut" for all 33,868 labelled graphs with n <= 6,
+    recorded from the two-pass search that predates twin pruning."""
+    from minorclass.graphs import pair_count
+
+    h = hashlib.sha256()
+    for n in range(7):
+        for mask in range(1 << pair_count(n)):
+            g = Graph(n, mask)
+            h.update(f"{n} {mask} {canonicalize(g).hex} {automorphism_count(g)}\n".encode())
+    assert h.hexdigest() == "6261b9fc4cf26e159c8039cb0819d43682284217e16d60e108fb48668550d637"
 
 
 def test_vertex_cap():

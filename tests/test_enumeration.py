@@ -51,6 +51,22 @@ def test_cap_errors():
         brute_force_tau(FORESTS, W11, 9, cap=9)  # hard limit
 
 
+@pytest.mark.parametrize("name,n_max,cap", [
+    ("series-parallel", 8, 7),   # past the requested cap
+    ("all", 9, 9),               # past the hard cap
+    ("planar", 8, 8),            # past the membership-array cap
+])
+def test_weight_table_checks_caps_before_any_slice(name, n_max, cap, monkeypatch):
+    from minorclass import _kernels
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a slice was enumerated before the cap check")
+
+    monkeypatch.setattr(_kernels, "sweep_counts", no_sweep)
+    with pytest.raises(ResourceCapError):
+        compute_weight_table(builtin_family(name), W11, n_max, cap=cap)
+
+
 def test_weighted_counts_are_exact_fractions():
     w = Weighting(Fraction(1, 2), Fraction(3, 2))
     t = brute_force_tau(FORESTS, w, 4)

@@ -241,21 +241,49 @@ def test_builtin_equals_excluded_minor_route():
 
 
 def test_member_array_equals_direct_predicate():
-    """The lattice DP + Betti filter reproduce plain per-graph predicate calls."""
+    """The one-step-minor DP, which reads only the excluded minors, agrees with
+    per-graph calls of each built-in predicate (no memo): every mask for
+    n <= 5 and 2,000 seeded random masks at n = 6 and n = 7."""
     import numpy as np
 
     from minorclass.graphs import pair_count
 
+    rng = np.random.default_rng(2012)
     for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1",
                  "ex-k-disjoint-cycles:2"):
         fam = builtin_family(name)
-        for n in range(0, 5):
+        for n in range(0, 8):
             arr = member_mask_array(fam, n)
-            direct = np.array(
-                [fam.predicate(Graph(n, m)) for m in range(1 << pair_count(n))],
-                dtype=np.uint8,
-            )
-            assert (arr == direct).all(), (name, n)
+            total = 1 << pair_count(n)
+            masks = range(total) if n <= 5 else rng.integers(0, total, 2000).tolist()
+            direct = [fam.predicate(Graph(n, m)) for m in masks]
+            assert arr[list(masks)].tolist() == direct, (name, n)
+
+
+@pytest.mark.parametrize("minors", [
+    (disjoint_union(cycle_graph(3), empty_graph(1)),),
+    (disjoint_union(copies(complete_graph(2), 2), empty_graph(1)),),
+    (complete_graph(4), cycle_graph(5)),
+], ids=["K3+K1", "2K2+K1", "K4,C5"])
+def test_member_array_equals_has_minor(minors):
+    """Minors with isolated vertices or of unequal orders: the DP agrees with
+    the exhaustive minor search at every mask for n <= 5."""
+    from minorclass.graphs import pair_count
+    from minorclass.minors import has_minor
+
+    fam = excluded_minor_family("x", minors)
+    for n in range(0, 6):
+        direct = [all(not has_minor(Graph(n, m), h) for h in minors)
+                  for m in range(1 << pair_count(n))]
+        assert member_mask_array(fam, n).tolist() == direct, n
+
+
+def test_member_array_needs_excluded_minors():
+    from minorclass.families import GraphFamily
+
+    fam = GraphFamily("bounded-degree", predicate=lambda g: max(g.degrees(), default=0) <= 2)
+    with pytest.raises(ValueError):
+        member_mask_array(fam, 3)
 
 
 def test_family_json_loading(tmp_path):

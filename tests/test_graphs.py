@@ -216,6 +216,20 @@ def test_graph_invariants():
     assert complete_graph(4).edge_count == 6
 
 
+def test_edges_of_a_wide_mask():
+    """Edges and adjacency of a 300-vertex graph read from a 44,850-bit mask."""
+    from minorclass.graphs import pairs, set_bits
+
+    rng = random.Random(4)
+    edges = sorted({tuple(sorted(rng.sample(range(1, 301), 2))) for _ in range(400)})
+    g = Graph.from_edges(300, edges)
+    assert g.edges == tuple(edges)
+    assert set_bits(g.mask) == sorted(pair_bit(u, v) for u, v in edges)
+    assert [pairs(300)[b] for b in set_bits(g.mask)] == sorted(edges, key=lambda e: e[::-1])
+    assert sum(g.degrees()) == 2 * len(edges)
+    assert set_bits(0) == []
+
+
 def test_text_round_trip():
     g = Graph.from_edges(5, [(1, 2), (2, 3), (4, 5)])
     assert graph_from_text(graph_to_text(g)) == g
