@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy/python fallbacks.
+"""Time the hot kernels, and the numba ones against their fallbacks.
 
-Runs each hot kernel through both implementations in one process and prints a
-timing table.  With MINORCLASS_NO_NUMBA=1 (or numba missing) only the fallback
-column is populated.  The MCMC chain has a single pure-Python implementation,
-and the membership arrays of minor-tested families a single numpy one.
+Runs each kernel in one process and prints a timing table (best of three).
+The tree series and the Pruefer decoder have a numba column when numba is
+installed and enabled (not with MINORCLASS_NO_NUMBA=1).  The subset-lattice
+kernels, the MCMC chain and the membership arrays of minor-tested families
+have a single implementation each; the lattice rows start from an empty
+slice cache in every repeat.
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -27,47 +29,24 @@ def _time(fn, *args, repeat=3):
     return best
 
 
+def _cold(fn, *args, **kwargs):
+    """Time fn with the lattice cache cleared before each repeat, so every
+    repeat builds its slices from n = 0."""
+    def run():
+        K._RECORDS.clear()
+        fn(*args, **kwargs)
+
+    return _time(run)
+
+
 def bench_subset_stats(n):
-    m = n * (n - 1) // 2
-    total = 1 << m
-    pu, pv = K.pair_arrays(n)
-
-    def run(impl):
-        kappa = np.zeros(total, dtype=np.uint8)
-        mindeg2 = np.zeros(total, dtype=np.uint8)
-        impl(n, 0, total, pu, pv, kappa, mindeg2)
-
-    rows = []
-    if K.HAVE_NUMBA:
-        run(K._subset_stats_nb)  # compile
-        rows.append(("numba", _time(run, K._subset_stats_nb)))
-    rows.append(("numpy", _time(run, K._subset_stats_np)))
-    return f"subset_stats n={n} ({total} masks)", rows
+    masks = 1 << (n * (n - 1) // 2)
+    return f"subset_stats n={n} ({masks} masks)", [("numpy", _cold(K.subset_stats, n))]
 
 
-def bench_sweep(n, want_bridges):
-    m = n * (n - 1) // 2
-    pu, pv = K.pair_arrays(n)
-    member = np.zeros(0, dtype=np.uint8)
-
-    def run(impl):
-        ek = np.zeros((m + 1, n + 2), dtype=np.int64)
-        ce = np.zeros(m + 1, dtype=np.int64)
-        be = np.zeros(m + 1, dtype=np.int64)
-        core = np.zeros((m + 1, n + 1), dtype=np.int64)
-        ext_a = np.zeros((m + 1, m + 1, n + 2), dtype=np.int64)
-        ext_c = np.zeros((m + 1, m + 1), dtype=np.int64)
-        ext_b = np.zeros((m + 1, m + 1), dtype=np.int64)
-        impl(n, 0, 1 << m, pu, pv, member, K.MODE_FORESTS, True, want_bridges,
-             ek, ce, be, core, ext_a, ext_c, ext_b)
-
-    rows = []
-    if K.HAVE_NUMBA:
-        run(K._sweep_nb)
-        rows.append(("numba", _time(run, K._sweep_nb)))
-    rows.append(("numpy", _time(run, K._sweep_np)))
-    label = f"sweep_counts n={n}" + (" +bridges" if want_bridges else "")
-    return label, rows
+def bench_sweep(n, mode, want_bridges, label):
+    t = _cold(K.sweep_counts, n, None, mode, want_bridges=want_bridges)
+    return f"sweep_counts n={n} {label}", [("numpy", t)]
 
 
 def bench_mcmc(steps, n):
@@ -146,8 +125,8 @@ def main():
 
     benches = [
         bench_subset_stats(n_sweep),
-        bench_sweep(n_sweep, want_bridges=False),
-        bench_sweep(6, want_bridges=True),
+        bench_sweep(n_sweep, K.MODE_ALL, True, "all +bridges"),
+        bench_sweep(n_sweep + 1, K.MODE_FORESTS, False, "forests"),
         bench_mcmc(steps, 7),
         bench_mcmc(steps, 16),
         bench_tree_series(terms),

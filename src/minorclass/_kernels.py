@@ -1,13 +1,16 @@
-"""Hot numeric kernels: numba-accelerated with a pure-numpy fallback.
+"""Hot numeric kernels in numpy, with numba for the series and the tree decoder.
 
-Setting the environment variable ``MINORCLASS_NO_NUMBA=1`` (or numba being
-unavailable) selects the fallback path.  Callers pre-draw all random numbers,
-so a kernel is a deterministic function of its inputs on either path; the
-benchmark script under benchmarks/ compares the two.
+The subset-lattice kernels are whole-array numpy: each n-slice of edge masks
+is built from the cached (n-1)-slice, in one pass for n <= 7 and streamed in
+blocks of 2^21 masks at n = 8.  The tree series and the Pruefer decoder are
+numba-compiled when numba is installed; setting the environment variable
+``MINORCLASS_NO_NUMBA=1`` (or numba being unavailable) selects their
+pure-numpy/Python fallback.  Callers pre-draw all random numbers, so a kernel
+is a deterministic function of its inputs on either path.
 
 Kernels:
-  * subset_stats      - component count / min-degree flag for every edge mask
-  * sweep_counts      - aggregate member counts by (edges, components, ...)
+  * subset_stats      - component count, edge count and min-degree flag for every edge mask
+  * sweep_counts      - aggregate member counts by (edges, components, bridges, 2-core)
   * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n)
   * tree_series_sums  - partial sums of the weighted (rooted) tree series
   * prufer_decode     - batch decode of uniform parent sequences into trees
@@ -17,10 +20,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ResourceCapError
 
 _DISABLED = os.environ.get("MINORCLASS_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
 
@@ -57,115 +61,149 @@ def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# subset_stats
+# the subset lattice, one slice at a time
 # ---------------------------------------------------------------------------
+#
+# Every edge of vertex n sits in the top n-1 bits of an n-vertex edge mask, so
+# the n-slice is the (n-1)-slice crossed with the 2^(n-1) neighbour sets N of
+# vertex n: mask = N << pair_count(n-1) | low.  Vertex sets are uint8 bitmasks
+# (bit u = vertex u+1), which holds up to LATTICE_CAP vertices.
+
+LATTICE_CAP = 8
+RECORD_CAP = 7      # slices up to here are kept whole and cached (2^21 masks at n = 7)
+BLOCK = 1 << 21     # masks per block when a larger slice is streamed
+
+MODE_MEMBER_ARRAY = 0
+MODE_ALL = 1
+MODE_FORESTS = 2
 
 
-def _subset_stats_scalar(n, lo, hi, pu, pv, kappa_out, mindeg2_out):
-    m = pu.shape[0]
-    adj = np.zeros(n, dtype=np.int64)
-    for s in range(lo, hi):
-        for v in range(n):
-            adj[v] = 0
-        for b in range(m):
-            if s >> b & 1:
-                adj[pu[b]] |= 1 << pv[b]
-                adj[pv[b]] |= 1 << pu[b]
-        seen = 0
-        kappa = 0
-        for v in range(n):
-            if not seen >> v & 1:
-                kappa += 1
-                comp = 1 << v
-                frontier = comp
-                while frontier:
-                    nxt = 0
-                    for w in range(n):
-                        if frontier >> w & 1:
-                            nxt |= adj[w]
-                    frontier = nxt & ~comp
-                    comp |= nxt
-                seen |= comp
-        kappa_out[s - lo] = kappa
-        ok = 1
-        for v in range(n):
-            d = 0
-            a = adj[v]
-            for w in range(n):
-                d += a >> w & 1
-            if d < 2:
-                ok = 0
-                break
-        mindeg2_out[s - lo] = ok
+@dataclass
+class SliceStats:
+    """Per-mask statistics (uint8 arrays) of consecutive edge masks of one slice.
+
+    kappa, edges and mindeg2 (1 iff every vertex has degree >= 2) are always
+    set.  deg0 and deg1 (the sets of vertices of degree 0 and 1) and roots
+    (roots[v]: the bit of the least vertex of v's component) are what
+    extending the slice by one vertex needs.  bridges (bridge count) and core
+    (vertices in the 2-core) are computed on request.
+    """
+
+    kappa: np.ndarray
+    edges: np.ndarray
+    mindeg2: np.ndarray
+    deg0: np.ndarray | None = None
+    deg1: np.ndarray | None = None
+    roots: np.ndarray | None = None
+    bridges: np.ndarray | None = None
+    core: np.ndarray | None = None
 
 
-_subset_stats_nb = njit(nogil=True, cache=True)(_subset_stats_scalar) if HAVE_NUMBA else None
+_RECORDS: dict[int, SliceStats] = {}
 
 
-def _reach_closure_np(adj: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized transitive closure of the adjacency bitmasks (rows, n)."""
-    reach = adj | (np.int64(1) << np.arange(n, dtype=np.int64))
-    rounds = max(1, int(math.ceil(math.log2(max(n, 2)))) + 1)
-    for _ in range(rounds):
-        for v in range(n):
-            acc = reach[:, v].copy()
-            for w in range(n):
-                sel = ((reach[:, v] >> w) & 1).astype(bool)
-                acc[sel] |= reach[sel, w]
-            reach[:, v] = acc
-    return reach
+def _record(n: int, extendable: bool = False) -> SliceStats:
+    """The whole n-slice (n <= RECORD_CAP), built from the (n-1)-slice and cached.
+
+    The vertex-set arrays are kept only once the next slice is asked for.
+    """
+    rec = _RECORDS.get(n)
+    if rec is None or (extendable and rec.roots is None):
+        if n == 0:  # the empty graph
+            zero = np.zeros(1, dtype=np.uint8)
+            rec = SliceStats(zero, zero, np.ones(1, dtype=np.uint8), zero, zero,
+                             np.zeros((0, 1), dtype=np.uint8), bridges=zero, core=zero)
+        else:
+            rec = _extend(_record(n - 1, extendable=True), n, 0, 1 << (n - 1), extendable)
+        for arr in (rec.kappa, rec.edges, rec.mindeg2):
+            arr.flags.writeable = False
+        _RECORDS[n] = rec
+    return rec
 
 
-def _build_adj_np(s: np.ndarray, n: int, pu, pv) -> np.ndarray:
-    adj = np.zeros((s.shape[0], n), dtype=np.int64)
-    for b in range(len(pu)):
-        hasb = (s >> b) & 1
-        adj[:, pu[b]] |= hasb << pv[b]
-        adj[:, pv[b]] |= hasb << pu[b]
+def _adjacency(n: int) -> list[np.ndarray]:
+    """Neighbour set of each vertex for every edge mask on n vertices."""
+    adj = [np.zeros(1, dtype=np.uint8) for _ in range(n)]
+    for u, v in zip(*(a.tolist() for a in pair_arrays(n))):
+        adj = [np.concatenate([a, a | np.uint8(1 << v if w == u else 1 << u if w == v else 0)])
+               for w, a in enumerate(adj)]
     return adj
 
 
-def _subset_stats_np(n, lo, hi, pu, pv, kappa_out, mindeg2_out):
-    chunk = 1 << 16
-    for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
-        s = np.arange(start, stop, dtype=np.int64)
-        adj = _build_adj_np(s, n, pu, pv)
-        reach = _reach_closure_np(adj, n)
-        kappa = np.zeros(len(s), dtype=np.int64)
-        for v in range(n):
-            r = reach[:, v]
-            kappa += ((r & -r) == (np.int64(1) << v)).astype(np.int64)
-        deg = np.bitwise_count(adj)
-        kappa_out[start - lo:stop - lo] = kappa
-        mindeg2_out[start - lo:stop - lo] = (deg >= 2).all(axis=1)
+def _core_sizes(adj: list[np.ndarray], n: int) -> np.ndarray:
+    """Vertices in the 2-core, by peeling every vertex of degree <= 1 each round."""
+    present = np.full(np.broadcast_shapes(*(a.shape for a in adj)), (1 << n) - 1,
+                      dtype=np.uint8)
+    for _ in range(n):
+        gone = np.zeros_like(present)
+        for v, a in enumerate(adj):
+            gone |= (np.bitwise_count(a & present) <= 1).view(np.uint8) << np.uint8(v)
+        present &= ~gone
+    return np.bitwise_count(present).reshape(-1)
 
 
-def subset_stats(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(component count, min-degree>=2 flag) for every edge mask on n vertices."""
-    m = n * (n - 1) // 2
-    total = 1 << m
-    pu, pv = pair_arrays(n)
-    kappa = np.zeros(total, dtype=np.uint8)
-    mindeg2 = np.zeros(total, dtype=np.uint8)
-    if n == 0:
-        kappa[0] = 0
-        mindeg2[0] = 1
-        return kappa, mindeg2
-    if HAVE_NUMBA:
-        _subset_stats_nb(n, 0, total, pu, pv, kappa, mindeg2)
-    else:
-        _subset_stats_np(n, 0, total, pu, pv, kappa, mindeg2)
-    return kappa, mindeg2
+def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = False,
+            bridges: bool = False, low_adj: list[np.ndarray] | None = None) -> SliceStats:
+    """The masks of the n-slice whose vertex n has the neighbour sets first,
+    ..., first + count - 1 (count a power of two dividing first), from the
+    whole (n-1)-slice `low`, which must be extendable.
+
+    Adding vertex n with neighbours N merges the components N touches:
+    kappa = kappa_low + 1 - (components touched).  An edge u-n is a bridge
+    iff u is the only vertex of N in its component; a low edge b is one iff
+    removing it raises kappa, a comparison of the two halves of
+    kappa.reshape(-1, 2, 1 << b).  The 2-core needs the low slice's
+    adjacency, low_adj.
+    """
+    nbrs = np.arange(first, first + count, dtype=np.uint8)[:, None]
+    # root bits of the components N touches, and of those it touches more than once
+    once = np.zeros((1, low.kappa.size), dtype=np.uint8)
+    twice = np.zeros_like(once)
+    for u in range(count.bit_length() - 1, n - 1):
+        if first >> u & 1:
+            twice |= once & low.roots[u]
+            once |= low.roots[u]
+    for u in range(count.bit_length() - 1):
+        r = low.roots[u]
+        once, twice = np.concatenate([once, once | r]), np.concatenate([twice, twice | (once & r)])
+    degree = np.bitwise_count(nbrs)
+    kappa = low.kappa + np.uint8(1) - np.bitwise_count(once)
+    mindeg2 = ((low.deg0 == 0) & ((low.deg1 & ~nbrs) == 0) & (degree >= 2)).view(np.uint8)
+    out = SliceStats(kappa.reshape(-1), (low.edges + degree).reshape(-1), mindeg2.reshape(-1))
+    bit = np.uint8(1 << (n - 1))
+    if extendable:
+        zero = np.uint8(0)
+        out.deg0 = ((low.deg0 & ~nbrs) | np.where(degree == 0, bit, zero)).reshape(-1)
+        out.deg1 = ((low.deg1 & ~nbrs) | (low.deg0 & nbrs)
+                    | np.where(degree == 1, bit, zero)).reshape(-1)
+        # the merged component's root is the least root N touches, or vertex n itself
+        root = np.where(once == 0, bit, once & (~once + np.uint8(1)))
+        out.roots = np.stack([np.where(low.roots[u] & once, root, low.roots[u])
+                              for u in range(n - 1)] + [root]).reshape(n, -1)
+    if bridges:
+        out.bridges = np.bitwise_count(once & ~twice).reshape(-1)
+        for b in range(n * (n - 1) // 2 - (n - 1)):
+            halves = out.kappa.reshape(-1, 2, 1 << b)
+            out.bridges.reshape(-1, 2, 1 << b)[:, 1, :] += halves[:, 0, :] == halves[:, 1, :] + 1
+    if low_adj is not None:
+        adj = [a | ((nbrs >> np.uint8(u)) & np.uint8(1)) << np.uint8(n - 1)
+               for u, a in enumerate(low_adj)]
+        out.core = _core_sizes(adj + [nbrs], n)
+    return out
+
+
+def subset_stats(n: int) -> SliceStats:
+    """Component count, edge count and min-degree>=2 flag for every edge mask
+    on n <= RECORD_CAP vertices.  The arrays are cached and read-only."""
+    if n > RECORD_CAP:
+        raise ResourceCapError(f"whole-slice statistics stop at n={RECORD_CAP}; "
+                               "sweep_counts streams larger slices")
+    return _record(n)
 
 
 # ---------------------------------------------------------------------------
 # sweep_counts
 # ---------------------------------------------------------------------------
-
-MODE_MEMBER_ARRAY = 0
-MODE_ALL = 1
-MODE_FORESTS = 2
 
 
 @dataclass
@@ -191,227 +229,66 @@ class SweepCounts:
     ext_b: np.ndarray | None = None
 
 
-def _sweep_scalar(n, lo, hi, pu, pv, member, mode, want_core, want_bridges,
-                  ek, ce, be, core, ext_a, ext_c, ext_b):
-    m = pu.shape[0]
-    adj = np.zeros(n, dtype=np.int64)
-    for s in range(lo, hi):
-        e = 0
-        for b in range(m):
-            e += s >> b & 1
-        for v in range(n):
-            adj[v] = 0
-        for b in range(m):
-            if s >> b & 1:
-                adj[pu[b]] |= 1 << pv[b]
-                adj[pv[b]] |= 1 << pu[b]
-        seen = 0
-        kappa = 0
-        for v in range(n):
-            if not seen >> v & 1:
-                kappa += 1
-                comp = 1 << v
-                frontier = comp
-                while frontier:
-                    nxt = 0
-                    for w in range(n):
-                        if frontier >> w & 1:
-                            nxt |= adj[w]
-                    frontier = nxt & ~comp
-                    comp |= nxt
-                seen |= comp
-        if mode == 0:
-            ok = member[s] != 0
-        elif mode == 1:
-            ok = True
-        else:
-            ok = e == n - kappa
-        if not ok:
-            continue
-        ek[e, kappa] += 1
-        connected = kappa == 1
-        mindeg2 = True
-        for v in range(n):
-            d = 0
-            a = adj[v]
-            for w in range(n):
-                d += a >> w & 1
-            if d < 2:
-                mindeg2 = False
-                break
-        if connected:
-            ce[e] += 1
-            if mindeg2:
-                be[e] += 1
-        if want_core and connected:
-            present = (1 << n) - 1
-            changed = True
-            while changed:
-                changed = False
-                for v in range(n):
-                    if present >> v & 1:
-                        d = 0
-                        a = adj[v] & present
-                        for w in range(n):
-                            d += a >> w & 1
-                        if d <= 1:
-                            present &= ~(1 << v)
-                            changed = True
-            csize = 0
-            for v in range(n):
-                csize += present >> v & 1
-            core[e, csize] += 1
-        if want_bridges:
-            e0 = 0
-            for b in range(m):
-                if s >> b & 1:
-                    u = pu[b]
-                    v = pv[b]
-                    comp = 1 << u
-                    frontier = comp
-                    reached = False
-                    while frontier and not reached:
-                        nxt = 0
-                        for w in range(n):
-                            if frontier >> w & 1:
-                                aw = adj[w]
-                                if w == u:
-                                    aw &= ~(1 << v)
-                                elif w == v:
-                                    aw &= ~(1 << u)
-                                nxt |= aw
-                        frontier = nxt & ~comp
-                        comp |= nxt
-                        if comp >> v & 1:
-                            reached = True
-                    if not reached:
-                        e0 += 1
-            ext_a[e, e0, kappa] += 1
-            if connected:
-                ext_c[e, e0] += 1
-                if mindeg2:
-                    ext_b[e, e0] += 1
+def _blocks(n: int, bridges: bool, core: bool):
+    """(first mask, statistics) of consecutive blocks covering the n-slice:
+    one block up to RECORD_CAP, blocks of BLOCK masks past it."""
+    if n == 0:
+        yield 0, _record(0)
+        return
+    low = _record(n - 1, extendable=True)
+    low_adj = _adjacency(n - 1) if core else None
+    count = min(1 << (n - 1), max(1, BLOCK // low.kappa.size))
+    for first in range(0, 1 << (n - 1), count):
+        yield first * low.kappa.size, _extend(low, n, first, count, bridges=bridges,
+                                              low_adj=low_adj)
 
 
-_sweep_nb = njit(nogil=True, cache=True)(_sweep_scalar) if HAVE_NUMBA else None
-
-
-def _sweep_np(n, lo, hi, pu, pv, member, mode, want_core, want_bridges,
-              ek, ce, be, core, ext_a, ext_c, ext_b):
-    m = len(pu)
-    chunk = 1 << 16
-    for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
-        s = np.arange(start, stop, dtype=np.int64)
-        e = np.bitwise_count(s).astype(np.int64)
-        adj = _build_adj_np(s, n, pu, pv)
-        reach = _reach_closure_np(adj, n)
-        kappa = np.zeros(len(s), dtype=np.int64)
-        for v in range(n):
-            r = reach[:, v]
-            kappa += ((r & -r) == (np.int64(1) << v)).astype(np.int64)
-        if mode == 0:
-            ok = member[start:stop].astype(bool)
-        elif mode == 1:
-            ok = np.ones(len(s), dtype=bool)
-        else:
-            ok = e == n - kappa
-        deg = np.bitwise_count(adj)
-        mindeg2 = (deg >= 2).all(axis=1)
-        connected = kappa == 1
-        np.add.at(ek, (e[ok], kappa[ok]), 1)
-        sel_c = ok & connected
-        np.add.at(ce, e[sel_c], 1)
-        sel_b = sel_c & mindeg2
-        np.add.at(be, e[sel_b], 1)
-        if want_core:
-            present = np.full(len(s), (1 << n) - 1, dtype=np.int64)
-            for _ in range(n):
-                for v in range(n):
-                    has = ((present >> v) & 1).astype(bool)
-                    dv = np.bitwise_count(adj[:, v] & present)
-                    kill = has & (dv <= 1)
-                    present[kill] &= ~np.int64(1 << v)
-            csize = np.bitwise_count(present).astype(np.int64)
-            np.add.at(core, (e[sel_c], csize[sel_c]), 1)
-        if want_bridges:
-            e0 = np.zeros(len(s), dtype=np.int64)
-            for b in range(m):
-                u, v = int(pu[b]), int(pv[b])
-                hasb = ((s >> b) & 1).astype(bool)
-                adj2 = adj.copy()
-                adj2[:, u] &= ~np.int64(1 << v)
-                adj2[:, v] &= ~np.int64(1 << u)
-                reach2 = _reach_closure_np(adj2, n)
-                disconnected = ((reach2[:, u] >> v) & 1) == 0
-                e0 += (hasb & disconnected).astype(np.int64)
-            np.add.at(ext_a, (e[ok], e0[ok], kappa[ok]), 1)
-            np.add.at(ext_c, (e[sel_c], e0[sel_c]), 1)
-            np.add.at(ext_b, (e[sel_b], e0[sel_b]), 1)
+def _tally(out: np.ndarray, index: np.ndarray, sel: np.ndarray | None):
+    """Add to out.flat[i] the number of selected masks whose index is i."""
+    flat = out.reshape(-1)
+    flat += np.bincount(index if sel is None else index[sel], minlength=out.size)
 
 
 def sweep_counts(n: int, member: np.ndarray | None = None, mode: int = MODE_MEMBER_ARRAY,
-                 want_core: bool = False, want_bridges: bool = False,
-                 threads: int = 1) -> SweepCounts:
-    """Aggregate exact member counts over all 2^(n(n-1)/2) edge masks.
-
-    The range is split into chunks whose partial counts are summed, so the
-    result is independent of the chunking and of the thread count.
-    """
-    m = n * (n - 1) // 2
-    total = 1 << m
-    pu, pv = pair_arrays(n)
+                 want_core: bool = False, want_bridges: bool = False) -> SweepCounts:
+    """Aggregate exact member counts over all 2^(n(n-1)/2) edge masks, n <= LATTICE_CAP."""
+    if n > LATTICE_CAP:
+        raise ResourceCapError(f"the subset lattice stops at n={LATTICE_CAP}")
     if member is None and mode == MODE_MEMBER_ARRAY:
         mode = MODE_ALL
-    if member is None:
-        member = np.zeros(0, dtype=np.uint8)
-
-    def alloc():
-        ek = np.zeros((m + 1, n + 2), dtype=np.int64)
-        ce = np.zeros(m + 1, dtype=np.int64)
-        be = np.zeros(m + 1, dtype=np.int64)
-        core = np.zeros((m + 1, n + 1), dtype=np.int64)
+    m = n * (n - 1) // 2
+    ek = np.zeros((m + 1, n + 2), dtype=np.int64)
+    ce = np.zeros(m + 1, dtype=np.int64)
+    be = np.zeros(m + 1, dtype=np.int64)
+    core = np.zeros((m + 1, n + 1), dtype=np.int64) if want_core else None
+    if want_bridges:
         ext_a = np.zeros((m + 1, m + 1, n + 2), dtype=np.int64)
         ext_c = np.zeros((m + 1, m + 1), dtype=np.int64)
         ext_b = np.zeros((m + 1, m + 1), dtype=np.int64)
-        return ek, ce, be, core, ext_a, ext_c, ext_b
-
-    if n == 0:
-        ek, ce, be, core, ext_a, ext_c, ext_b = alloc()
-        ok = True if mode == MODE_ALL else (bool(member[0]) if mode == MODE_MEMBER_ARRAY else True)
-        if ok:
-            ek[0, 0] += 1
-            ext_a[0, 0, 0] += 1
-        return SweepCounts(n, ek, ce, be,
-                           core if want_core else None,
-                           ext_a if want_bridges else None,
-                           ext_c if want_bridges else None,
-                           ext_b if want_bridges else None)
-
-    impl = _sweep_nb if HAVE_NUMBA else _sweep_np
-
-    def run_range(lo, hi):
-        ek, ce, be, core, ext_a, ext_c, ext_b = alloc()
-        impl(n, lo, hi, pu, pv, member, mode, want_core, want_bridges,
-             ek, ce, be, core, ext_a, ext_c, ext_b)
-        return ek, ce, be, core, ext_a, ext_c, ext_b
-
-    if threads > 1 and HAVE_NUMBA and total >= 1 << 12:
-        nchunks = threads * 4
-        bounds = [total * i // nchunks for i in range(nchunks + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ij: run_range(*ij),
-                                  zip(bounds[:-1], bounds[1:])))
-        merged = [sum(arrs) for arrs in zip(*parts)]
-        ek, ce, be, core, ext_a, ext_c, ext_b = merged
     else:
-        ek, ce, be, core, ext_a, ext_c, ext_b = run_range(0, total)
-
-    return SweepCounts(n, ek, ce, be,
-                       core if want_core else None,
-                       ext_a if want_bridges else None,
-                       ext_c if want_bridges else None,
-                       ext_b if want_bridges else None)
+        ext_a = ext_c = ext_b = None
+    for start, blk in _blocks(n, want_bridges, want_core):
+        if mode == MODE_ALL:
+            ok = None
+        elif mode == MODE_FORESTS:
+            ok = blk.edges + blk.kappa == n
+        else:
+            ok = member[start:start + blk.kappa.size] != 0
+        connected = blk.kappa == 1
+        sel_c = connected if ok is None else ok & connected
+        sel_b = sel_c & (blk.mindeg2 != 0)
+        e = blk.edges.astype(np.uint16)
+        _tally(ek, e * (n + 2) + blk.kappa, ok)
+        _tally(ce, e, sel_c)
+        _tally(be, e, sel_b)
+        if want_core:
+            _tally(core, e * (n + 1) + blk.core, sel_c)
+        if want_bridges:
+            split = e * (m + 1) + blk.bridges
+            _tally(ext_a, split * (n + 2) + blk.kappa, ok)
+            _tally(ext_c, split, sel_c)
+            _tally(ext_b, split, sel_b)
+    return SweepCounts(n, ek, ce, be, core, ext_a, ext_c, ext_b)
 
 
 # ---------------------------------------------------------------------------

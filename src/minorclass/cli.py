@@ -51,7 +51,7 @@ def parse_number(s: str):
 # smallest allowed value of each integer option, and the flags whose names
 # differ from the field's
 _INT_MINIMUM = {"n": 0, "n_max": 0, "cap": 0, "census_n_max": 0, "draws": 0, "steps": 0,
-                "burn_in": 0, "thin": 1, "seed": 0, "threads": 1, "minor_budget": 0}
+                "burn_in": 0, "thin": 1, "seed": 0, "minor_budget": 0}
 _FLAGS = {"n_max": "--nmax", "census_n_max": "--census-nmax", "burn_in": "--burn-in",
           "minor_budget": "--minor-budget"}
 
@@ -77,7 +77,6 @@ class ExperimentConfig:
     burn_in: int = 100000
     thin: int = 10
     seed: int = 0
-    threads: int = 1
     minor_budget: int = 10_000_000
     out: str | None = None
 
@@ -149,8 +148,7 @@ def cmd_enumerate(cfg: ExperimentConfig) -> int:
     if cfg.n_max > cfg.cap and fam.predicate is not None and fam.name in ("forests", "trees"):
         table = forest_table(w, cfg.n_max)
     else:
-        table = compute_weight_table(fam, w, cfg.n_max, cap=cfg.cap, threads=cfg.threads,
-                                     verbose=True)
+        table = compute_weight_table(fam, w, cfg.n_max, cap=cfg.cap, verbose=True)
     ratios = table.ratios("a")
     growth = table.growth_estimates("a")
     buf = io.StringIO()
@@ -200,7 +198,7 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
         gamma = float(parse_number(cfg.gamma))
         estimate_note = "gamma supplied"
     else:
-        table = compute_weight_table(fam, w, cfg.n_max, cap=cfg.cap, threads=cfg.threads)
+        table = compute_weight_table(fam, w, cfg.n_max, cap=cfg.cap)
         ratios = table.ratios("a")
         last = ratios[table.n_max]
         if last is None:
@@ -369,7 +367,6 @@ def cmd_verify(cfg: ExperimentConfig, suites: list[str]) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file with ExperimentConfig fields")
-    p.add_argument("--threads", type=int, help="worker threads for enumeration sweeps")
     p.add_argument("--seed", type=int, help="64-bit RNG seed")
     p.add_argument("--out", help="output path (default stdout)")
 

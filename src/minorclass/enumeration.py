@@ -1,8 +1,9 @@
 """Exact weighted counting over all labelled graphs of a given order.
 
-The brute-force sweep iterates every edge-set integer, aggregates integer
-counts by (edges, components, ...) in a kernel, and only then applies the
-weighting, so rational parameters give exact rational totals.
+The brute-force sweep aggregates integer counts by (edges, components,
+bridges, ...) over every edge mask of a slice in one lattice pass (each
+n-slice is built from the cached (n-1)-slice, see `_kernels`), and only then
+applies the weighting, so rational parameters give exact rational totals.
 
 Membership arrays for excluded-minor families come from a one-step-minor
 dynamic program with no per-graph search: a graph is a member iff it is not
@@ -36,6 +37,7 @@ from .graphs import (
     pair_bit,
     pair_count,
     pairs,
+    vertex_labels,
     weight,
 )
 
@@ -45,19 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
 BRUTE_FORCE_CAP = 7
 HARD_CAP = 8
 
-_STATS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def subset_stats_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(component count, min-degree>=2 flag) arrays over all masks, cached for n <= 7."""
-    if n in _STATS_CACHE:
-        return _STATS_CACHE[n]
-    stats = _kernels.subset_stats(n)
-    if n <= BRUTE_FORCE_CAP:
-        _STATS_CACHE[n] = stats
-    return stats
-
-
 def member_mask_array(fam: "GraphFamily", n: int) -> np.ndarray | None:
     """uint8 membership (base family, ignoring connected-only views) for every
     edge mask on n vertices; None means every graph is a member."""
@@ -66,12 +55,9 @@ def member_mask_array(fam: "GraphFamily", n: int) -> np.ndarray | None:
     cached = fam._member_arrays.get(n)
     if cached is not None:
         return cached
-    m = pair_count(n)
-    total = 1 << m
     if fam.predicate is is_forest:
-        kappa, _ = subset_stats_cached(n)
-        e = np.bitwise_count(np.arange(total, dtype=np.int64)).astype(np.int64)
-        arr = (e == n - kappa.astype(np.int64)).astype(np.uint8)
+        stats = _kernels.subset_stats(n)
+        arr = (stats.edges + stats.kappa == n).view(np.uint8)
     else:
         arr = _minor_closed_member_array(fam, n)
     fam._member_arrays[n] = arr
@@ -166,8 +152,7 @@ def member_masks(fam: "GraphFamily", n: int, connected: bool | None = None) -> l
     if connected is None and fam.connected_only:
         connected = True
     if connected:
-        kappa, _ = subset_stats_cached(n)
-        sel = kappa == 1
+        sel = _kernels.subset_stats(n).kappa == 1
         if arr is not None:
             sel = sel & (arr != 0)
         return np.nonzero(sel)[0].tolist()
@@ -212,22 +197,27 @@ class TauTriple(tuple):
         return self[2]
 
 
-def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int, cap: int = BRUTE_FORCE_CAP,
-                    threads: int = 1) -> TauTriple:
-    """Exact (tau(A_n), tau(C_n), tau(B_n)) by exhaustive enumeration.
-
-    Default cap is 7 (2^21 graphs); pass cap=8 explicitly to allow n=8.
-    For a connected-members view the a-column equals the c-column.
-    """
-    _check_caps(fam, n, cap)
-    want_bridges = not w.is_diagonal
+def _sweep_members(fam: "GraphFamily", n: int, **wanted) -> _kernels.SweepCounts:
+    """Sweep the n-slice over the family's members: every mask for `all`,
+    forests past the array cap by e = n - kappa, others by membership array."""
     if fam.name == "all":
         member, mode = None, _kernels.MODE_ALL
     elif fam.predicate is is_forest and n > BRUTE_FORCE_CAP:
         member, mode = None, _kernels.MODE_FORESTS
     else:
         member, mode = member_mask_array(fam, n), _kernels.MODE_MEMBER_ARRAY
-    counts = _kernels.sweep_counts(n, member, mode, want_bridges=want_bridges, threads=threads)
+    return _kernels.sweep_counts(n, member, mode, **wanted)
+
+
+def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int,
+                    cap: int = BRUTE_FORCE_CAP) -> TauTriple:
+    """Exact (tau(A_n), tau(C_n), tau(B_n)) by exhaustive enumeration.
+
+    Default cap is 7 (2^21 graphs); pass cap=8 explicitly to allow n=8.
+    For a connected-members view the a-column equals the c-column.
+    """
+    _check_caps(fam, n, cap)
+    counts = _sweep_members(fam, n, want_bridges=not w.is_diagonal)
     exact = w.is_rational
     lam0 = _as_exact(w.lambda0) if exact else w.lambda0
     lam1 = _as_exact(w.lambda1) if exact else w.lambda1
@@ -363,8 +353,7 @@ def ratio_sequence(values: Sequence) -> list:
 
 
 def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
-                         cap: int = BRUTE_FORCE_CAP, threads: int = 1,
-                         verbose: bool = False) -> WeightTable:
+                         cap: int = BRUTE_FORCE_CAP, verbose: bool = False) -> WeightTable:
     """Brute-force table up to n_max (all entries enumerated exactly).
 
     The caps are checked for n_max before any slice is enumerated.
@@ -378,7 +367,7 @@ def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
         if verbose and n >= 6:
             print(f"enumerating n={n} ({1 << pair_count(n)} edge masks)...",
                   file=sys.stderr)
-        t = brute_force_tau(fam, w, n, cap=cap, threads=threads)
+        t = brute_force_tau(fam, w, n, cap=cap)
         a.append(t.a)
         c.append(t.c)
         b.append(t.b)
@@ -423,17 +412,13 @@ def f_nk(fam: "GraphFamily", w: Weighting, n: int, k: int, b_of_k):
 
 
 def f_nk_bruteforce(fam: "GraphFamily", w: Weighting, n: int, k: int,
-                    cap: int = BRUTE_FORCE_CAP, threads: int = 1):
+                    cap: int = BRUTE_FORCE_CAP):
     """Cross-check: sum the weights of connected members with v(core) = k directly."""
     if not w.is_diagonal:
         raise ValueError("the brute-force core sweep supports the diagonal weighting")
     if n > cap or n > HARD_CAP:
         raise ResourceCapError(f"core sweep capped at n <= {min(cap, HARD_CAP)}")
-    if fam.name == "all":
-        member, mode = None, _kernels.MODE_ALL
-    else:
-        member, mode = member_mask_array(fam, n), _kernels.MODE_MEMBER_ARRAY
-    counts = _kernels.sweep_counts(n, member, mode, want_core=True, threads=threads)
+    counts = _sweep_members(fam, n, want_core=True)
     lam = _as_exact(w.lam) if w.is_rational else w.lam
     nu = _as_exact(w.nu) if w.is_rational else w.nu
     total = sum(
@@ -612,7 +597,7 @@ def falling_moment_check(fam: "GraphFamily", w: Weighting, n: int,
         comps = component_masks(g)
         counts = [0] * len(picks)
         for cm in comps:
-            sub = induced_subgraph(g, _labels_of(cm))
+            sub = induced_subgraph(g, vertex_labels(cm))
             key = (sub.graph.n, sub.graph.mask)
             code = comp_code_memo.get(key)
             if code is None:
@@ -639,15 +624,6 @@ def falling_moment_check(fam: "GraphFamily", w: Weighting, n: int,
         r_m = Fraction(m) * _as_exact(a_vals[m - 1]) / _as_exact(a_vals[m])
         rhs *= r_m / rho
     return _simplify(lhs - rhs)
-
-
-def _labels_of(vmask: int) -> list[int]:
-    out = []
-    while vmask:
-        v = (vmask & -vmask).bit_length() - 1
-        vmask &= vmask - 1
-        out.append(v + 1)
-    return out
 
 
 # -- exact structural expectations -----------------------------------------------------

@@ -33,6 +33,7 @@ from .graphs import (
     pair_bit,
     pairs,
     two_core,
+    vertex_labels,
 )
 from .minors import DEFAULT_BUDGET, has_minor
 
@@ -399,7 +400,7 @@ def verify_decomposable(fam: GraphFamily, n_max: int = 6) -> VerificationReport:
             g = Graph(n, mask)
             whole = bool(arr[mask]) if arr is not None else fam.base_member(g)
             partwise = all(
-                fam.base_member(induced_subgraph(g, _labels(c)).graph)
+                fam.base_member(induced_subgraph(g, vertex_labels(c)).graph)
                 for c in component_masks(g)
             )
             if whole != partwise:
@@ -439,15 +440,6 @@ def verify_trimmable(fam: GraphFamily, n_max: int = 6) -> VerificationReport:
     return VerificationReport(
         "trimmable", fam.name, n_max, direct_ok, counterexample=counterexample, details=details
     )
-
-
-def _labels(vmask: int) -> list[int]:
-    out = []
-    while vmask:
-        v = (vmask & -vmask).bit_length() - 1
-        vmask &= vmask - 1
-        out.append(v + 1)
-    return out
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,11 @@ def set_bits(mask: int) -> list[int]:
     return out
 
 
+def vertex_labels(vmask: int) -> tuple[int, ...]:
+    """1-indexed labels of the vertices in a vertex bitmask (bit v = vertex v+1), ascending."""
+    return tuple(b + 1 for b in set_bits(vmask))
+
+
 class Graph:
     """Simple labelled graph on vertex set {1, .., n}; n = 0 is the empty graph."""
 
@@ -322,15 +327,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(Graph(len(labels), mask), labels)
 
 
-def _mask_to_labels(vmask: int) -> tuple[int, ...]:
-    out = []
-    while vmask:
-        v = (vmask & -vmask).bit_length() - 1
-        vmask &= vmask - 1
-        out.append(v + 1)
-    return tuple(out)
-
-
 def two_core(g: Graph) -> InducedSubgraph:
     """The unique maximal subgraph of minimum degree >= 2 (empty iff g is a forest)."""
     adj = g.adjacency()
@@ -343,7 +339,7 @@ def two_core(g: Graph) -> InducedSubgraph:
         if not removed:
             break
         present &= ~removed
-    return induced_subgraph(g, _mask_to_labels(present))
+    return induced_subgraph(g, vertex_labels(present))
 
 
 def big_frag_split(g: Graph) -> tuple[InducedSubgraph, InducedSubgraph]:
@@ -364,7 +360,7 @@ def big_frag_split(g: Graph) -> tuple[InducedSubgraph, InducedSubgraph]:
             best = c
             break
     rest = ((1 << g.n) - 1) & ~best
-    return induced_subgraph(g, _mask_to_labels(best)), induced_subgraph(g, _mask_to_labels(rest))
+    return induced_subgraph(g, vertex_labels(best)), induced_subgraph(g, vertex_labels(rest))
 
 
 # -- weights ---------------------------------------------------------------

@@ -26,7 +26,6 @@ from .enumeration import (
     UnlabelledCensus,
     member_mask_array,
     member_masks,
-    subset_stats_cached,
 )
 from .errors import EmptySliceError, ResourceCapError
 from .graphs import (
@@ -41,6 +40,7 @@ from .graphs import (
     pair_count,
     pendant_appearances,
     two_core,
+    vertex_labels,
     weight,
 )
 
@@ -64,9 +64,8 @@ def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int,
         raise EmptySliceError(f"family {fam.name!r} has no members of order {n}")
     marr = np.asarray(masks, dtype=np.int64)
     if w.is_diagonal:
-        kappa, _ = subset_stats_cached(n)
         e = np.bitwise_count(marr).astype(np.float64)
-        k = kappa[marr].astype(np.float64)
+        k = _kernels.subset_stats(n).kappa[marr].astype(np.float64)
         weights = float(w.lambda0) ** e * float(w.nu) ** k
     else:
         weights = np.array([float(weight(Graph(n, int(m)), w)) for m in masks])
@@ -252,11 +251,21 @@ def random_tree_sample(n: int, seed: int, draws: int) -> list[Graph]:
     if n == 1:
         return [Graph(1, 0)] * draws
     rng = rng_stream(seed)
-    seqs = rng.integers(0, n, size=(draws, n - 2), dtype=np.int64)
-    edges = _kernels.prufer_decode(seqs)
+    edges = _kernels.prufer_decode(rng.integers(0, n, size=(draws, n - 2), dtype=np.int64))
+    edges.sort(axis=2)
+    # the edge bit of each tree edge (see graphs.pair_bit), computed in place
+    bits = edges[:, :, 1] - 1
+    bits *= edges[:, :, 1]
+    bits //= 2
+    bits += edges[:, :, 0]
+    del edges
+    # each tree's edge mask as little-endian bytes, converted to one int
+    width = (pair_count(n) + 7) // 8
     out = []
-    for d in range(draws):
-        out.append(Graph.from_edges(n, [(int(u) + 1, int(v) + 1) for u, v in edges[d]]))
+    for row in bits:
+        packed = np.zeros(width, dtype=np.uint8)
+        np.bitwise_or.at(packed, row >> 3, (1 << (row & 7)).astype(np.uint8))
+        out.append(Graph(n, int.from_bytes(packed.tobytes(), "little")))
     return out
 
 
@@ -312,7 +321,7 @@ def collect_stats(samples: Sequence[Graph], rooted: Sequence[RootedGraph] = (),
             core_n += 1
         per_graph: dict[str, int] = {}
         for cm in comps:
-            sub = induced_subgraph(g, _labels_of(cm)).graph
+            sub = induced_subgraph(g, vertex_labels(cm)).graph
             key = (sub.n, sub.mask)
             hexcode = code_memo.get(key)
             if hexcode is None:
@@ -338,15 +347,6 @@ def collect_stats(samples: Sequence[Graph], rooted: Sequence[RootedGraph] = (),
         comp_counts=comp_counts,
         pendant_density={k: v / len(samples) for k, v in pend_sums.items()} if samples else {},
     )
-
-
-def _labels_of(vmask: int) -> list[int]:
-    out = []
-    while vmask:
-        v = (vmask & -vmask).bit_length() - 1
-        vmask &= vmask - 1
-        out.append(v + 1)
-    return out
 
 
 # -- statistical checks ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Agreement between the accelerated kernels and their fallbacks.
+"""The kernels against independent slow paths.
 
-The numba path and the vectorized numpy path are independent implementations
-of the same sweeps; exact integer outputs must match bit for bit, and the
-floating series must agree to close to machine precision.
+The subset-lattice pass is checked mask by mask against per-graph oracles
+(components, adjacency, bridges and 2-core of each `Graph`) and at n = 8
+against closed forms.  Where numba is installed, the compiled series and tree
+decoder must match their Python fallbacks.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -12,35 +14,27 @@ import numpy as np
 import pytest
 
 from minorclass import _kernels as K
-from minorclass.enumeration import member_mask_array
+from minorclass.enumeration import brute_force_tau, forest_table, member_mask_array
 from minorclass.families import builtin_family
-from minorclass.graphs import Weighting
+from minorclass.graphs import Graph, Weighting, bridge_mask, component_masks, two_core
 from minorclass.sampling import _mcmc_python
 
 
-def _run_stats(impl, n):
+def _graph_stats(g: Graph) -> tuple[int, int, int, int, int]:
+    """(edges, components, min-degree>=2, bridges, 2-core vertices) of one graph."""
+    mindeg2 = all(a.bit_count() >= 2 for a in g.adjacency())
+    return (g.edge_count, len(component_masks(g)), int(mindeg2),
+            bridge_mask(g).bit_count(), two_core(g).graph.n)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(n: int) -> list[tuple[int, int, int, int, int]]:
+    return [_graph_stats(Graph(n, s)) for s in range(1 << (n * (n - 1) // 2))]
+
+
+def _expected_counts(n, ok):
+    """SweepCounts fields summed directly over the per-graph statistics of the masks ok[s]."""
     m = n * (n - 1) // 2
-    total = 1 << m
-    pu, pv = K.pair_arrays(n)
-    kappa = np.zeros(total, dtype=np.uint8)
-    mindeg2 = np.zeros(total, dtype=np.uint8)
-    impl(n, 0, total, pu, pv, kappa, mindeg2)
-    return kappa, mindeg2
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_subset_stats_paths_agree(n):
-    k1, m1 = _run_stats(K._subset_stats_scalar, n)
-    k2, m2 = _run_stats(K._subset_stats_np, n)
-    assert (k1 == k2).all() and (m1 == m2).all()
-    if K.HAVE_NUMBA:
-        k3, m3 = _run_stats(K._subset_stats_nb, n)
-        assert (k1 == k3).all() and (m1 == m3).all()
-
-
-def _run_sweep(impl, n, member, mode, want_core, want_bridges):
-    m = n * (n - 1) // 2
-    pu, pv = K.pair_arrays(n)
     ek = np.zeros((m + 1, n + 2), dtype=np.int64)
     ce = np.zeros(m + 1, dtype=np.int64)
     be = np.zeros(m + 1, dtype=np.int64)
@@ -48,40 +42,79 @@ def _run_sweep(impl, n, member, mode, want_core, want_bridges):
     ext_a = np.zeros((m + 1, m + 1, n + 2), dtype=np.int64)
     ext_c = np.zeros((m + 1, m + 1), dtype=np.int64)
     ext_b = np.zeros((m + 1, m + 1), dtype=np.int64)
-    impl(n, 0, 1 << m, pu, pv, member, mode, want_core, want_bridges,
-         ek, ce, be, core, ext_a, ext_c, ext_b)
-    return ek, ce, be, core, ext_a, ext_c, ext_b
+    for s, (e, kappa, mindeg2, e0, c) in enumerate(_oracle(n)):
+        if not ok(s, e, kappa):
+            continue
+        ek[e, kappa] += 1
+        ext_a[e, e0, kappa] += 1
+        if kappa == 1:
+            ce[e] += 1
+            core[e, c] += 1
+            ext_c[e, e0] += 1
+            if mindeg2:
+                be[e] += 1
+                ext_b[e, e0] += 1
+    return dict(ek=ek, ce=ce, be=be, core=core, ext_a=ext_a, ext_c=ext_c, ext_b=ext_b)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def _assert_sweep_matches(got, want):
+    for name, arr in want.items():
+        assert np.array_equal(getattr(got, name), arr), name
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_subset_stats_paths_agree(n):
+    """The lattice pass and the per-graph path agree on every mask."""
+    stats = K.subset_stats(n)
+    want = np.array([row[:3] for row in _oracle(n)], dtype=np.int64).reshape(-1, 3)
+    assert np.array_equal(stats.edges, want[:, 0])
+    assert np.array_equal(stats.kappa, want[:, 1])
+    assert np.array_equal(stats.mindeg2, want[:, 2])
+
+
+def test_subset_stats_on_random_masks_at_n7():
+    stats = K.subset_stats(7)
+    rng = np.random.default_rng(7)
+    for s in rng.integers(0, 1 << 21, size=2000).tolist():
+        e, kappa, mindeg2, _, _ = _graph_stats(Graph(7, s))
+        assert (stats.edges[s], stats.kappa[s], stats.mindeg2[s]) == (e, kappa, mindeg2)
+    assert not stats.kappa.flags.writeable
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("mode", [K.MODE_ALL, K.MODE_FORESTS])
 def test_sweep_paths_agree(n, mode):
-    member = np.zeros(0, dtype=np.uint8)
-    a = _run_sweep(K._sweep_scalar, n, member, mode, True, True)
-    b = _run_sweep(K._sweep_np, n, member, mode, True, True)
-    for x, y in zip(a, b):
-        assert (x == y).all()
-    if K.HAVE_NUMBA:
-        c = _run_sweep(K._sweep_nb, n, member, mode, True, True)
-        for x, y in zip(a, c):
-            assert (x == y).all()
+    """Every SweepCounts field equals the direct sum over per-graph statistics."""
+    got = K.sweep_counts(n, None, mode, want_core=True, want_bridges=True)
+    if mode == K.MODE_ALL:
+        want = _expected_counts(n, lambda s, e, kappa: True)
+    else:
+        want = _expected_counts(n, lambda s, e, kappa: e == n - kappa)
+    _assert_sweep_matches(got, want)
+    plain = K.sweep_counts(n, None, mode)
+    assert plain.core is None and plain.ext_a is None
+    _assert_sweep_matches(plain, {k: want[k] for k in ("ek", "ce", "be")})
 
 
 def test_sweep_with_member_array():
     rng = np.random.default_rng(0)
-    n = 4
-    member = (rng.random(1 << 6) < 0.5).astype(np.uint8)
-    a = _run_sweep(K._sweep_scalar, n, member, K.MODE_MEMBER_ARRAY, True, True)
-    b = _run_sweep(K._sweep_np, n, member, K.MODE_MEMBER_ARRAY, True, True)
-    for x, y in zip(a, b):
-        assert (x == y).all()
+    for n in range(7):
+        member = (rng.random(1 << (n * (n - 1) // 2)) < 0.5).astype(np.uint8)
+        got = K.sweep_counts(n, member, K.MODE_MEMBER_ARRAY, want_core=True, want_bridges=True)
+        _assert_sweep_matches(got, _expected_counts(n, lambda s, e, kappa: member[s]))
 
 
-def test_sweep_threads_match_sequential():
-    got1 = K.sweep_counts(5, None, K.MODE_ALL, want_core=True, threads=1)
-    got4 = K.sweep_counts(5, None, K.MODE_ALL, want_core=True, threads=4)
-    assert (got1.ek == got4.ek).all()
-    assert (got1.core == got4.core).all()
+def test_forests_at_n8_match_forest_table():
+    w = Weighting(Fraction(1, 2), 3)
+    got = brute_force_tau(builtin_family("forests"), w, 8, cap=8)
+    table = forest_table(w, 8)
+    assert (got.a, got.c, got.b) == (table.a[8], table.c[8], table.b[8])
+
+
+def test_all_graphs_at_n8():
+    got = K.sweep_counts(8, None, K.MODE_ALL)
+    assert got.ek.sum() == 1 << 28
+    assert got.ce.sum() == 251_548_592  # connected labelled graphs on 8 vertices, OEIS A001187
 
 
 @pytest.mark.parametrize("family, n", [("forests", 5), ("all", 5), ("series-parallel", 5),

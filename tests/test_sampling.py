@@ -218,11 +218,11 @@ def test_collect_stats_connected_only():
 def test_kappa_stochastic_dominance_exact():
     """kappa is stochastically at most 1 + Po(nu/lam) for bridge-addable families,
     checked on the exact n-slice distribution (no sampling noise)."""
-    from minorclass.enumeration import subset_stats_cached
+    from minorclass._kernels import subset_stats
 
     for fam, w in [(FORESTS, W11), (builtin_family("series-parallel"), W11),
                    (FORESTS, Weighting(2, 3))]:
-        kappa, _ = subset_stats_cached(6)
+        kappa = subset_stats(6).kappa
         num = {}
         den = Fraction(0)
         for mask in member_masks(fam, 6):
