@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
-"""Time the hot kernels, and the numba ones against their fallbacks.
+"""Time the hot kernels.
 
 Runs each kernel in one process and prints a timing table (best of three).
-The tree series and the Pruefer decoder have a numba column when numba is
-installed and enabled (not with MINORCLASS_NO_NUMBA=1).  The subset-lattice
-kernels, the MCMC chain and the membership arrays of minor-tested families
-have a single implementation each; the lattice rows start from an empty
-slice cache in every repeat.
+Every kernel has a single implementation, in numpy or plain Python; the
+lattice rows start from an empty slice cache in every repeat.
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
 
 import argparse
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from minorclass import _kernels as K
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # runs from a checkout
+from minorclass import _kernels as K  # noqa: E402
 
 
 def _time(fn, *args, repeat=3):
@@ -41,12 +41,12 @@ def _cold(fn, *args, **kwargs):
 
 def bench_subset_stats(n):
     masks = 1 << (n * (n - 1) // 2)
-    return f"subset_stats n={n} ({masks} masks)", [("numpy", _cold(K.subset_stats, n))]
+    return f"subset_stats n={n} ({masks} masks)", "numpy", _cold(K.subset_stats, n)
 
 
 def bench_sweep(n, mode, want_bridges, label):
     t = _cold(K.sweep_counts, n, None, mode, want_bridges=want_bridges)
-    return f"sweep_counts n={n} {label}", [("numpy", t)]
+    return f"sweep_counts n={n} {label}", "numpy", t
 
 
 def bench_mcmc(steps, n):
@@ -60,43 +60,18 @@ def bench_mcmc(steps, n):
         K.mcmc_chain(n, proposals, uniforms, 1.0, 1.0, K.MODE_FORESTS, None,
                      steps - draws * 10, 10, draws)
 
-    return f"mcmc_chain {steps} steps (n={n} forests)", [("python", _time(run, repeat=1))]
+    return f"mcmc_chain {steps} steps (n={n} forests)", "python", _time(run, repeat=1)
 
 
 def bench_tree_series(terms):
-    def run_numba():
-        K._tree_series_nb(terms, 0.0, -1.0, 0.0, False)
-
-    def run_numpy():
-        total = 0.0
-        chunk = 65536
-        for start in range(1, terms + 1, chunk):
-            stop = min(start + chunk, terms + 1)
-            lt = K._tree_terms_log(start, stop, 0.0, -1.0, 0.0)
-            total += float(np.sum(np.exp(lt)))
-
-    rows = []
-    if K.HAVE_NUMBA:
-        run_numba()
-        rows.append(("numba", _time(run_numba)))
-    rows.append(("numpy", _time(run_numpy)))
-    return f"tree_series {terms} terms", rows
+    t = _time(K.tree_series_sum, terms, 1.0, 1 / math.e, 1.0, False)
+    return f"tree_series {terms} terms", "numpy", t
 
 
 def bench_prufer(draws, n):
     rng = np.random.default_rng(1)
     seqs = rng.integers(0, n, size=(draws, n - 2), dtype=np.int64)
-
-    def run(impl):
-        out = np.zeros((draws, n - 1, 2), dtype=np.int64)
-        impl(seqs, out)
-
-    rows = []
-    if K.HAVE_NUMBA:
-        run(K._prufer_nb)
-        rows.append(("numba", _time(run, K._prufer_nb)))
-    rows.append(("python", _time(run, K._prufer_scalar, repeat=1)))
-    return f"prufer_decode {draws} trees on {n} vertices", rows
+    return f"prufer_decode {draws} trees on {n} vertices", "numpy", _time(K.prufer_decode, seqs)
 
 
 def bench_member_array(name, n):
@@ -109,7 +84,7 @@ def bench_member_array(name, n):
         _canon_data.cache_clear()
         member_mask_array(builtin_family(name), n)
 
-    return f"member_mask_array n={n} {name}", [("numpy", _time(run))]
+    return f"member_mask_array n={n} {name}", "numpy", _time(run)
 
 
 def main():
@@ -117,7 +92,6 @@ def main():
     ap.add_argument("--quick", action="store_true", help="smaller workloads")
     args = ap.parse_args()
 
-    print(f"numba available and enabled: {K.HAVE_NUMBA}")
     n_sweep = 6 if args.quick else 7
     steps = 100_000 if args.quick else 1_000_000
     terms = 100_000 if args.quick else 1_000_000
@@ -133,12 +107,9 @@ def main():
         bench_prufer(draws, 300),
     ] + [bench_member_array(name, n_sweep)
          for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1")]
-    width = max(len(label) for label, _ in benches) + 2
-    for label, rows in benches:
-        base = rows[-1][1]
-        for name, t in rows:
-            speedup = f"  ({base / t:5.1f}x vs fallback)" if name != rows[-1][0] else ""
-            print(f"{label:<{width}} {name:>6}: {t * 1e3:10.2f} ms{speedup}")
+    width = max(len(label) for label, _, _ in benches) + 2
+    for label, kind, t in benches:
+        print(f"{label:<{width}} {kind:>6}: {t * 1e3:10.2f} ms")
 
 
 if __name__ == "__main__":

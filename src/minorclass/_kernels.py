@@ -1,53 +1,33 @@
-"""Hot numeric kernels in numpy, with numba for the series and the tree decoder.
+"""Hot numeric kernels, one implementation each, in numpy or plain Python.
 
 The subset-lattice kernels are whole-array numpy: each n-slice of edge masks
 is built from the cached (n-1)-slice, in one pass for n <= 7 and streamed in
-blocks of 2^21 masks at n = 8.  The tree series and the Pruefer decoder are
-numba-compiled when numba is installed; setting the environment variable
-``MINORCLASS_NO_NUMBA=1`` (or numba being unavailable) selects their
-pure-numpy/Python fallback.  Callers pre-draw all random numbers, so a kernel
-is a deterministic function of its inputs on either path.
+blocks of 2^21 masks at n = 8.  The tree series sums its terms in numpy
+chunks, and the Pruefer decoder decodes every sequence of a batch in one
+numpy step per sequence position.  There is no compiled path.  Callers
+pre-draw all random numbers, so a kernel is a deterministic function of its
+inputs.
 
 Kernels:
   * subset_stats      - component count, edge count and min-degree flag for every edge mask
   * sweep_counts      - aggregate member counts by (edges, components, bridges, 2-core)
   * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n)
-  * tree_series_sums  - partial sums of the weighted (rooted) tree series
+  * tree_series_sum   - partial sums of the weighted (rooted) tree series
   * prufer_decode     - batch decode of uniform parent sequences into trees
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceCapError
+from .graphs import reach
 
-_DISABLED = os.environ.get("MINORCLASS_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by MINORCLASS_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # pragma: no cover - trivial shim
-        def deco(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return deco
-
-
-def using_numba() -> bool:
-    return HAVE_NUMBA
+# there is no compiled path; perfbench/run.py records this flag with its results
+HAVE_NUMBA = False
 
 
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -296,23 +276,6 @@ def sweep_counts(n: int, member: np.ndarray | None = None, mode: int = MODE_MEMB
 # ---------------------------------------------------------------------------
 
 
-def _joined(adj: list[int], u: int, v: int) -> bool:
-    """True when u reaches v through the adjacency bitmasks; stops on the hit."""
-    target = 1 << v
-    seen = frontier = 1 << u
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        if nxt & target:
-            return True
-        frontier = nxt & ~seen
-        seen |= nxt
-    return False
-
-
 def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, nu: float,
                mode: int, member: np.ndarray | None, burn_in: int, thin: int,
                draws: int) -> list[int]:
@@ -349,14 +312,14 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, 
             if mask & bit:
                 adj[u] ^= vb
                 adj[v] ^= ub
-                r = drop_inside if count_kappa and _joined(adj, u, v) else drop_split
+                r = drop_inside if count_kappa and reach(adj, ub, vb) & vb else drop_split
                 if r >= 1.0 or x < r:
                     mask ^= bit
                 else:
                     adj[u] |= vb
                     adj[v] |= ub
-            elif not (forests and _joined(adj, u, v)):
-                r = add_inside if count_kappa and _joined(adj, u, v) else add_merge
+            elif not (forests and reach(adj, ub, vb) & vb):
+                r = add_inside if count_kappa and reach(adj, ub, vb) & vb else add_merge
                 if r >= 1.0 or x < r:
                     mask ^= bit
                     adj[u] |= vb
@@ -372,46 +335,21 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, 
 # ---------------------------------------------------------------------------
 
 
-def _tree_terms_log(start, stop, log_lam, log_x, log_nu):
-    """log of nu * n^(n-2) * lam^(n-1) * x^n / n! for n in [start, stop)."""
-    n = np.arange(start, stop, dtype=np.float64)
-    return log_nu + (n - 1.0) * log_lam + n * log_x + (n - 2.0) * np.log(n) - _lgamma_vec(n + 1.0)
-
-
-def _lgamma_vec(x: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
-    return gammaln(x)
-
-
-def _tree_series_scalar(N, log_lam, log_x, log_nu, rooted):
-    total = 0.0
-    chunk_acc = 0.0
-    for n in range(1, N + 1):
-        p = 2.0 if not rooted else 1.0
-        lt = log_nu + (n - 1.0) * log_lam + n * log_x + (n - p) * math.log(n) - math.lgamma(n + 1.0)
-        chunk_acc += math.exp(lt)
-        if n % 65536 == 0:
-            total += chunk_acc
-            chunk_acc = 0.0
-    return total + chunk_acc
-
-
-_tree_series_nb = njit(cache=True)(_tree_series_scalar) if HAVE_NUMBA else None
-
-
 def tree_series_sum(N: int, lam: float, x: float, nu: float, rooted: bool) -> float:
-    """Partial sum (N terms) of the weighted tree / rooted-tree series at x."""
+    """Partial sum (N terms) of the weighted tree / rooted-tree series at x:
+    the sum over n <= N of nu * n^(n-2) * lam^(n-1) * x^n / n!, with n^(n-1)
+    in place of n^(n-2) for rooted trees."""
+    from scipy.special import gammaln  # imported on first use, to keep the package import light
+
     log_lam, log_x, log_nu = math.log(lam), math.log(x), math.log(nu)
-    if HAVE_NUMBA:
-        return _tree_series_nb(N, log_lam, log_x, log_nu, rooted)
     total = 0.0
     chunk = 65536
     for start in range(1, N + 1, chunk):
-        stop = min(start + chunk, N + 1)
-        lt = _tree_terms_log(start, stop, log_lam, log_x, log_nu)
+        n = np.arange(start, min(start + chunk, N + 1), dtype=np.float64)
+        log_n = np.log(n)
+        lt = log_nu + (n - 1.0) * log_lam + n * log_x + (n - 2.0) * log_n - gammaln(n + 1.0)
         if rooted:
-            lt = lt + np.log(np.arange(start, stop, dtype=np.float64))
+            lt = lt + log_n
         total += float(np.sum(np.exp(lt)))
     return total
 
@@ -421,51 +359,26 @@ def tree_series_sum(N: int, lam: float, x: float, nu: float, rooted: bool) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _prufer_scalar(seqs, edges_out):
-    draws, L = seqs.shape
-    n = L + 2
-    for d in range(draws):
-        deg = np.ones(n, dtype=np.int64)
-        for i in range(L):
-            deg[seqs[d, i]] += 1
-        ptr = 0
-        leaf = -1
-        for i in range(L):
-            if leaf == -1:
-                while deg[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-            v = seqs[d, i]
-            edges_out[d, i, 0] = leaf
-            edges_out[d, i, 1] = v
-            deg[leaf] -= 1
-            deg[v] -= 1
-            if deg[v] == 1 and v < ptr:
-                leaf = v
-            else:
-                leaf = -1
-        u = -1
-        for v in range(n):
-            if deg[v] == 1:
-                if u == -1:
-                    u = v
-                else:
-                    edges_out[d, L, 0] = u
-                    edges_out[d, L, 1] = v
-                    break
-
-
-_prufer_nb = njit(nogil=True, cache=True)(_prufer_scalar) if HAVE_NUMBA else None
-
-
 def prufer_decode(seqs: np.ndarray) -> np.ndarray:
     """Decode parent sequences (draws, n-2) into tree edge lists (draws, n-1, 2).
 
     The decoding is the classical bijection between sequences over [n]^(n-2)
-    and labelled trees on [n]; endpoints are 0-indexed.
+    and labelled trees on [n]; endpoints are 0-indexed.  Every row follows
+    the smallest-leaf rule at once: edge i joins the least vertex of degree 1
+    to seqs[:, i], and the last edge joins the two vertices of degree 1 left.
     """
+    seqs = np.asarray(seqs, dtype=np.int64)
     draws, L = seqs.shape
-    edges = np.zeros((draws, L + 1, 2), dtype=np.int64)
-    impl = _prufer_nb if HAVE_NUMBA else _prufer_scalar
-    impl(np.ascontiguousarray(seqs, dtype=np.int64), edges)
+    rows = np.arange(draws)
+    deg = np.ones((draws, L + 2), dtype=np.int32)
+    np.add.at(deg, (rows[:, None], seqs), 1)
+    edges = np.empty((draws, L + 1, 2), dtype=np.int64)
+    for i in range(L):
+        leaf = (deg == 1).argmax(axis=1)
+        v = seqs[:, i]
+        edges[:, i, 0] = leaf
+        edges[:, i, 1] = v
+        deg[rows, leaf] = 0
+        deg[rows, v] -= 1
+    edges[:, L] = np.nonzero(deg == 1)[1].reshape(draws, 2)
     return edges

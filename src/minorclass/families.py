@@ -32,6 +32,7 @@ from .graphs import (
     is_forest,
     pair_bit,
     pairs,
+    reach,
     two_core,
     vertex_labels,
 )
@@ -124,46 +125,32 @@ def _no_k4_minor(g: Graph) -> bool:
     return not adj
 
 
-def _induced_cycles(g: Graph) -> list[int]:
-    """Vertex masks of the induced cycles (connected 2-regular induced subgraphs)."""
-    if g.n > 15:
+def _induced_cycles(adj: tuple[int, ...], within: int) -> list[int]:
+    """Vertex masks of the induced cycles (connected 2-regular induced
+    subgraphs) inside the vertex mask `within`, ascending."""
+    if within.bit_count() > 15:
         raise ResourceCapError("induced-cycle enumeration capped at 15 vertices")
-    adj = g.adjacency()
     out = []
-    for vm in range(1, 1 << g.n):
+    vm = 0
+    while True:
+        vm = (vm - within) & within  # the next submask of `within`
+        if not vm:
+            return out
         if vm.bit_count() < 3:
             continue
-        ok = True
         m = vm
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if (adj[v] & vm).bit_count() != 2:
-                ok = False
+        while m:  # stops at a vertex without exactly two neighbours in vm
+            low = m & -m
+            if (adj[low.bit_length() - 1] & vm).bit_count() != 2:
                 break
-        if not ok:
-            continue
-        # connectivity of the induced subgraph
-        start = (vm & -vm).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            fm = frontier
-            while fm:
-                w = (fm & -fm).bit_length() - 1
-                fm &= fm - 1
-                nxt |= adj[w] & vm
-            frontier = nxt & ~comp
-            comp |= nxt
-        if comp == vm:
+            m ^= low
+        if not m and reach([a & vm for a in adj], vm & -vm) == vm:
             out.append(vm)
-    return out
 
 
-def max_disjoint_cycles(g: Graph, stop_at: int | None = None) -> int:
-    """Maximum number of vertex-disjoint cycles (any cycle contains an induced one)."""
-    cycles = _induced_cycles(g)
+def _most_disjoint(cycles: list[int], avail: int, stop_at: int | None) -> int:
+    """Most pairwise disjoint masks among `cycles` inside `avail`; the search
+    ends once stop_at are found."""
 
     def best(start: int, avail: int, found: int) -> int:
         if stop_at is not None and found >= stop_at:
@@ -180,7 +167,23 @@ def max_disjoint_cycles(g: Graph, stop_at: int | None = None) -> int:
                     return top
         return top
 
-    return best(0, (1 << g.n) - 1, 0)
+    return best(0, avail, 0)
+
+
+def max_disjoint_cycles(g: Graph, stop_at: int | None = None) -> int:
+    """Maximum number of vertex-disjoint cycles (any cycle contains an induced one).
+
+    The maximum is the sum over the components, so each component is searched
+    on its own, with what is left of the stop_at budget.
+    """
+    adj = g.adjacency()
+    total = 0
+    for comp in component_masks(g):
+        if stop_at is not None and total >= stop_at:
+            break
+        total += _most_disjoint(_induced_cycles(adj, comp), comp,
+                                None if stop_at is None else stop_at - total)
+    return total
 
 
 # -- the family type ---------------------------------------------------------

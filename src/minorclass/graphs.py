@@ -226,27 +226,36 @@ def _check_positive(name, value):
 # -- components ------------------------------------------------------------
 
 
+def reach(adj, seeds: int, stop: int = 0) -> int:
+    """Vertex mask reachable from the vertex mask `seeds` through the
+    per-vertex neighbour bitmasks `adj`.
+
+    The search stops at the first layer that meets a vertex of `stop`, so the
+    mask it then returns contains that vertex but may be incomplete.
+    """
+    seen = frontier = seeds
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        if nxt & stop:
+            return seen | nxt
+        frontier = nxt & ~seen
+        seen |= nxt
+    return seen
+
+
 def component_masks(g: Graph) -> list[int]:
     """Vertex bitmasks of the components, ordered by least vertex."""
     adj = g.adjacency()
-    seen = 0
+    rest = (1 << g.n) - 1
     comps = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= adj[w]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
+    while rest:
+        comp = reach(adj, rest & -rest)
         comps.append(comp)
+        rest &= ~comp
     return comps
 
 
@@ -270,37 +279,17 @@ def is_forest(g: Graph) -> bool:
 def bridge_mask(g: Graph) -> int:
     """Edge mask of the bridges (edges whose removal raises the component count)."""
     adj = list(g.adjacency())
-    out = 0
-    m = g.mask
     ps = pairs(g.n)
-    while m:
-        b = (m & -m).bit_length() - 1
-        m &= m - 1
+    out = 0
+    for b in set_bits(g.mask):
         u, v = ps[b]
-        u -= 1
-        v -= 1
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        # still connected from u to v without the edge?
-        comp = 1 << u
-        frontier = comp
-        reached = False
-        while frontier:
-            nxt = 0
-            fm = frontier
-            while fm:
-                w = (fm & -fm).bit_length() - 1
-                fm &= fm - 1
-                nxt |= adj[w]
-            frontier = nxt & ~comp
-            comp |= nxt
-            if comp >> v & 1:
-                reached = True
-                break
-        if not reached:
+        ub, vb = 1 << (u - 1), 1 << (v - 1)
+        adj[u - 1] ^= vb
+        adj[v - 1] ^= ub
+        if not reach(adj, ub, vb) & vb:
             out |= 1 << b
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+        adj[u - 1] |= vb
+        adj[v - 1] |= ub
     return out
 
 

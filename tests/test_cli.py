@@ -140,6 +140,17 @@ def test_families_check(capsys):
     assert all(en["class"] == "freely-addable-at-scale" for en in data["dichotomy"])
 
 
+def test_families_check_ex_k_disjoint_cycles(capsys):
+    """The README's example: the dichotomy scan tests 4 disjoint copies of each
+    member, which passes the cycle search's cap only component by component."""
+    code, out = run_cli(["families-check", "--family", "ex-k-disjoint-cycles:1",
+                         "--nmax", "5"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["bridge_addable"]["holds"] is True
+    assert data["dichotomy"]
+
+
 def test_verify_single_suite(capsys):
     code, out = run_cli(["verify", "exp-formula"], capsys)
     assert code == 0

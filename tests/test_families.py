@@ -6,6 +6,7 @@ import random
 import pytest
 
 from minorclass.enumeration import member_mask_array
+from minorclass.errors import ResourceCapError
 from minorclass.families import (
     builtin_family,
     derive_flags,
@@ -117,6 +118,13 @@ def test_max_disjoint_cycles():
     assert max_disjoint_cycles(path_graph(5)) == 0
     assert max_disjoint_cycles(complete_graph(6)) == 2
     assert max_disjoint_cycles(complete_graph(7)) == 2
+    # each component is searched on its own, so small components pass the 15-vertex cap
+    assert max_disjoint_cycles(copies(path_graph(4), 4)) == 0
+    assert max_disjoint_cycles(copies(cycle_graph(4), 4)) == 4
+    assert max_disjoint_cycles(copies(complete_graph(6), 3)) == 6
+    assert max_disjoint_cycles(disjoint_union(cycle_graph(3), complete_graph(6)), stop_at=2) == 2
+    with pytest.raises(ResourceCapError, match="15 vertices"):
+        max_disjoint_cycles(cycle_graph(16))
 
 
 def test_verify_bridge_addable():

@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from minorclass.graphs import (
@@ -22,6 +23,7 @@ from minorclass.graphs import (
     pair_bit,
     path_graph,
     pendant_appearances,
+    reach,
     star_graph,
     two_core,
     weight,
@@ -33,6 +35,22 @@ def test_component_count_examples():
     assert component_count(Graph.from_edges(5, [(1, 2), (2, 3)])) == 3
     two_triangles = Graph.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     assert component_count(two_triangles) == 2
+
+
+def test_reach_matches_networkx_components():
+    rng = random.Random(9)
+    for _ in range(50):
+        n = rng.randrange(1, 9)
+        g = Graph(n, rng.randrange(1 << (n * (n - 1) // 2)))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from((u - 1, v - 1) for u, v in g.edges)
+        for v in range(n):
+            comp = nx.node_connected_component(h, v)
+            assert reach(g.adjacency(), 1 << v) == sum(1 << w for w in comp)
+            # a stop vertex reports whether it is reached, whatever else is left unsearched
+            for w in range(n):
+                assert bool(reach(g.adjacency(), 1 << v, 1 << w) >> w & 1) == (w in comp)
 
 
 def test_bridge_partition_examples():

@@ -2,14 +2,17 @@
 
 The subset-lattice pass is checked mask by mask against per-graph oracles
 (components, adjacency, bridges and 2-core of each `Graph`) and at n = 8
-against closed forms.  Where numba is installed, the compiled series and tree
-decoder must match their Python fallbacks.
+against closed forms.  The tree series is checked against a math.fsum of its
+closed-form terms, and the Pruefer decoder against networkx's decoder and,
+exhaustively at n <= 6, as a bijection onto the labelled trees.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -151,39 +154,44 @@ def test_mcmc_chain_rejects_short_streams():
         K.mcmc_chain(3, proposals, uniforms, 1.0, 1.0, K.MODE_ALL, None, 5, 0, 3)
 
 
+def _tree_series_fsum(N, lam, x, nu, rooted):
+    """The series' closed-form terms nu * n^(n-2 or n-1) * lam^(n-1) * x^n / n!, fsummed."""
+    p = 1 if rooted else 2
+    return math.fsum(math.exp(math.log(nu) + (n - 1) * math.log(lam) + n * math.log(x)
+                              + (n - p) * math.log(n) - math.lgamma(n + 1))
+                     for n in range(1, N + 1))
+
+
 def test_tree_series_paths_agree():
-    val_py = K._tree_series_scalar(20000, math.log(1.0), math.log(1 / math.e), 0.0, False)
-    val_dispatch = K.tree_series_sum(20000, 1.0, 1 / math.e, 1.0, rooted=False)
-    assert val_py == pytest.approx(val_dispatch, rel=1e-12)
-    rooted_py = K._tree_series_scalar(20000, math.log(2.0), math.log(1 / (2 * math.e)), math.log(3.0), True)
-    rooted_dispatch = K.tree_series_sum(20000, 2.0, 1 / (2 * math.e), 3.0, rooted=True)
-    assert rooted_py == pytest.approx(rooted_dispatch, rel=1e-12)
+    """150,000 terms cross the numpy path's chunk boundaries."""
+    for lam, x, nu, rooted in ((1.0, 1 / math.e, 1.0, False), (2.0, 1 / (2 * math.e), 3.0, True)):
+        got = K.tree_series_sum(150_000, lam, x, nu, rooted)
+        assert got == pytest.approx(_tree_series_fsum(150_000, lam, x, nu, rooted), rel=1e-12)
 
 
-def test_prufer_decode_is_bijective_on_n4():
-    seqs = np.array([[a, b] for a in range(4) for b in range(4)], dtype=np.int64)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_prufer_decode_is_bijective(n):
+    """Every sequence in [n]^(n-2) decodes to a tree, and distinct sequences to distinct trees."""
+    seqs = np.array(list(itertools.product(range(n), repeat=n - 2)), dtype=np.int64)
     edges = K.prufer_decode(seqs)
     seen = set()
-    for d in range(16):
+    for tree in edges.tolist():
         mask = 0
-        for u, v in edges[d]:
-            u, v = int(u), int(v)
+        for u, v in tree:
             assert u != v
             lo, hi = min(u, v), max(u, v)
             mask |= 1 << (hi * (hi - 1) // 2 + lo)
+        assert nx.is_tree(nx.Graph(tree))
         seen.add(mask)
-    assert len(seen) == 16  # all Cayley trees, each exactly once
+    assert len(seen) == n ** (n - 2)  # all Cayley trees, each exactly once
 
 
 def test_prufer_paths_agree():
     rng = np.random.default_rng(3)
-    seqs = rng.integers(0, 8, size=(50, 6), dtype=np.int64)
-    out1 = np.zeros((50, 7, 2), dtype=np.int64)
-    K._prufer_scalar(seqs, out1)
-    out2 = K.prufer_decode(seqs)
-    assert (out1 == out2).all()
-
-
-def test_env_flag_documented():
-    # the dispatch flag reflects the environment variable / numba availability
-    assert isinstance(K.using_numba(), bool)
+    for n in (3, 8, 300):
+        seqs = rng.integers(0, n, size=(50, n - 2), dtype=np.int64)
+        edges = K.prufer_decode(seqs)
+        assert edges.shape == (50, n - 1, 2)
+        for seq, tree in zip(seqs.tolist(), edges.tolist()):
+            want = nx.from_prufer_sequence(seq)
+            assert {frozenset(e) for e in tree} == {frozenset(e) for e in want.edges}
