@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the hot kernels.
 
-Runs each kernel in one process and prints a timing table (best of three).
-Every kernel has a single implementation, in numpy or plain Python; the
-lattice rows start from an empty slice cache in every repeat.
+Runs each kernel in one process and prints a timing table (best of three;
+the mcmc, census and closure-check rows run once).  Every kernel has a
+single implementation, in numpy or plain Python; the lattice rows start from
+an empty slice cache in every repeat, and the census and closure-check rows
+from built membership arrays and an empty canonical cache.
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -18,6 +20,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # runs from a checkout
 from minorclass import _kernels as K  # noqa: E402
+from minorclass.families import (  # noqa: E402
+    verify_bridge_addable,
+    verify_decomposable,
+    verify_trimmable,
+)
 
 
 def _time(fn, *args, repeat=3):
@@ -87,6 +94,32 @@ def bench_member_array(name, n):
     return f"member_mask_array n={n} {name}", "numpy", _time(run)
 
 
+def _warm_family(name, n):
+    """A fresh family whose membership arrays up to n are built, and an empty
+    canonical cache, so a row times only its own pass."""
+    from minorclass.canon import _canon_data
+    from minorclass.enumeration import member_mask_array
+    from minorclass.families import builtin_family
+
+    fam = builtin_family(name)
+    for k in range(n + 1):
+        member_mask_array(fam, k)
+    _canon_data.cache_clear()
+    return fam
+
+
+def bench_census(name, n):
+    from minorclass.enumeration import build_census
+
+    fam = _warm_family(name, n)
+    return f"build_census n<={n} {name}", "python", _time(build_census, fam, n, repeat=1)
+
+
+def bench_verify(verify, name, n):
+    fam = _warm_family(name, n)
+    return f"{verify.__name__} n<={n} {name}", "numpy", _time(verify, fam, n, repeat=1)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="smaller workloads")
@@ -106,7 +139,10 @@ def main():
         bench_tree_series(terms),
         bench_prufer(draws, 300),
     ] + [bench_member_array(name, n_sweep)
-         for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1")]
+         for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1")
+    ] + [bench_census(name, n_sweep) for name in ("all", "planar")
+    ] + [bench_verify(verify, "planar", n_sweep)
+         for verify in (verify_bridge_addable, verify_decomposable, verify_trimmable)]
     width = max(len(label) for label, _, _ in benches) + 2
     for label, kind, t in benches:
         print(f"{label:<{width}} {kind:>6}: {t * 1e3:10.2f} ms")

@@ -101,7 +101,7 @@ def _record(n: int, extendable: bool = False) -> SliceStats:
     return rec
 
 
-def _adjacency(n: int) -> list[np.ndarray]:
+def adjacency(n: int) -> list[np.ndarray]:
     """Neighbour set of each vertex for every edge mask on n vertices."""
     adj = [np.zeros(1, dtype=np.uint8) for _ in range(n)]
     for u, v in zip(*(a.tolist() for a in pair_arrays(n))):
@@ -110,8 +110,8 @@ def _adjacency(n: int) -> list[np.ndarray]:
     return adj
 
 
-def _core_sizes(adj: list[np.ndarray], n: int) -> np.ndarray:
-    """Vertices in the 2-core, by peeling every vertex of degree <= 1 each round."""
+def core_sets(adj: list[np.ndarray], n: int) -> np.ndarray:
+    """Vertex set of the 2-core, by peeling every vertex of degree <= 1 each round."""
     present = np.full(np.broadcast_shapes(*(a.shape for a in adj)), (1 << n) - 1,
                       dtype=np.uint8)
     for _ in range(n):
@@ -119,7 +119,7 @@ def _core_sizes(adj: list[np.ndarray], n: int) -> np.ndarray:
         for v, a in enumerate(adj):
             gone |= (np.bitwise_count(a & present) <= 1).view(np.uint8) << np.uint8(v)
         present &= ~gone
-    return np.bitwise_count(present).reshape(-1)
+    return present.reshape(-1)
 
 
 def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = False,
@@ -168,7 +168,7 @@ def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = 
     if low_adj is not None:
         adj = [a | ((nbrs >> np.uint8(u)) & np.uint8(1)) << np.uint8(n - 1)
                for u, a in enumerate(low_adj)]
-        out.core = _core_sizes(adj + [nbrs], n)
+        out.core = np.bitwise_count(core_sets(adj + [nbrs], n))
     return out
 
 
@@ -216,7 +216,7 @@ def _blocks(n: int, bridges: bool, core: bool):
         yield 0, _record(0)
         return
     low = _record(n - 1, extendable=True)
-    low_adj = _adjacency(n - 1) if core else None
+    low_adj = adjacency(n - 1) if core else None
     count = min(1 << (n - 1), max(1, BLOCK // low.kappa.size))
     for first in range(0, 1 << (n - 1), count):
         yield first * low.kappa.size, _extend(low, n, first, count, bridges=bridges,

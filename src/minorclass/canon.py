@@ -169,13 +169,18 @@ def _canon_data(n: int, mask: int) -> tuple[int, int]:
     return canon_mask, aut
 
 
+def code_of(n: int, canon_mask: int) -> CanonicalCode:
+    """The code of the n-vertex graph whose canonical edge mask is canon_mask."""
+    nbytes = max(1, (pair_count(n) + 7) // 8)
+    return CanonicalCode(bytes([n]) + canon_mask.to_bytes(nbytes, "big"))
+
+
 def canonicalize(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCode:
     """Canonical code of g; equal codes iff isomorphic graphs."""
     if g.n > cap:
         raise ResourceCapError(f"canonicalize: {g.n} vertices exceeds cap {cap}")
     canon_mask, _ = _canon_data(g.n, g.mask)
-    nbytes = max(1, (pair_count(g.n) + 7) // 8)
-    return CanonicalCode(bytes([g.n]) + canon_mask.to_bytes(nbytes, "big"))
+    return code_of(g.n, canon_mask)
 
 
 def canonical_graph(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:

@@ -220,7 +220,8 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
 
 
 def _graph_to_json(g: Graph) -> str:
-    return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
+    """One JSONL line, the same text as json.dumps({"n": ..., "edges": [[u, v], ...]})."""
+    return '{"n": %d, "edges": [%s]}' % (g.n, ", ".join(["[%d, %d]" % e for e in g.edges]))
 
 
 def graph_from_json(line: str) -> Graph:

@@ -13,6 +13,11 @@ on the edge mask, evaluated for all masks at once and looked up in the cached
 array of the order below; edge deletions are closed by a subset-AND pass over
 the lattice.  Only masks that match a minor's edge count and degree sequence
 are canonicalized.  Forests use the component count instead (e = n - kappa).
+
+The unlabelled census grows by canonical augmentation: each class of order
+n-1 is joined to a new vertex by every nonempty neighbour set, each result
+is looked up in the n-slice membership array, and only those are
+canonicalized, never every labelled member.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import _kernels
-from .canon import CanonicalCode, automorphism_count, canonicalize
+from .canon import CanonicalCode, _canon_data, automorphism_count, canonicalize, code_of
 from .errors import ResourceCapError
 from .graphs import (
     Graph,
@@ -520,33 +525,42 @@ class UnlabelledCensus:
 
 
 def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> UnlabelledCensus:
-    """Inventory of the connected members up to n_max, grouped by canonical code.
+    """Inventory of the connected members up to n_max, one entry per isomorphism class.
 
-    Each entry keeps the least-mask representative and its automorphism count;
-    the labelled class sizes are checked against v!/aut as they accumulate.
+    Built by canonical augmentation (McKay 1998, "Isomorph-free exhaustive
+    generation").  Every connected graph on n >= 2 vertices has a vertex whose
+    deletion leaves it connected, and a minor-closed family is closed under
+    vertex deletion.  So the n-vertex classes are the distinct canonical forms
+    of the (n-1)-vertex classes joined to a new vertex n by every nonempty
+    neighbour set N.  In the lattice layout that graph's mask is
+    N << pair_count(n-1) | rep, so its membership is one lookup in the n-slice
+    membership array.  Each entry's representative is the canonical graph of
+    its class, and the canonicalization that finds it also counts its
+    automorphisms.  Per order, the class sizes n!/aut must add up to the
+    connected-member count of the lattice sweep.
     """
-    if n_max > cap or n_max > HARD_CAP:
-        raise ResourceCapError(f"census capped at n <= {min(cap, HARD_CAP)}")
-    found: dict[bytes, list] = {}
-    order: list[bytes] = []
-    for n in range(1, n_max + 1):
-        for mask in member_masks(fam, n, connected=True):
-            g = Graph(n, mask)
-            code = canonicalize(g)
-            slot = found.get(code.code)
-            if slot is None:
-                found[code.code] = [g, 1]
-                order.append(code.code)
-            else:
-                slot[1] += 1
+    _check_caps(fam, n_max, cap)
     entries = []
-    for key in order:
-        g, labelled = found[key]
-        aut = automorphism_count(g)
-        if labelled * aut != math.factorial(g.n):
-            raise AssertionError("census class size inconsistent with automorphism count")
-        entries.append(CensusEntry(CanonicalCode(key), g.n, g.edge_count, 1, aut, g, labelled))
-    entries.sort(key=lambda en: (en.v, en.code.code))
+    reps = [0]  # canonical masks of the (n-1)-vertex classes; the empty graph below n = 1
+    for n in range(1, n_max + 1):
+        member = member_mask_array(fam, n)
+        masks = np.arange(1 if n > 1 else 0, 1 << (n - 1), dtype=np.int64) << pair_count(n - 1)
+        found: dict[int, int] = {}
+        for rep in reps:
+            ext = masks | rep
+            if member is not None:
+                ext = ext[member[ext] != 0]
+            for mask in ext.tolist():
+                canon_mask, aut = _canon_data(n, mask)
+                found[canon_mask] = aut
+        labelled = sum(math.factorial(n) // aut for aut in found.values())
+        connected = int(_sweep_members(fam, n).ce.sum())
+        if labelled != connected:
+            raise AssertionError(f"census at n={n}: the classes hold {labelled} labelled "
+                                 f"graphs, the sweep counts {connected} connected members")
+        reps = sorted(found)
+        entries += [CensusEntry(code_of(n, m), n, m.bit_count(), 1, found[m], Graph(n, m),
+                                math.factorial(n) // found[m]) for m in reps]
     return UnlabelledCensus(fam.name, n_max, entries)
 
 

@@ -5,7 +5,8 @@ A family is given either by a finite list of excluded minors or by a built-in
 predicate; built-ins also carry their excluded-minor description so the two
 routes can be cross-checked.  All verification here is at bounded scale: it
 certifies behaviour up to a vertex count and reports, never claims unbounded
-truth.
+truth.  The closure checks are whole-array passes over the membership arrays
+of each order, with no per-graph membership call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import networkx as nx
+import numpy as np
 
+from ._kernels import adjacency, core_sets, subset_stats
 from .errors import ResourceCapError
 from .graphs import (
     Graph,
@@ -31,9 +34,9 @@ from .graphs import (
     is_connected,
     is_forest,
     pair_bit,
+    pair_count,
     pairs,
     reach,
-    two_core,
     vertex_labels,
 )
 from .minors import DEFAULT_BUDGET, has_minor
@@ -354,7 +357,6 @@ class VerificationReport:
 def _member_masks(fam: GraphFamily, n: int):
     """Member edge masks at order n (ascending), using the enumeration sweep."""
     from .enumeration import member_mask_array
-    import numpy as np
 
     arr = member_mask_array(fam, n)
     if arr is None:
@@ -362,78 +364,125 @@ def _member_masks(fam: GraphFamily, n: int):
     return np.nonzero(arr)[0].tolist()
 
 
+def _induced_images(masks: np.ndarray, n: int, vset: int) -> np.ndarray:
+    """Edge masks of the subgraphs that the n-vertex edge masks `masks` induce
+    on the vertex set vset (bit v = vertex v+1), relabelled 1..|vset| in
+    increasing order as `induced_subgraph` does."""
+    if vset == (1 << n) - 1:
+        return masks
+    labels = vertex_labels(vset)
+    img = np.zeros_like(masks)
+    for j, (x, y) in enumerate(pairs(len(labels))):
+        img |= (masks >> pair_bit(labels[x - 1], labels[y - 1]) & 1) << j
+    return img
+
+
+def _cut(n: int, vset: int) -> int:
+    """Edge mask of the pairs with exactly one end in the vertex set vset."""
+    return sum(1 << b for b, (x, y) in enumerate(pairs(n))
+               if (vset >> (x - 1) ^ vset >> (y - 1)) & 1)
+
+
 def verify_bridge_addable(fam: GraphFamily, n_max: int = 6) -> VerificationReport:
-    """Check: member + edge between two components is still a member."""
+    """Check: member + edge between two components is still a member.
+
+    One whole-array pass per pair bit b of each slice: a member without b
+    fails when adding b merges two components (the component count drops)
+    and the mask with b is not a member.  The counterexample is the least
+    failing mask of the least order, joined by its first failing pair u-v,
+    with u in the earlier component (components ordered by least vertex).
+    """
     from .enumeration import member_mask_array
 
     for n in range(1, n_max + 1):
-        arr = member_mask_array(fam, n)
-        for mask in _member_masks(fam, n):
-            g = Graph(n, mask)
-            comps = component_masks(g)
-            if len(comps) < 2:
-                continue
-            for ci in range(len(comps)):
-                for cj in range(ci + 1, len(comps)):
-                    mu = comps[ci]
-                    while mu:
-                        u = (mu & -mu).bit_length() - 1
-                        mu &= mu - 1
-                        mv = comps[cj]
-                        while mv:
-                            v = (mv & -mv).bit_length() - 1
-                            mv &= mv - 1
-                            bigger = mask | 1 << pair_bit(u + 1, v + 1)
-                            ok = arr[bigger] if arr is not None else True
-                            if not ok:
-                                return VerificationReport(
-                                    "bridge-addable", fam.name, n_max, False,
-                                    counterexample=(g, u + 1, v + 1),
-                                )
+        member = member_mask_array(fam, n)
+        if member is None:
+            continue
+        kappa = subset_stats(n).kappa
+        least = None
+        for b in range(pair_count(n)):
+            ok, k = member.reshape(-1, 2, 1 << b), kappa.reshape(-1, 2, 1 << b)
+            fail = np.flatnonzero((ok[:, 0] != 0) & (ok[:, 1] == 0) & (k[:, 1] < k[:, 0]))
+            if fail.size:
+                # entry i * 2^b + j of the halves is the mask i * 2^(b+1) + j
+                first = int(fail[0] >> b << (b + 1) | fail[0] & ((1 << b) - 1))
+                least = first if least is None else min(least, first)
+        if least is not None:
+            g = Graph(n, least)
+            comp = {v: i for i, c in enumerate(component_masks(g)) for v in vertex_labels(c)}
+            joins = []
+            for b, (x, y) in enumerate(pairs(n)):
+                bigger = least | 1 << b
+                if bigger != least and kappa[bigger] < kappa[least] and not member[bigger]:
+                    (cu, u), (cv, v) = sorted([(comp[x], x), (comp[y], y)])
+                    joins.append((cu, cv, u, v))
+            _, _, u, v = min(joins)
+            return VerificationReport("bridge-addable", fam.name, n_max, False,
+                                      counterexample=(g, u, v))
     return VerificationReport("bridge-addable", fam.name, n_max, True)
 
 
 def verify_decomposable(fam: GraphFamily, n_max: int = 6) -> VerificationReport:
-    """Check both directions of: a graph is a member iff each component is."""
+    """Check both directions of: a graph is a member iff each component is.
+
+    Whole-array passes over each slice, one per vertex set S: S is a
+    component of a mask iff no edge leaves S and the subgraph induced on S is
+    connected, and that component is a member iff its relabelled induced mask
+    is one at order |S|.  The counterexample is the least failing mask of the
+    least order.
+    """
     from .enumeration import member_mask_array
 
     for n in range(1, n_max + 1):
-        arr = member_mask_array(fam, n)
-        for mask in range(1 << len(pairs(n))):
-            g = Graph(n, mask)
-            whole = bool(arr[mask]) if arr is not None else fam.base_member(g)
-            partwise = all(
-                fam.base_member(induced_subgraph(g, vertex_labels(c)).graph)
-                for c in component_masks(g)
+        member = member_mask_array(fam, n)
+        if member is None:
+            continue
+        masks = np.arange(len(member), dtype=np.int64)
+        partwise = np.ones(len(member), dtype=bool)
+        for vset in range(1, 1 << n):
+            k = vset.bit_count()
+            at = np.flatnonzero((masks & _cut(n, vset)) == 0)
+            img = _induced_images(at, n, vset)
+            bad = (subset_stats(k).kappa[img] == 1) & (member_mask_array(fam, k)[img] == 0)
+            partwise[at[bad]] = False
+        fail = np.flatnonzero(partwise != (member != 0))
+        if fail.size:
+            whole = bool(member[fail[0]])
+            return VerificationReport(
+                "decomposable", fam.name, n_max, False,
+                counterexample=(Graph(n, int(fail[0])),),
+                details="member but a component is not" if whole else
+                        "all components are members but the union is not",
             )
-            if whole != partwise:
-                return VerificationReport(
-                    "decomposable", fam.name, n_max, False,
-                    counterexample=(g,),
-                    details="member but a component is not" if whole else
-                            "all components are members but the union is not",
-                )
     return VerificationReport("decomposable", fam.name, n_max, True)
 
 
 def verify_trimmable(fam: GraphFamily, n_max: int = 6) -> VerificationReport:
-    """Direct check of G-in iff Core(G)-in, plus the excluded-minor shortcut."""
+    """Direct check of G-in iff Core(G)-in, plus the excluded-minor shortcut.
+
+    Whole-array passes over each slice: the 2-core's vertex set of every mask
+    comes from peeling all masks at once, and the 2-core is a member iff its
+    relabelled induced mask is one at its order.  The counterexample is the
+    least failing mask of the least order.
+    """
     from .enumeration import member_mask_array
 
-    direct_ok = True
     counterexample = None
     for n in range(1, n_max + 1):
-        arr = member_mask_array(fam, n)
-        for mask in range(1 << len(pairs(n))):
-            g = Graph(n, mask)
-            whole = bool(arr[mask]) if arr is not None else fam.base_member(g)
-            core = two_core(g).graph
-            if whole != fam.base_member(core):
-                direct_ok = False
-                counterexample = (g,)
-                break
-        if not direct_ok:
+        member = member_mask_array(fam, n)
+        if member is None:
+            continue
+        core = core_sets(adjacency(n), n)
+        core_member = np.empty(len(member), dtype=bool)
+        for vset in range(1 << n):
+            at = np.flatnonzero(core == vset)
+            img = _induced_images(at, n, vset)
+            core_member[at] = member_mask_array(fam, vset.bit_count())[img] != 0
+        fail = np.flatnonzero(core_member != (member != 0))
+        if fail.size:
+            counterexample = (Graph(n, int(fail[0])),)
             break
+    direct_ok = counterexample is None
     if fam.excluded_minors:
         shortcut = all(m.min_degree() >= 2 for m in fam.excluded_minors)
         agree = shortcut == direct_ok

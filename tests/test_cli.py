@@ -7,8 +7,8 @@ import math
 
 import pytest
 
-from minorclass.cli import ExperimentConfig, graph_from_json, main, parse_number
-from minorclass.graphs import Graph, graph_to_text, path_graph
+from minorclass.cli import ExperimentConfig, _graph_to_json, graph_from_json, main, parse_number
+from minorclass.graphs import Graph, complete_graph, graph_to_text, path_graph
 
 
 def run_cli(argv, capsys):
@@ -245,3 +245,13 @@ def test_parse_number():
     assert parse_number("3") == 3
     assert parse_number("1/2") == Fraction(1, 2)
     assert parse_number("0.25") == 0.25
+
+
+def test_jsonl_writer_matches_json_dumps():
+    from minorclass.sampling import random_tree_sample
+
+    graphs = [Graph(0), Graph(1), Graph(7), complete_graph(7), Graph.from_edges(7, [(2, 5), (1, 7)])]
+    graphs += random_tree_sample(300, 3, 2)
+    for g in graphs:
+        assert _graph_to_json(g) == json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
+        assert graph_from_json(_graph_to_json(g)) == g

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from minorclass.canon import automorphism_count, canonicalize
 from minorclass.enumeration import (
     brute_force_tau,
     build_census,
@@ -20,11 +21,12 @@ from minorclass.enumeration import (
     factorial_growth_check,
     falling_moment_check,
     forest_table,
+    member_masks,
     ratio_sequence,
 )
 from minorclass.errors import ResourceCapError
 from minorclass.families import builtin_family, excluded_minor_family
-from minorclass.graphs import Graph, Weighting, complete_graph, path_graph
+from minorclass.graphs import Graph, Weighting, complete_graph, copies, cycle_graph, path_graph
 
 FORESTS = builtin_family("forests")
 TREES = builtin_family("trees")
@@ -244,6 +246,56 @@ def test_census_consistency_larger():
     assert len(census.entries) == 14  # unlabelled trees with at most 6 vertices
     for n in range(1, 7):
         assert census_labelled_total(census, W11, n) == brute_force_tau(FORESTS, W11, n).c
+
+
+BUILTINS = ("all", "forests", "planar", "series-parallel", "ex-k-disjoint-cycles:1")
+
+
+def _census_family(name):
+    """A built-in, or an excluded-minor restatement of one (no-k4, no-2c3)."""
+    if name == "no-k4":
+        return excluded_minor_family(name, (complete_graph(4),))
+    if name == "no-2c3":
+        return excluded_minor_family(name, (copies(cycle_graph(3), 2),))
+    return builtin_family(name)
+
+
+def _census_by_canonicalizing_every_member(fam, n_max):
+    """(code, v, e, aut) of each class, from canonicalizing every labelled
+    connected member; the least-mask member stands for its class."""
+    reps = {}
+    for n in range(1, n_max + 1):
+        for mask in member_masks(fam, n, connected=True):
+            reps.setdefault(canonicalize(Graph(n, mask)).code, Graph(n, mask))
+    return sorted((code, g.n, g.edge_count, automorphism_count(g))
+                  for code, g in reps.items())
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("no-k4", "no-2c3"))
+def test_census_by_augmentation_matches_every_member_canonicalized(name):
+    fam = _census_family(name)
+    census = build_census(fam, 6)
+    got = [(en.code.code, en.v, en.e, en.aut) for en in census.entries]
+    assert got == _census_by_canonicalizing_every_member(fam, 6)
+    for en in census.entries:
+        # the representative is the canonical graph of its class
+        assert canonicalize(en.rep) == en.code and en.rep.mask == int.from_bytes(en.code.code[1:], "big")
+        assert en.labelled * en.aut == math.factorial(en.v) and en.kappa == 1
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("trees",))
+def test_census_class_sizes_add_up_to_connected_count_at_n7(name):
+    fam = builtin_family(name)
+    census = build_census(fam, 7)
+    total = sum(math.factorial(7) // en.aut for en in census.of_order(7))
+    assert total == brute_force_tau(fam, W11, 7).c
+
+
+def test_census_of_forests_stops_at_the_array_cap():
+    with pytest.raises(ResourceCapError):
+        build_census(FORESTS, 8, cap=8)
+    with pytest.raises(ResourceCapError):
+        build_census(builtin_family("planar"), 8, cap=8)
 
 
 def test_falling_moment_identity():

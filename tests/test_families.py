@@ -26,12 +26,17 @@ from minorclass.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
+    component_masks,
     copies,
     cycle_graph,
     disjoint_union,
     empty_graph,
     graph_to_text,
+    induced_subgraph,
+    pair_bit,
     path_graph,
+    two_core,
+    vertex_labels,
 )
 
 
@@ -157,6 +162,71 @@ def test_verify_trimmable():
     rep = verify_trimmable(excluded_minor_family("ex-p3", (path_graph(3),)), 4)
     assert not rep.holds  # shortcut: delta(P3) = 1, and the direct check agrees
     assert "agreement=True" in rep.details
+
+
+# Per-graph oracles for the whole-array checks: every labelled graph in mask
+# order, with `base_member` on each relabelled component and 2-core.
+
+
+def _bridge_addable_per_graph(fam, n_max):
+    for n in range(1, n_max + 1):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = Graph(n, mask)
+            if not fam.base_member(g):
+                continue
+            comps = component_masks(g)
+            for ci in range(len(comps)):
+                for cj in range(ci + 1, len(comps)):
+                    for u in vertex_labels(comps[ci]):
+                        for v in vertex_labels(comps[cj]):
+                            if not fam.base_member(Graph(n, mask | 1 << pair_bit(u, v))):
+                                return False, (g, u, v)
+    return True, None
+
+
+def _decomposable_per_graph(fam, n_max):
+    for n in range(1, n_max + 1):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = Graph(n, mask)
+            partwise = all(fam.base_member(induced_subgraph(g, vertex_labels(c)).graph)
+                           for c in component_masks(g))
+            if fam.base_member(g) != partwise:
+                return False, (g,)
+    return True, None
+
+
+def _trimmable_per_graph(fam, n_max):
+    for n in range(1, n_max + 1):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = Graph(n, mask)
+            if fam.base_member(g) != fam.base_member(two_core(g).graph):
+                return False, (g,)
+    return True, None
+
+
+@pytest.mark.parametrize("fam", [
+    builtin_family("planar"),
+    excluded_minor_family("ex-p3", (path_graph(3),)),
+    excluded_minor_family("ex-2c3", (copies(cycle_graph(3), 2),)),
+    excluded_minor_family("ex-k3+k1", (disjoint_union(cycle_graph(3), Graph(1)),)),
+], ids=lambda fam: fam.name)
+def test_whole_array_checks_match_per_graph_oracles(fam):
+    for verify, oracle in ((verify_bridge_addable, _bridge_addable_per_graph),
+                           (verify_decomposable, _decomposable_per_graph),
+                           (verify_trimmable, _trimmable_per_graph)):
+        rep = verify(fam, 5)
+        assert (rep.holds, rep.counterexample) == oracle(fam, 5), verify.__name__
+
+
+def test_whole_array_checks_report_known_counterexamples():
+    ex_p3 = excluded_minor_family("ex-p3", (path_graph(3),))
+    assert verify_bridge_addable(ex_p3, 4).counterexample == (Graph(3, 1), 1, 3)
+    assert verify_trimmable(ex_p3, 4).counterexample == (Graph(3, 3),)
+    for fam in (builtin_family("ex-k-disjoint-cycles:1"),
+                excluded_minor_family("ex-2c3", (copies(cycle_graph(3), 2),))):
+        rep = verify_decomposable(fam, 6)
+        assert rep.counterexample == (Graph(6, 3873),)  # two disjoint triangles
+        assert rep.details == "all components are members but the union is not"
 
 
 def test_limited_at_scale_examples():
