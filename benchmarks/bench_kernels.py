@@ -2,7 +2,8 @@
 """Time the hot kernels.
 
 Runs each kernel in one process and prints a timing table (best of three;
-the mcmc, census and closure-check rows run once).  Every kernel has a
+the mcmc, census and closure-check rows run once).  The JSONL rows time
+`cli.graphs_to_jsonl` alone, on draws made before the clock starts.  Every kernel has a
 single implementation, in numpy or plain Python; the lattice rows start from
 an empty slice cache in every repeat, and the census and closure-check rows
 from built membership arrays and an empty canonical cache.
@@ -81,6 +82,28 @@ def bench_prufer(draws, n):
     return f"prufer_decode {draws} trees on {n} vertices", "numpy", _time(K.prufer_decode, seqs)
 
 
+def bench_jsonl_trees(draws, n):
+    from minorclass.cli import graphs_to_jsonl
+    from minorclass.sampling import random_tree_sample
+
+    graphs = random_tree_sample(n, 0, draws)
+    return f"graphs_to_jsonl {draws} trees on {n} vertices", "numpy", _time(graphs_to_jsonl, graphs)
+
+
+def bench_jsonl_boltzmann(draws, census_n):
+    from minorclass.cli import graphs_to_jsonl
+    from minorclass.enumeration import build_census
+    from minorclass.families import builtin_family
+    from minorclass.graphs import Weighting
+    from minorclass.sampling import boltzmann_config, boltzmann_poisson_sample
+
+    census = build_census(builtin_family("forests"), census_n)
+    graphs = boltzmann_poisson_sample(boltzmann_config(census, 1 / math.e, Weighting(1, 1)), 0,
+                                      draws)
+    label = f"graphs_to_jsonl {draws} Boltzmann forests (census n<={census_n})"
+    return label, "numpy", _time(graphs_to_jsonl, graphs)
+
+
 def bench_member_array(name, n):
     from minorclass.canon import _canon_data
     from minorclass.enumeration import member_mask_array
@@ -138,6 +161,8 @@ def main():
         bench_mcmc(steps, 16),
         bench_tree_series(terms),
         bench_prufer(draws, 300),
+        bench_jsonl_trees(draws, 300),
+        bench_jsonl_boltzmann(50 * draws, 6),
     ] + [bench_member_array(name, n_sweep)
          for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1")
     ] + [bench_census(name, n_sweep) for name in ("all", "planar")

@@ -32,12 +32,9 @@ HAVE_NUMBA = False
 
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """0-indexed endpoints (pu[b], pv[b]) of edge bit b, in bit order."""
-    pu, pv = [], []
-    for v in range(1, n):
-        for u in range(0, v):
-            pu.append(u)
-            pv.append(v)
-    return np.asarray(pu, dtype=np.int64), np.asarray(pv, dtype=np.int64)
+    pv = np.repeat(np.arange(n, dtype=np.int64), np.arange(n))
+    pu = np.arange(pv.size, dtype=np.int64) - pv * (pv - 1) // 2
+    return pu, pv
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +332,33 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, 
 # ---------------------------------------------------------------------------
 
 
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    """log n! for an array of positive integers held as floats.
+
+    Stirling's series with four correction terms is within 4 ulp of
+    math.lgamma(n + 1) from n = 16 on (checked up to 10^6), and its
+    truncation error shrinks like n^-9; smaller n take math.lgamma itself.
+    """
+    r = 1.0 / n
+    r2 = r * r
+    out = (n + 0.5) * np.log(n) - n + 0.5 * math.log(2 * math.pi) \
+        + r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680)))
+    small = n < 16
+    out[small] = [math.lgamma(k + 1.0) for k in n[small].tolist()]
+    return out
+
+
 def tree_series_sum(N: int, lam: float, x: float, nu: float, rooted: bool) -> float:
     """Partial sum (N terms) of the weighted tree / rooted-tree series at x:
     the sum over n <= N of nu * n^(n-2) * lam^(n-1) * x^n / n!, with n^(n-1)
     in place of n^(n-2) for rooted trees."""
-    from scipy.special import gammaln  # imported on first use, to keep the package import light
-
     log_lam, log_x, log_nu = math.log(lam), math.log(x), math.log(nu)
     total = 0.0
     chunk = 65536
     for start in range(1, N + 1, chunk):
         n = np.arange(start, min(start + chunk, N + 1), dtype=np.float64)
         log_n = np.log(n)
-        lt = log_nu + (n - 1.0) * log_lam + n * log_x + (n - 2.0) * log_n - gammaln(n + 1.0)
+        lt = log_nu + (n - 1.0) * log_lam + n * log_x + (n - 2.0) * log_n - _log_factorial(n)
         if rooted:
             lt = lt + log_n
         total += float(np.sum(np.exp(lt)))

@@ -20,10 +20,13 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
+from ._kernels import pair_arrays
 from .errors import EmptySliceError, ResourceCapError
 from .families import family_from_spec
-from .graphs import Graph, RootedGraph, Weighting, graph_from_text, pendant_appearances, \
-    overlapping_pendant_appearances
+from .graphs import Graph, RootedGraph, Weighting, graph_from_text, pair_count, \
+    pendant_appearances, overlapping_pendant_appearances
 
 
 def _fmt(x) -> str:
@@ -219,9 +222,58 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _graph_to_json(g: Graph) -> str:
-    """One JSONL line, the same text as json.dumps({"n": ..., "edges": [[u, v], ...]})."""
-    return '{"n": %d, "edges": [%s]}' % (g.n, ", ".join(["[%d, %d]" % e for e in g.edges]))
+# The JSONL writer packs at most this many mask bytes at once (one draw if it
+# is wider).  A chunk's per-edge index arrays take up to 8 int64 entries per
+# packed byte, so the chunk stays small enough that the writer adds about
+# nothing to the sampler's peak memory.
+_JSONL_CHUNK_BYTES = 1 << 15
+
+
+def graphs_to_jsonl(graphs: list[Graph]) -> list[str]:
+    """One JSONL line per graph, in order, each the same text as
+    json.dumps({"n": ..., "edges": [[u, v], ...]}) with the edges of Graph.edges.
+
+    The graphs are grouped by order n.  Each chunk of a group packs its masks
+    into little-endian bytes, unpacks only the nonzero bytes, and sorts every
+    draw's set bits by their pair's lexicographic rank, which is the order of
+    Graph.edges; the text comes from a per-n table of "[u, v]" strings.  No
+    (draws x pair_count) bit matrix is built.
+    """
+    lines: list[str] = [""] * len(graphs)
+    by_n: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_n.setdefault(g.n, []).append(i)
+    for n, idx in by_n.items():
+        m = pair_count(n)
+        if not m:  # no vertex pairs, so no edges
+            for i in idx:
+                lines[i] = '{"n": %d, "edges": []}' % n
+            continue
+        width = (m + 7) // 8
+        pu, pv = pair_arrays(n)
+        # the position of each edge bit's pair (u, v) in lexicographic order,
+        # which is the order of Graph.edges and of the text table
+        rank = pu * (n - 1) - pu * (pu - 1) // 2 + pv - pu - 1
+        text = np.array(["[%d, %d]" % (u, v) for u in range(1, n) for v in range(u + 1, n + 1)],
+                        dtype=object)
+        step = max(1, _JSONL_CHUNK_BYTES // width)
+        for start in range(0, len(idx), step):
+            chunk = idx[start:start + step]
+            buf = bytearray(len(chunk) * width)
+            for row, i in enumerate(chunk):
+                buf[row * width:(row + 1) * width] = graphs[i].mask.to_bytes(width, "little")
+            packed = np.frombuffer(buf, dtype=np.uint8)
+            at = np.flatnonzero(packed)
+            hit, bit = np.nonzero(np.unpackbits(packed[at][:, None], axis=1, bitorder="little"))
+            rows, cols = np.divmod(at[hit], width)
+            keys = np.sort(rows * m + rank[cols * 8 + bit])
+            edges = text[keys % m].tolist()
+            ends = np.cumsum(np.bincount(rows, minlength=len(chunk))).tolist()
+            begin = 0
+            for i, end in zip(chunk, ends):
+                lines[i] = '{"n": %d, "edges": [%s]}' % (n, ", ".join(edges[begin:end]))
+                begin = end
+    return lines
 
 
 def graph_from_json(line: str) -> Graph:
@@ -262,8 +314,9 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
         samples = boltzmann_poisson_sample(bc, cfg.seed, cfg.draws)
     else:
         raise ValueError(f"unknown sampling method {cfg.method!r}")
-    lines = "\n".join(_graph_to_json(g) for g in samples)
-    _write_text(cfg.out, lines + "\n")
+    lines = graphs_to_jsonl(samples)
+    del samples  # free the draws before their text is joined
+    _write_text(cfg.out, "\n".join(lines + [""]))
     return 0
 
 

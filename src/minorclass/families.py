@@ -27,6 +27,7 @@ from .graphs import (
     complete_graph,
     component_masks,
     copies,
+    core_mask,
     cycle_graph,
     disjoint_union,
     graph_from_text,
@@ -151,6 +152,51 @@ def _induced_cycles(adj: tuple[int, ...], within: int) -> list[int]:
             out.append(vm)
 
 
+def _core_cycles(adj: tuple[int, ...], core: int) -> list[int]:
+    """Vertex masks, among the branch vertices, of the minimal cycles of the
+    connected 2-core `core` with its degree-2 vertices suppressed.
+
+    The branch vertices are those of core degree >= 3; every path of degree-2
+    vertices (or edge) between two of them becomes one edge of a multigraph.
+    Two cycles of the core are disjoint iff their branch vertex sets are, and
+    every cycle's branch set contains a loop {b}, a digon {b, c} (two such
+    paths) or an induced cycle of the simple graph on the branch vertices, so
+    those are the masks returned.  A core without branch vertices is one
+    cycle.  Only the induced-cycle enumeration is capped.
+    """
+    branch = 0
+    rest = core
+    while rest:
+        low = rest & -rest
+        if (adj[low.bit_length() - 1] & core).bit_count() >= 3:
+            branch |= low
+        rest ^= low
+    if not branch:
+        return [core] if core else []
+    joined = [0] * len(adj)
+    short = []
+    rest = branch
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        ends: dict[int, int] = {}  # far end of each path leaving b -> path count
+        first = adj[b.bit_length() - 1] & core
+        while first:
+            prev, cur = b, first & -first
+            first ^= cur
+            while not cur & branch:  # follow the path through its degree-2 vertices
+                prev, cur = cur, adj[cur.bit_length() - 1] & core & ~prev
+            ends[cur] = ends.get(cur, 0) + 1
+        for c, k in ends.items():
+            if c == b:
+                short.append(b)  # a loop, met once from each of its ends
+            else:
+                joined[b.bit_length() - 1] |= c
+                if k >= 2 and c > b:
+                    short.append(b | c)
+    return short + _induced_cycles(joined, branch)
+
+
 def _most_disjoint(cycles: list[int], avail: int, stop_at: int | None) -> int:
     """Most pairwise disjoint masks among `cycles` inside `avail`; the search
     ends once stop_at are found."""
@@ -177,14 +223,18 @@ def max_disjoint_cycles(g: Graph, stop_at: int | None = None) -> int:
     """Maximum number of vertex-disjoint cycles (any cycle contains an induced one).
 
     The maximum is the sum over the components, so each component is searched
-    on its own, with what is left of the stop_at budget.
+    on its own, with what is left of the stop_at budget.  Every cycle lies in
+    the 2-core, so only the minimal cycles of each component's 2-core are
+    searched (_core_cycles), and the enumeration cap applies to its branch
+    vertices.
     """
     adj = g.adjacency()
     total = 0
     for comp in component_masks(g):
         if stop_at is not None and total >= stop_at:
             break
-        total += _most_disjoint(_induced_cycles(adj, comp), comp,
+        core = core_mask(adj, comp)
+        total += _most_disjoint(_core_cycles(adj, core), core,
                                 None if stop_at is None else stop_at - total)
     return total
 

@@ -316,19 +316,26 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> InducedSubgraph:
     return InducedSubgraph(Graph(len(labels), mask), labels)
 
 
-def two_core(g: Graph) -> InducedSubgraph:
-    """The unique maximal subgraph of minimum degree >= 2 (empty iff g is a forest)."""
-    adj = g.adjacency()
-    present = (1 << g.n) - 1 if g.n else 0
+def core_mask(adj, present: int) -> int:
+    """Vertex mask of the 2-core of the subgraph induced on the vertex mask
+    `present` (`adj` as for reach): what is left after repeatedly deleting the
+    vertices with at most one neighbour left."""
     while True:
         removed = 0
-        for v in range(g.n):
-            if present >> v & 1 and (adj[v] & present).bit_count() <= 1:
-                removed |= 1 << v
+        rest = present
+        while rest:
+            low = rest & -rest
+            if (adj[low.bit_length() - 1] & present).bit_count() <= 1:
+                removed |= low
+            rest ^= low
         if not removed:
-            break
+            return present
         present &= ~removed
-    return induced_subgraph(g, vertex_labels(present))
+
+
+def two_core(g: Graph) -> InducedSubgraph:
+    """The unique maximal subgraph of minimum degree >= 2 (empty iff g is a forest)."""
+    return induced_subgraph(g, vertex_labels(core_mask(g.adjacency(), (1 << g.n) - 1)))
 
 
 def big_frag_split(g: Graph) -> tuple[InducedSubgraph, InducedSubgraph]:
@@ -368,12 +375,15 @@ def weight(g: Graph, w: Weighting):
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    n = g.n + h.n
-    out = Graph.from_edges(n, g.edges)
-    mask = out.mask
+    """g on vertices 1..g.n and h shifted to g.n+1..g.n+h.n.
+
+    An edge's bit depends only on its endpoints, so g's mask carries over
+    unchanged and only h's edges are placed.
+    """
+    mask = g.mask
     for u, v in h.edges:
         mask |= 1 << pair_bit(u + g.n, v + g.n)
-    return Graph(n, mask)
+    return Graph(g.n + h.n, mask)
 
 
 def copies(g: Graph, k: int) -> Graph:

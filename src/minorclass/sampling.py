@@ -6,7 +6,7 @@ the enumeration range), and the component-multiset Boltzmann Poisson sampler
 driven by an unlabelled census.  A uniform labelled-tree sampler decodes
 uniform parent sequences.  All randomness comes from the counter-based Philox
 generator keyed by an explicit 64-bit seed and a stream index, so every
-sampler is reproducible across platforms and both kernel paths.
+sampler is reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -132,9 +132,22 @@ def counts_to_graph(census: UnlabelledCensus, counts: Sequence[int]) -> Graph:
 
 
 def boltzmann_poisson_sample(cfg: BoltzmannConfig, seed: int, draws: int) -> list[Graph]:
-    """Draws from the truncated Boltzmann Poisson random graph as labelled graphs."""
+    """Draws from the truncated Boltzmann Poisson random graph as labelled graphs.
+
+    Draws with the same count row share one Graph: few distinct component
+    multisets have any real probability (99 rows in 50,000 forest draws at
+    census n <= 6), so each is materialized once.
+    """
     counts = boltzmann_component_counts(cfg, seed, draws)
-    return [counts_to_graph(cfg.census, row) for row in counts]
+    graphs: dict[bytes, Graph] = {}
+    out = []
+    for row in counts:
+        key = row.tobytes()
+        g = graphs.get(key)
+        if g is None:
+            g = graphs[key] = counts_to_graph(cfg.census, row)
+        out.append(g)
+    return out
 
 
 # -- MCMC sampler ------------------------------------------------------------------
@@ -177,7 +190,9 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
 
 
 def _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws) -> list[Graph]:
-    """Generic-membership chain; same proposal stream as the kernel path."""
+    """The chain with a membership test per proposal (base_member) and exact
+    weights; mcmc_sample draws its proposals and uniforms the same way for
+    every mode."""
     g = Graph(n, 0)
     out = []
     for t in range(len(proposals)):

@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from minorclass.cli import ExperimentConfig, _graph_to_json, graph_from_json, main, parse_number
+from minorclass import cli
+from minorclass.cli import ExperimentConfig, graph_from_json, graphs_to_jsonl, main, parse_number
 from minorclass.graphs import Graph, complete_graph, graph_to_text, path_graph
 
 
@@ -247,11 +248,35 @@ def test_parse_number():
     assert parse_number("0.25") == 0.25
 
 
-def test_jsonl_writer_matches_json_dumps():
+def test_jsonl_writer_matches_json_dumps(monkeypatch):
+    """Mixed orders, edgeless and repeated graphs, with chunks smaller than a
+    group: two n = 300 masks per chunk, then one draw per chunk."""
     from minorclass.sampling import random_tree_sample
 
-    graphs = [Graph(0), Graph(1), Graph(7), complete_graph(7), Graph.from_edges(7, [(2, 5), (1, 7)])]
-    graphs += random_tree_sample(300, 3, 2)
-    for g in graphs:
-        assert _graph_to_json(g) == json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
-        assert graph_from_json(_graph_to_json(g)) == g
+    k7 = complete_graph(7)
+    graphs = [Graph(0), Graph(1), Graph(7), k7, Graph.from_edges(7, [(2, 5), (1, 7)])]
+    graphs += random_tree_sample(300, 3, 3)
+    graphs += [Graph(16, (1 << 120) - 1), Graph(16), Graph(16, 0b1011 << 100), Graph(1), k7]
+    graphs += random_tree_sample(300, 4, 2) + [Graph(300), Graph(0), k7]
+    monkeypatch.setattr(cli, "_JSONL_CHUNK_BYTES", 12000)  # an n = 300 mask takes 5607 bytes
+    lines = graphs_to_jsonl(graphs)
+    assert len(lines) == len(graphs)
+    for g, line in zip(graphs, lines):
+        assert line == json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
+        assert graph_from_json(line) == g
+    monkeypatch.setattr(cli, "_JSONL_CHUNK_BYTES", 1)
+    assert graphs_to_jsonl(graphs) == lines
+    assert graphs_to_jsonl([]) == []
+
+
+def test_mcmc_ex_k_cycles_past_15_vertices(capsys):
+    """The chain's membership test peels each component to its 2-core and
+    suppresses the degree-2 vertices before it enumerates cycles, so 16-vertex
+    proposals with a 16-vertex 2-core get an answer."""
+    code, out = run_cli(["sample", "--method", "mcmc", "--family", "ex-k-disjoint-cycles:1",
+                         "--n", "16", "--draws", "10", "--burn-in", "2000", "--thin", "10",
+                         "--seed", "1"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 10
+    assert all(graph_from_json(line).n == 16 for line in lines)

@@ -8,6 +8,8 @@ import pytest
 from minorclass.enumeration import member_mask_array
 from minorclass.errors import ResourceCapError
 from minorclass.families import (
+    _induced_cycles,
+    _most_disjoint,
     builtin_family,
     derive_flags,
     dichotomy_scan,
@@ -128,8 +130,36 @@ def test_max_disjoint_cycles():
     assert max_disjoint_cycles(copies(cycle_graph(4), 4)) == 4
     assert max_disjoint_cycles(copies(complete_graph(6), 3)) == 6
     assert max_disjoint_cycles(disjoint_union(cycle_graph(3), complete_graph(6)), stop_at=2) == 2
+    # cycles are searched among the 2-core's branch vertices (degree >= 3), so
+    # long cycles and paths of degree-2 vertices pass the cap ...
+    assert max_disjoint_cycles(cycle_graph(16)) == 1
+    theta = Graph.from_edges(17, [(i, i + 1) for i in range(1, 16)] + [(16, 1), (1, 17), (17, 9)])
+    assert max_disjoint_cycles(theta) == 1
+    # ... and 16 of them do not: the prism over C8 is 3-regular
+    prism = Graph.from_edges(16, [(i, i % 8 + 1) for i in range(1, 9)]
+                             + [(i + 8, i % 8 + 9) for i in range(1, 9)]
+                             + [(i, i + 8) for i in range(1, 9)])
     with pytest.raises(ResourceCapError, match="15 vertices"):
-        max_disjoint_cycles(cycle_graph(16))
+        max_disjoint_cycles(prism)
+
+
+def _max_disjoint_cycles_by_components(g):
+    """Reference: every induced cycle of each whole component, searched exhaustively."""
+    adj = g.adjacency()
+    return sum(_most_disjoint(_induced_cycles(adj, c), c, None) for c in component_masks(g))
+
+
+def test_max_disjoint_cycles_matches_whole_component_search():
+    """Loops, digons and pendant trees of the suppressed 2-core against the
+    unreduced search, on random graphs up to 11 vertices."""
+    rng = random.Random(5)
+    for _ in range(1500):
+        n = rng.randrange(0, 12)
+        p = rng.choice((0.1, 0.2, 0.3, 0.5))
+        g = Graph(n, sum(1 << b for b in range(n * (n - 1) // 2) if rng.random() < p))
+        want = _max_disjoint_cycles_by_components(g)
+        assert max_disjoint_cycles(g) == want
+        assert max_disjoint_cycles(g, stop_at=2) == min(want, 2)
 
 
 def test_verify_bridge_addable():

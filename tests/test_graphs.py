@@ -139,6 +139,16 @@ def test_weight_multiplicative_over_disjoint_union():
             assert weight(disjoint_union(g1, g2), w) == weight(g1, w) * weight(g2, w)
 
 
+def test_disjoint_union_shifts_only_the_second_graph():
+    rng = random.Random(4)
+    for _ in range(50):
+        n1, n2 = rng.randrange(0, 7), rng.randrange(0, 7)
+        g1 = Graph(n1, rng.randrange(1 << (n1 * (n1 - 1) // 2)))
+        g2 = Graph(n2, rng.randrange(1 << (n2 * (n2 - 1) // 2)))
+        shifted = [(u + n1, v + n1) for u, v in g2.edges]
+        assert disjoint_union(g1, g2) == Graph.from_edges(n1 + n2, list(g1.edges) + shifted)
+
+
 def test_weighting_validation():
     with pytest.raises(ValueError):
         Weighting(0, 1)

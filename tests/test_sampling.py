@@ -22,6 +22,7 @@ from minorclass.sampling import (
     boltzmann_config,
     boltzmann_poisson_sample,
     collect_stats,
+    counts_to_graph,
     e_kappa_histogram,
     exact_sample,
     mcmc_sample,
@@ -87,6 +88,15 @@ def test_boltzmann_component_law():
     # empty-draw frequency equals exp(-C_trunc)
     empty = (counts.sum(axis=1) == 0).mean()
     assert empty == pytest.approx(math.exp(-cfg.total_mean), abs=0.01)
+
+
+def test_boltzmann_sample_is_counts_to_graph_per_row():
+    """Draws that share a count row share one graph, equal to materializing each row."""
+    census = build_census(FORESTS, 6)
+    cfg = boltzmann_config(census, 1 / math.e, W11)
+    graphs = boltzmann_poisson_sample(cfg, seed=7, draws=3000)
+    rows = boltzmann_component_counts(cfg, seed=7, draws=3000)
+    assert graphs == [counts_to_graph(census, row) for row in rows]
 
 
 def test_boltzmann_truncation_note():
