@@ -57,18 +57,19 @@ def bench_sweep(n, mode, want_bridges, label):
     return f"sweep_counts n={n} {label}", "numpy", t
 
 
-def bench_mcmc(steps, n):
+def bench_mcmc(steps, n, family="forests", nu=1.0):
     m = n * (n - 1) // 2
     rng = np.random.default_rng(0)
     proposals = rng.integers(0, m, size=steps, dtype=np.int64)
     uniforms = rng.random(steps)
     draws = steps // 20
+    mode = K.MODE_FORESTS if family == "forests" else K.MODE_ALL
 
     def run():
-        K.mcmc_chain(n, proposals, uniforms, 1.0, 1.0, K.MODE_FORESTS, None,
-                     steps - draws * 10, 10, draws)
+        K.mcmc_chain(n, proposals, uniforms, 1.0, nu, mode, None, steps - draws * 10, 10, draws)
 
-    return f"mcmc_chain {steps} steps (n={n} forests)", "python", _time(run, repeat=1)
+    label = f"mcmc_chain {steps} steps (n={n} {family}, nu={nu:g})"
+    return label, "python", _time(run, repeat=1)
 
 
 def bench_tree_series(terms):
@@ -159,6 +160,9 @@ def main():
         bench_sweep(n_sweep + 1, K.MODE_FORESTS, False, "forests"),
         bench_mcmc(steps, 7),
         bench_mcmc(steps, 16),
+        bench_mcmc(steps, 60),
+        bench_mcmc(steps, 10, "all", 0.5),
+        bench_mcmc(5000, 300),  # setup-bound: the per-pair table of 44,850 pairs
         bench_tree_series(terms),
         bench_prufer(draws, 300),
         bench_jsonl_trees(draws, 300),

@@ -30,11 +30,18 @@ from .graphs import reach
 HAVE_NUMBA = False
 
 
+def pair_endpoints(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-indexed endpoints (pu, pv) of the edge bits b = pv (pv - 1) / 2 + pu,
+    pu < pv < n."""
+    first = np.arange(n, dtype=np.int64)
+    first = first * (first - 1) // 2  # the lowest bit of each pv
+    pv = np.searchsorted(first, bits, side="right") - 1
+    return bits - first[pv], pv
+
+
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """0-indexed endpoints (pu[b], pv[b]) of edge bit b, in bit order."""
-    pv = np.repeat(np.arange(n, dtype=np.int64), np.arange(n))
-    pu = np.arange(pv.size, dtype=np.int64) - pv * (pv - 1) // 2
-    return pu, pv
+    return pair_endpoints(n, np.arange(n * (n - 1) // 2, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +285,21 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, 
                draws: int) -> list[int]:
     """Metropolis edge-toggle chain; returns the thinned post-burn-in masks.
 
-    The edge mask is a Python int, so n is unbounded.  Per-vertex adjacency
-    bitmasks make each toggle local: adding u-v searches from u until it meets
-    v (in forest mode a hit is a cycle and the move is rejected), removing an
-    edge from a forest always splits a component, and other modes search
-    again after the removal.  The search is skipped where the component count
-    cannot change the decision (nu = 1 outside forest mode); member-array mode
-    rejects non-members by lookup before any search.
+    The edge mask is a Python int, so n is unbounded, and per-vertex
+    adjacency bitmasks make each toggle local.  Where a decision reads the
+    components (forest mode, and nu != 1), the chain keeps a label per
+    vertex, lab[w], and the vertex bitmask of each label's component,
+    comp[label].  Invariant: comp[lab[w]] is the vertex set of w's component
+    in the current graph, and distinct components have distinct labels.
+
+    So adding u-v closes a cycle iff lab[u] == lab[v] (forest mode rejects
+    it), with no search.  An accepted merge relabels the smaller component.
+    Removing an edge from a forest always splits, and an accepted removal
+    searches once from u for u's side; with nu != 1 the search from u that
+    decides the ratio already stops at v or returns u's whole side.  A split
+    gives a free label to the smaller of the two sides.  Member-array and
+    all chains with nu = 1 keep no labels, since no ratio depends on them;
+    member-array mode rejects non-members by lookup first.
     """
     total = burn_in + draws * thin
     if thin < 1 or burn_in < 0 or len(proposals) < total or len(uniforms) < total:
@@ -294,33 +309,70 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, 
     add_merge, add_inside, drop_split, drop_inside = (
         lam ** de * nu ** dk for de, dk in ((1, -1), (1, 0), (-1, 1), (-1, 0)))
     forests = mode == MODE_FORESTS
-    count_kappa = not forests and nu != 1.0
+    labelled = forests or nu != 1.0
     members = member.tobytes() if mode == MODE_MEMBER_ARRAY else None
-    pu, pv = (a.tolist() for a in pair_arrays(n))
+    vbit = [1 << w for w in range(n)]
+    # (u, v, 1 << u, 1 << v) of each edge bit, in bit order; the edge bit
+    # itself is shifted per step, since a table of m of them takes O(m^2) bytes
+    toggles = [(u, v, vbit[u], vbit[v]) for v in range(n) for u in range(v)]
     adj = [0] * n
+    lab = list(range(n))
+    comp = vbit[:]
+    free: list[int] = []  # the labels no component has
+
+    def relabel(vs: int, label: int):
+        while vs:
+            low = vs & -vs
+            lab[low.bit_length() - 1] = label
+            vs ^= low
+
     mask = 0
     out = []
     keep = burn_in + thin - 1  # step index after which the next draw is kept
     for t, (b, x) in enumerate(zip(proposals[:total].tolist(), uniforms[:total].tolist())):
         bit = 1 << b
-        if members is None or members[mask ^ bit]:
-            u, v = pu[b], pv[b]
-            ub, vb = 1 << u, 1 << v
-            if mask & bit:
-                adj[u] ^= vb
-                adj[v] ^= ub
-                r = drop_inside if count_kappa and reach(adj, ub, vb) & vb else drop_split
-                if r >= 1.0 or x < r:
-                    mask ^= bit
-                else:
-                    adj[u] |= vb
-                    adj[v] |= ub
-            elif not (forests and reach(adj, ub, vb) & vb):
-                r = add_inside if count_kappa and reach(adj, ub, vb) & vb else add_merge
-                if r >= 1.0 or x < r:
-                    mask ^= bit
-                    adj[u] |= vb
-                    adj[v] |= ub
+        u, v, ub, vb = toggles[b]
+        if members is not None and not members[mask ^ bit]:
+            pass
+        elif mask & bit:
+            adj[u] ^= vb
+            adj[v] ^= ub
+            side, r = 0, drop_split  # side: u's side, once searched
+            if labelled and not forests:
+                side = reach(adj, ub, vb)
+                if side & vb:
+                    r = drop_inside
+            if r >= 1.0 or x < r:
+                mask ^= bit
+                if labelled and not side & vb:  # a split
+                    if forests:
+                        side = reach(adj, ub)
+                    old = lab[u]
+                    rest = comp[old] ^ side
+                    moved = side if side.bit_count() <= rest.bit_count() else rest
+                    comp[old] ^= moved
+                    label = free.pop()
+                    comp[label] = moved
+                    relabel(moved, label)
+            else:
+                adj[u] |= vb
+                adj[v] |= ub
+        elif labelled and lab[u] == lab[v]:  # u-v closes a cycle
+            if not forests and (add_inside >= 1.0 or x < add_inside):
+                mask ^= bit
+                adj[u] |= vb
+                adj[v] |= ub
+        elif add_merge >= 1.0 or x < add_merge:
+            mask ^= bit
+            adj[u] |= vb
+            adj[v] |= ub
+            if labelled:  # the smaller component takes the larger one's label
+                big, small = lab[u], lab[v]
+                if comp[big].bit_count() < comp[small].bit_count():
+                    big, small = small, big
+                comp[big] |= comp[small]
+                relabel(comp[small], big)
+                free.append(small)
         if t == keep:
             out.append(mask)
             keep += thin

@@ -18,11 +18,12 @@ import io
 import json
 import math
 import sys
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import pair_arrays
+from ._kernels import pair_endpoints
 from .errors import EmptySliceError, ResourceCapError
 from .families import family_from_spec
 from .graphs import Graph, RootedGraph, Weighting, graph_from_text, pair_count, \
@@ -229,45 +230,66 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
 _JSONL_CHUNK_BYTES = 1 << 15
 
 
+def _set_bits(buf: bytes) -> np.ndarray:
+    """Ascending positions of the set bits of little-endian bytes; only the
+    nonzero bytes are unpacked."""
+    packed = np.frombuffer(buf, dtype=np.uint8)
+    at = np.flatnonzero(packed)
+    hit, bit = np.nonzero(np.unpackbits(packed[at][:, None], axis=1, bitorder="little"))
+    return at[hit] * 8 + bit
+
+
+def _pair_tables(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ascending pair bits of order n: rank[b], the lexicographic rank of
+    bit b's pair among them (int32, indexed up to the highest bit), and the
+    "[u, v]" text of each pair in that order, joined from per-vertex halves.
+    Its index arrays are freed on return, before the lines are built."""
+    pu, pv = pair_endpoints(n, bits)
+    order = np.lexsort((pv, pu))
+    rank = np.empty(bits[-1] + 1, dtype=np.int32)
+    rank[bits[order]] = np.arange(bits.size, dtype=np.int32)
+    head = ["[%d, " % (u + 1) for u in range(n)]
+    tail = ["%d]" % (v + 1) for v in range(n)]
+    text = [head[u] + tail[v] for u, v in zip(pu[order].tolist(), pv[order].tolist())]
+    return rank, np.array(text, dtype=object)
+
+
 def graphs_to_jsonl(graphs: list[Graph]) -> list[str]:
     """One JSONL line per graph, in order, each the same text as
     json.dumps({"n": ..., "edges": [[u, v], ...]}) with the edges of Graph.edges.
 
-    The graphs are grouped by order n.  Each chunk of a group packs its masks
-    into little-endian bytes, unpacks only the nonzero bytes, and sorts every
-    draw's set bits by their pair's lexicographic rank, which is the order of
-    Graph.edges; the text comes from a per-n table of "[u, v]" strings.  No
+    The graphs are grouped by order n.  A group's tables cover only the pairs
+    set in the OR of its masks: a "[u, v]" string per pair, in lexicographic
+    order (the order of Graph.edges), and each pair's rank in that order,
+    indexed by its bit (int32, up to the highest bit set).  Each chunk of a
+    group packs its masks into little-endian bytes, unpacks only the nonzero
+    bytes, and sorts every draw's set bits by their pair's rank.  No
     (draws x pair_count) bit matrix is built.
     """
     lines: list[str] = [""] * len(graphs)
-    by_n: dict[int, list[int]] = {}
+    by_n: defaultdict[int, list[int]] = defaultdict(list)
     for i, g in enumerate(graphs):
-        by_n.setdefault(g.n, []).append(i)
+        by_n[g.n].append(i)
     for n, idx in by_n.items():
-        m = pair_count(n)
-        if not m:  # no vertex pairs, so no edges
+        union = 0
+        for i in idx:
+            union |= graphs[i].mask
+        if not union:
             for i in idx:
                 lines[i] = '{"n": %d, "edges": []}' % n
             continue
-        width = (m + 7) // 8
-        pu, pv = pair_arrays(n)
-        # the position of each edge bit's pair (u, v) in lexicographic order,
-        # which is the order of Graph.edges and of the text table
-        rank = pu * (n - 1) - pu * (pu - 1) // 2 + pv - pu - 1
-        text = np.array(["[%d, %d]" % (u, v) for u in range(1, n) for v in range(u + 1, n + 1)],
-                        dtype=object)
+        width = (pair_count(n) + 7) // 8
+        rank, text = _pair_tables(n, _set_bits(union.to_bytes(width, "little")))
+        k = text.size
         step = max(1, _JSONL_CHUNK_BYTES // width)
         for start in range(0, len(idx), step):
             chunk = idx[start:start + step]
             buf = bytearray(len(chunk) * width)
             for row, i in enumerate(chunk):
                 buf[row * width:(row + 1) * width] = graphs[i].mask.to_bytes(width, "little")
-            packed = np.frombuffer(buf, dtype=np.uint8)
-            at = np.flatnonzero(packed)
-            hit, bit = np.nonzero(np.unpackbits(packed[at][:, None], axis=1, bitorder="little"))
-            rows, cols = np.divmod(at[hit], width)
-            keys = np.sort(rows * m + rank[cols * 8 + bit])
-            edges = text[keys % m].tolist()
+            rows, cols = np.divmod(_set_bits(buf), width * 8)
+            keys = np.sort(rows * k + rank[cols])
+            edges = text[keys % k].tolist()
             ends = np.cumsum(np.bincount(rows, minlength=len(chunk))).tolist()
             begin = 0
             for i, end in zip(chunk, ends):
@@ -298,7 +320,10 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
         draws = cfg.draws
         if cfg.steps is not None:
             # a total step budget implies the draw count at the given thinning
-            draws = max(0, (cfg.steps - cfg.burn_in) // cfg.thin)
+            if cfg.steps < cfg.burn_in:
+                raise ValueError(f"--steps must be >= --burn-in ({cfg.burn_in}), "
+                                 f"got {cfg.steps}")
+            draws = (cfg.steps - cfg.burn_in) // cfg.thin
         samples = mcmc_sample(fam, w, n, draws, burn_in=cfg.burn_in,
                               thin=cfg.thin, seed=cfg.seed)
     elif cfg.method == "boltzmann":
@@ -463,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--method", choices=["exact", "boltzmann", "mcmc", "tree"])
     p.add_argument("--draws", type=int)
-    p.add_argument("--steps", type=int, help="total mcmc steps (overrides --draws)")
+    p.add_argument("--steps", type=int,
+                   help="total mcmc steps, burn-in included (overrides --draws)")
     p.add_argument("--burn-in", dest="burn_in", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--rho")

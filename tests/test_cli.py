@@ -210,6 +210,19 @@ def test_bad_config_values_exit_2_naming_the_flag(argv, flag, capsys):
     assert f"configuration error: {flag} must be" in captured.err
 
 
+def test_mcmc_steps_below_burn_in_exit_2(capsys):
+    argv = ["sample", "--method", "mcmc", "--family", "forests", "--n", "5", "--draws", "3"]
+    code = main(argv + ["--steps", "70"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "configuration error: --steps must be >= --burn-in (100000), got 70" in captured.err
+    # a budget that covers the burn-in sets the draw count
+    code, out = run_cli(argv + ["--steps", "130", "--burn-in", "100", "--thin", "10"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
 def test_mcmc_series_parallel_beyond_member_arrays(capsys):
     # n=8 has no membership array; the chain tests membership per step
     from minorclass.families import builtin_family
@@ -249,8 +262,9 @@ def test_parse_number():
 
 
 def test_jsonl_writer_matches_json_dumps(monkeypatch):
-    """Mixed orders, edgeless and repeated graphs, with chunks smaller than a
-    group: two n = 300 masks per chunk, then one draw per chunk."""
+    """Mixed orders, edgeless and repeated graphs, an order whose draws set
+    only a few pairs, with chunks smaller than a group: two n = 300 masks per
+    chunk, then one draw per chunk."""
     from minorclass.sampling import random_tree_sample
 
     k7 = complete_graph(7)
@@ -258,6 +272,7 @@ def test_jsonl_writer_matches_json_dumps(monkeypatch):
     graphs += random_tree_sample(300, 3, 3)
     graphs += [Graph(16, (1 << 120) - 1), Graph(16), Graph(16, 0b1011 << 100), Graph(1), k7]
     graphs += random_tree_sample(300, 4, 2) + [Graph(300), Graph(0), k7]
+    graphs += [Graph(20, 1 << 150 | 0b101), Graph(20), Graph(20, 1 << 189 | 1 << 150)]
     monkeypatch.setattr(cli, "_JSONL_CHUNK_BYTES", 12000)  # an n = 300 mask takes 5607 bytes
     lines = graphs_to_jsonl(graphs)
     assert len(lines) == len(graphs)

@@ -10,6 +10,7 @@ exhaustively at n <= 6, as a bijection onto the labelled trees.
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -120,17 +121,25 @@ def test_all_graphs_at_n8():
     assert got.ce.sum() == 251_548_592  # connected labelled graphs on 8 vertices, OEIS A001187
 
 
-@pytest.mark.parametrize("family, n", [("forests", 5), ("all", 5), ("series-parallel", 5),
-                                       ("forests", 12)])
-def test_mcmc_chain_matches_python_chain(family, n):
+@pytest.mark.parametrize("family, n, lam, nu, burn_in, thin", [
+    pytest.param("forests", 5, 2, Fraction(1, 2), 1000, 4, id="forests-5"),
+    pytest.param("all", 5, 2, Fraction(1, 2), 1000, 4, id="all-5"),
+    pytest.param("series-parallel", 5, 2, Fraction(1, 2), 1000, 4, id="series-parallel-5"),
+    pytest.param("forests", 12, 2, Fraction(1, 2), 1000, 4, id="forests-12"),
+    pytest.param("forests", 30, 1, 1, 1000, 4, id="forests-30-unweighted"),
+    pytest.param("all", 8, Fraction(1, 2), 4, 1000, 4, id="all-8-frequent-splits"),
+    pytest.param("series-parallel", 5, 2, 1, 1000, 4, id="series-parallel-5-nu-1"),
+    pytest.param("forests", 9, 2, Fraction(1, 2), 0, 1, id="forests-9-every-step"),
+])
+def test_mcmc_chain_matches_python_chain(family, n, lam, nu, burn_in, thin):
     """Draw for draw on one stream, the incremental chain equals the generic
-    chain that recomputes membership and weights per step.  lam = 2 and
-    nu = 1/2 make both paths' weight ratios exact powers of two."""
+    chain that recomputes membership and weights per step.  Every weight
+    ratio is an exact power of two, so both paths compute it exactly."""
     fam = builtin_family(family)
-    w = Weighting(2, Fraction(1, 2))
+    w = Weighting(lam, nu)
     m = n * (n - 1) // 2
     rng = np.random.default_rng(12)
-    burn_in, thin, draws = 1000, 4, 1000
+    draws = 1000
     proposals = rng.integers(0, m, size=burn_in + thin * draws, dtype=np.int64)
     uniforms = rng.random(len(proposals))
     if family == "all":
@@ -139,10 +148,30 @@ def test_mcmc_chain_matches_python_chain(family, n):
         mode, member = K.MODE_FORESTS, None
     else:
         mode, member = K.MODE_MEMBER_ARRAY, member_mask_array(fam, n)
-    got = K.mcmc_chain(n, proposals, uniforms, 2.0, 0.5, mode, member, burn_in, thin, draws)
+    got = K.mcmc_chain(n, proposals, uniforms, float(lam), float(nu), mode, member,
+                       burn_in, thin, draws)
     want = _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws)
     assert got == [g.mask for g in want]
     assert len(set(got)) > 50
+
+
+@pytest.mark.parametrize("mode, nu", [(K.MODE_FORESTS, 1.0), (K.MODE_ALL, 0.5)],
+                         ids=["forests", "all-nu-half"])
+def test_mcmc_chain_memory_grows_with_pair_count(mode, nu):
+    """At n = 300 (44,850 pairs) a short chain allocates a few hundred bytes
+    per pair at most; a per-pair table of edge bits would take kilobytes."""
+    n, steps = 300, 2000
+    m = n * (n - 1) // 2
+    rng = np.random.default_rng(3)
+    proposals = rng.integers(0, m, size=steps, dtype=np.int64)
+    uniforms = rng.random(steps)
+    tracemalloc.start()
+    try:
+        K.mcmc_chain(n, proposals, uniforms, 1.0, nu, mode, None, 1000, 10, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * m
 
 
 def test_mcmc_chain_rejects_short_streams():
