@@ -144,6 +144,50 @@ def bench_verify(verify, name, n):
     return f"{verify.__name__} n<={n} {name}", "numpy", _time(verify, fam, n, repeat=1)
 
 
+def bench_planar_dichotomy():
+    """_planar_predicate on the graphs the planar dichotomy scan asks about:
+    unions and copies of members on at most 4 vertices."""
+    from minorclass.families import _planar_predicate, builtin_family, dichotomy_scan
+    from minorclass.graphs import Graph
+
+    fam = builtin_family("planar")
+    asked = []
+
+    def record(g):
+        asked.append((g.n, g.mask))
+        return _planar_predicate(g)
+
+    fam.predicate = record
+    dichotomy_scan(fam)
+
+    def run():
+        for n, mask in asked:
+            _planar_predicate(Graph(n, mask))
+
+    return f"_planar_predicate {len(asked)} dichotomy-scan graphs", "python", _time(run)
+
+
+def bench_planar_networkx(calls):
+    """_planar_predicate on a subdivided K3,3: 6 branch vertices, so networkx
+    decides it (imported before the clock starts)."""
+    from minorclass.families import _planar_predicate
+    from minorclass.graphs import Graph, complete_bipartite
+
+    k33 = complete_bipartite(3, 3)
+    edges = []
+    for k, (u, v) in enumerate(k33.edges, start=k33.n + 1):
+        edges += [(u, k), (k, v)]
+    n = k33.n + k33.edge_count
+    mask = Graph.from_edges(n, edges).mask
+    _planar_predicate(Graph(n, mask))
+
+    def run():
+        for _ in range(calls):
+            _planar_predicate(Graph(n, mask))
+
+    return f"_planar_predicate {calls} subdivided K3,3 (networkx)", "python", _time(run)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="smaller workloads")
@@ -170,6 +214,7 @@ def main():
     ] + [bench_member_array(name, n_sweep)
          for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1")
     ] + [bench_census(name, n_sweep) for name in ("all", "planar")
+    ] + [bench_planar_dichotomy(), bench_planar_networkx(100)
     ] + [bench_verify(verify, "planar", n_sweep)
          for verify in (verify_bridge_addable, verify_decomposable, verify_trimmable)]
     width = max(len(label) for label, _, _ in benches) + 2

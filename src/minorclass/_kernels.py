@@ -18,6 +18,7 @@ Kernels:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -280,6 +281,16 @@ def sweep_counts(n: int, member: np.ndarray | None = None, mode: int = MODE_MEMB
 # ---------------------------------------------------------------------------
 
 
+CHAIN_BLOCK = 1 << 16
+
+
+def _blockwise(a: np.ndarray):
+    """Iterate over `a` as Python scalars, converting CHAIN_BLOCK entries at a
+    time, so a long chain never holds its whole stream as Python objects."""
+    return itertools.chain.from_iterable(
+        a[s:s + CHAIN_BLOCK].tolist() for s in range(0, len(a), CHAIN_BLOCK))
+
+
 def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, nu: float,
                mode: int, member: np.ndarray | None, burn_in: int, thin: int,
                draws: int) -> list[int]:
@@ -329,7 +340,7 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, 
     mask = 0
     out = []
     keep = burn_in + thin - 1  # step index after which the next draw is kept
-    for t, (b, x) in enumerate(zip(proposals[:total].tolist(), uniforms[:total].tolist())):
+    for t, (b, x) in enumerate(zip(_blockwise(proposals[:total]), _blockwise(uniforms[:total]))):
         bit = 1 << b
         u, v, ub, vb = toggles[b]
         if members is not None and not members[mask ^ bit]:

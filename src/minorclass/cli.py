@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import io
 import json
+import locale  # noqa: F401  (argparse's gettext would import it inside main, at parser build)
 import math
 import sys
 from collections import defaultdict
@@ -308,6 +309,8 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     from .sampling import boltzmann_config, boltzmann_poisson_sample, exact_sample, \
         mcmc_sample, random_tree_sample
 
+    if cfg.steps is not None and cfg.method != "mcmc":
+        raise ValueError(f"--steps applies only to --method mcmc, got --method {cfg.method}")
     w = cfg.weighting()
     n = cfg.n if cfg.n is not None else 6
     if cfg.method == "tree":
@@ -489,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exact", "boltzmann", "mcmc", "tree"])
     p.add_argument("--draws", type=int)
     p.add_argument("--steps", type=int,
-                   help="total mcmc steps, burn-in included (overrides --draws)")
+                   help="total mcmc steps, burn-in included (overrides --draws; mcmc only)")
     p.add_argument("--burn-in", dest="burn_in", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--rho")

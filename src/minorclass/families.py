@@ -16,7 +16,6 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import networkx as nx
 import numpy as np
 
 from ._kernels import adjacency, core_sets, subset_stats
@@ -85,15 +84,27 @@ def derive_flags(excluded_minors: tuple[Graph, ...]) -> FamilyFlags:
 
 
 def _planar_predicate(g: Graph) -> bool:
+    """Planarity.  A graph is planar iff each component is, and deleting a
+    vertex of degree <= 1 or suppressing one of degree 2 keeps a graph planar
+    or non-planar.  So a component whose 2-core has at most 4 branch vertices
+    (_branch_vertices) is planar: the suppressed multigraph has a simple graph
+    on at most 4 vertices underneath it.  Only the 2-core of a component with
+    5 or more branch vertices goes to networkx, imported there alone."""
     if g.n <= 4:
         return True
     if g.edge_count > 3 * g.n - 6:
         return False
-    ng = nx.Graph()
-    ng.add_nodes_from(range(1, g.n + 1))
-    ng.add_edges_from(g.edges)
-    ok, _ = nx.check_planarity(ng)
-    return ok
+    adj = g.adjacency()
+    for comp in component_masks(g):
+        core = core_mask(adj, comp)
+        if _branch_vertices(adj, core).bit_count() <= 4:
+            continue
+        import networkx as nx
+
+        ng = nx.Graph(induced_subgraph(g, vertex_labels(core)).graph.edges)
+        if not nx.check_planarity(ng)[0]:
+            return False
+    return True
 
 
 def _no_k4_minor(g: Graph) -> bool:
@@ -152,6 +163,19 @@ def _induced_cycles(adj: tuple[int, ...], within: int) -> list[int]:
             out.append(vm)
 
 
+def _branch_vertices(adj: tuple[int, ...], core: int) -> int:
+    """Vertex mask of the branch vertices of the 2-core `core`: those with at
+    least 3 neighbours in it."""
+    branch = 0
+    rest = core
+    while rest:
+        low = rest & -rest
+        if (adj[low.bit_length() - 1] & core).bit_count() >= 3:
+            branch |= low
+        rest ^= low
+    return branch
+
+
 def _core_cycles(adj: tuple[int, ...], core: int) -> list[int]:
     """Vertex masks, among the branch vertices, of the minimal cycles of the
     connected 2-core `core` with its degree-2 vertices suppressed.
@@ -164,13 +188,7 @@ def _core_cycles(adj: tuple[int, ...], core: int) -> list[int]:
     those are the masks returned.  A core without branch vertices is one
     cycle.  Only the induced-cycle enumeration is capped.
     """
-    branch = 0
-    rest = core
-    while rest:
-        low = rest & -rest
-        if (adj[low.bit_length() - 1] & core).bit_count() >= 3:
-            branch |= low
-        rest ^= low
+    branch = _branch_vertices(adj, core)
     if not branch:
         return [core] if core else []
     joined = [0] * len(adj)

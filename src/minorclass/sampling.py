@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  (loaded with the package, not by the first draw)
 
 from . import _kernels
 from .canon import canonicalize

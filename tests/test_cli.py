@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -223,6 +226,16 @@ def test_mcmc_steps_below_burn_in_exit_2(capsys):
     assert len(out.splitlines()) == 3
 
 
+@pytest.mark.parametrize("method", ["exact", "tree"])
+def test_steps_outside_mcmc_exit_2(method, capsys):
+    code = main(["sample", "--method", method, "--n", "4", "--draws", "3", "--steps", "70"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"configuration error: --steps applies only to --method mcmc, got --method {method}" \
+        in captured.err
+
+
 def test_mcmc_series_parallel_beyond_member_arrays(capsys):
     # n=8 has no membership array; the chain tests membership per step
     from minorclass.families import builtin_family
@@ -295,3 +308,16 @@ def test_mcmc_ex_k_cycles_past_15_vertices(capsys):
     lines = out.splitlines()
     assert len(lines) == 10
     assert all(graph_from_json(line).n == 16 for line in lines)
+
+
+def test_import_loads_neither_networkx_nor_scipy():
+    """A fresh `import minorclass.cli` loads numpy.random, which every sampler
+    uses, but not networkx (only planarity tests of large 2-cores need it) or
+    scipy (only the chi-square test needs it)."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, minorclass.cli; "
+            "print(sorted(m for m in ('networkx', 'scipy', 'numpy.random') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "['numpy.random']"

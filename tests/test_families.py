@@ -2,13 +2,16 @@
 
 import json
 import random
+import sys
 
+import networkx as nx
 import pytest
 
 from minorclass.enumeration import member_mask_array
 from minorclass.errors import ResourceCapError
 from minorclass.families import (
     _induced_cycles,
+    _planar_predicate,
     _most_disjoint,
     builtin_family,
     derive_flags,
@@ -117,6 +120,84 @@ def test_membership_closed_under_vertex_deletion():
             v = rng.randrange(1, n + 1)
             smaller = induced_subgraph(g, [u for u in range(1, n + 1) if u != v]).graph
             assert fam.base_member(smaller)
+
+
+def _subdivided(g: Graph) -> Graph:
+    """g with every edge replaced by a path of two edges through a new vertex."""
+    edges = []
+    for k, (u, v) in enumerate(g.edges, start=g.n + 1):
+        edges += [(u, k), (k, v)]
+    return Graph.from_edges(g.n + g.edge_count, edges)
+
+
+def _nx_planar(g: Graph) -> bool:
+    ng = nx.Graph()
+    ng.add_nodes_from(range(1, g.n + 1))
+    ng.add_edges_from(g.edges)
+    return nx.check_planarity(ng)[0]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_planar_predicate_matches_excluded_minor_array(n):
+    """At every edge mask, the predicate agrees with the array the membership
+    DP builds from the excluded minors K5 and K3,3 alone."""
+    arr = member_mask_array(builtin_family("planar"), n)
+    got = [_planar_predicate(Graph(n, mask)) for mask in range(len(arr))]
+    assert got == arr.astype(bool).tolist()
+
+
+def test_planar_predicate_matches_networkx_on_random_graphs():
+    rng = random.Random(10)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randint(5, 16)
+        p = rng.uniform(0.1, 0.5)
+        g = Graph.from_edges(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                                 if rng.random() < p])
+        want = _nx_planar(g)
+        assert _planar_predicate(g) == want, graph_to_text(g)
+        seen[want] += 1
+    assert min(seen.values()) > 500
+
+
+def _prism() -> Graph:
+    return Graph.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6),
+                                (1, 4), (2, 5), (3, 6)])
+
+
+def _k4_with_pendant_star() -> Graph:
+    # the star's centre has degree 4 but lies outside the 2-core
+    return Graph.from_edges(8, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+                                (4, 5), (5, 6), (5, 7), (5, 8)])
+
+
+@pytest.mark.parametrize("g, planar", [
+    pytest.param(copies(complete_graph(4), 4), True, id="four-disjoint-k4"),
+    pytest.param(_k4_with_pendant_star(), True, id="k4-with-pendant-star"),
+    pytest.param(_subdivided(complete_graph(5)), False, id="subdivided-k5"),
+    pytest.param(_subdivided(complete_bipartite(3, 3)), False, id="subdivided-k33"),
+    pytest.param(disjoint_union(complete_bipartite(3, 3), complete_graph(4)), False,
+                 id="k33-and-k4"),
+    pytest.param(disjoint_union(complete_graph(4), complete_bipartite(3, 3)), False,
+                 id="k4-and-k33"),
+    pytest.param(_prism(), True, id="prism"),
+    pytest.param(_subdivided(_prism()), True, id="subdivided-prism"),
+])
+def test_planar_predicate_constructed_cases(g, planar):
+    assert _planar_predicate(g) is planar
+    assert _nx_planar(g) is planar
+
+
+@pytest.mark.parametrize("g", [
+    copies(complete_graph(4), 4),
+    _k4_with_pendant_star(),
+    disjoint_union(_subdivided(complete_graph(4)), copies(cycle_graph(3), 3)),
+], ids=["four-disjoint-k4", "k4-with-pendant-star", "subdivided-k4-and-triangles"])
+def test_planar_predicate_decides_small_cores_without_networkx(g, monkeypatch):
+    """Each component's 2-core has at most 4 branch vertices, so the answer
+    comes without networkx, which this test makes unimportable."""
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    assert _planar_predicate(g) is True
 
 
 def test_max_disjoint_cycles():

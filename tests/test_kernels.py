@@ -174,6 +174,28 @@ def test_mcmc_chain_memory_grows_with_pair_count(mode, nu):
     assert peak < 400 * m
 
 
+def test_mcmc_chain_memory_does_not_grow_with_steps(monkeypatch):
+    """The chain turns its streams into Python scalars one block at a time, so
+    its peak, apart from the input arrays (allocated before tracing starts),
+    is the same for 4 blocks of steps as for 32."""
+    monkeypatch.setattr(K, "CHAIN_BLOCK", 1024)
+    n, draws = 16, 8
+    m = n * (n - 1) // 2
+    rng = np.random.default_rng(4)
+    peaks = []
+    for steps in (4 * K.CHAIN_BLOCK, 32 * K.CHAIN_BLOCK):
+        proposals = rng.integers(0, m, size=steps, dtype=np.int64)
+        uniforms = rng.random(steps)
+        tracemalloc.start()
+        try:
+            K.mcmc_chain(n, proposals, uniforms, 1.0, 1.0, K.MODE_FORESTS, None, 0,
+                         steps // draws, draws)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
+
+
 def test_mcmc_chain_rejects_short_streams():
     proposals = np.zeros(10, dtype=np.int64)
     uniforms = np.zeros(10)
