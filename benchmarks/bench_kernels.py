@@ -57,18 +57,32 @@ def bench_sweep(n, mode, want_bridges, label):
     return f"sweep_counts n={n} {label}", "numpy", t
 
 
-def bench_mcmc(steps, n, family="forests", nu=1.0):
+def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0):
+    """The chain from the edgeless graph; families other than forests and all
+    test membership by base_member on a fresh family (an empty memo)."""
+    from minorclass.families import builtin_family
+    from minorclass.graphs import Graph
+
     m = n * (n - 1) // 2
     rng = np.random.default_rng(0)
     proposals = rng.integers(0, m, size=steps, dtype=np.int64)
     uniforms = rng.random(steps)
     draws = steps // 20
-    mode = K.MODE_FORESTS if family == "forests" else K.MODE_ALL
+    member = None
+    if family == "forests":
+        mode = K.MODE_FORESTS
+    elif family == "all":
+        mode = K.MODE_ALL
+    else:
+        fam = builtin_family(family)
+        mode, member = K.MODE_PREDICATE, lambda s: fam.base_member(Graph(n, s))
 
     def run():
-        K.mcmc_chain(n, proposals, uniforms, 1.0, nu, mode, None, steps - draws * 10, 10, draws)
+        K.mcmc_chain(n, proposals, uniforms, lam0, lam1, nu, mode, member,
+                     steps - draws * 10, 10, draws)
 
-    label = f"mcmc_chain {steps} steps (n={n} {family}, nu={nu:g})"
+    weights = f"nu={nu:g}" if lam0 == lam1 else f"lam0={lam0:g}, lam1={lam1:g}, nu={nu:g}"
+    label = f"mcmc_chain {steps} steps (n={n} {family}, {weights})"
     return label, "python", _time(run, repeat=1)
 
 
@@ -206,7 +220,10 @@ def main():
         bench_mcmc(steps, 16),
         bench_mcmc(steps, 60),
         bench_mcmc(steps, 10, "all", 0.5),
+        # recounts the bridges (graphs.bridge_mask) on every toggle inside a component
+        bench_mcmc(20_000, 10, "all", nu=2.0, lam0=0.5, lam1=2.0),
         bench_mcmc(5000, 300),  # setup-bound: the per-pair table of 44,850 pairs
+        bench_mcmc(4000, 9, "planar"),  # membership by predicate on accepted additions
         bench_tree_series(terms),
         bench_prufer(draws, 300),
         bench_jsonl_trees(draws, 300),

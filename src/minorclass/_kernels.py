@@ -11,7 +11,8 @@ inputs.
 Kernels:
   * subset_stats      - component count, edge count and min-degree flag for every edge mask
   * sweep_counts      - aggregate member counts by (edges, components, bridges, 2-core)
-  * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n)
+  * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n), the
+                        one chain for every family and weighting
   * tree_series_sum   - partial sums of the weighted (rooted) tree series
   * prufer_decode     - batch decode of uniform parent sequences into trees
 """
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceCapError
-from .graphs import reach
+from .graphs import Graph, bridge_mask, reach
 
 # there is no compiled path; perfbench/run.py records this flag with its results
 HAVE_NUMBA = False
@@ -61,6 +63,7 @@ BLOCK = 1 << 21     # masks per block when a larger slice is streamed
 MODE_MEMBER_ARRAY = 0
 MODE_ALL = 1
 MODE_FORESTS = 2
+MODE_PREDICATE = 3  # mcmc_chain only: membership by a test on one edge mask
 
 
 @dataclass
@@ -291,37 +294,59 @@ def _blockwise(a: np.ndarray):
         a[s:s + CHAIN_BLOCK].tolist() for s in range(0, len(a), CHAIN_BLOCK))
 
 
-def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, nu: float,
-               mode: int, member: np.ndarray | None, burn_in: int, thin: int,
-               draws: int) -> list[int]:
+def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float, lam1: float,
+               nu: float, mode: int, member: np.ndarray | Callable[[int], bool] | None,
+               burn_in: int, thin: int, draws: int) -> list[int]:
     """Metropolis edge-toggle chain; returns the thinned post-burn-in masks.
+
+    The target is lam0^(bridges) * lam1^(other edges) * nu^kappa over the
+    members of a family closed under edge deletion, as every minor-closed
+    family is: a toggle is accepted with min(1, ratio of the two weights) if
+    the new graph is a member.  `member` is the membership array over edge
+    masks (MODE_MEMBER_ARRAY), a test on one edge mask (MODE_PREDICATE), or
+    None.  Removals never leave such a family, so the predicate is asked only
+    about additions the Metropolis test accepts.  Every forest edge is a
+    bridge, so forest mode weighs edges by lam0 alone.
 
     The edge mask is a Python int, so n is unbounded, and per-vertex
     adjacency bitmasks make each toggle local.  Where a decision reads the
-    components (forest mode, and nu != 1), the chain keeps a label per
-    vertex, lab[w], and the vertex bitmask of each label's component,
-    comp[label].  Invariant: comp[lab[w]] is the vertex set of w's component
-    in the current graph, and distinct components have distinct labels.
+    components (forest mode, nu != 1 or lam0 != lam1), the chain keeps a
+    label per vertex, lab[w], and the vertex bitmask of each label's
+    component, comp[label].  Invariant: comp[lab[w]] is the vertex set of w's
+    component in the current graph, and distinct components have distinct
+    labels.
 
     So adding u-v closes a cycle iff lab[u] == lab[v] (forest mode rejects
     it), with no search.  An accepted merge relabels the smaller component.
     Removing an edge from a forest always splits, and an accepted removal
-    searches once from u for u's side; with nu != 1 the search from u that
+    searches once from u for u's side; otherwise the search from u that
     decides the ratio already stops at v or returns u's whole side.  A split
-    gives a free label to the smaller of the two sides.  Member-array and
-    all chains with nu = 1 keep no labels, since no ratio depends on them;
-    member-array mode rejects non-members by lookup first.
+    gives a free label to the smaller of the two sides.  Member-array,
+    predicate and all chains with nu = 1 and lam0 = lam1 keep no labels,
+    since no ratio depends on them; member-array mode rejects non-members by
+    lookup first.
+
+    With lam0 != lam1 the chain also keeps the bridge count: a merge adds one
+    bridge and a split removes one, and a toggle inside a component recounts
+    them (graphs.bridge_mask).  If that toggle loses k bridges (k < 0 when it
+    gains some), its ratio is lam1^(+-1) * (lam1/lam0)^k.
     """
     total = burn_in + draws * thin
     if thin < 1 or burn_in < 0 or len(proposals) < total or len(uniforms) < total:
         raise ValueError("proposal stream too short for requested draws")
-    lam, nu = float(lam), float(nu)
-    # the acceptance ratio lam ** (new_e - e) * nu ** (new_kappa - kappa) of each toggle kind
+    lam0, lam1, nu = float(lam0), float(lam1), float(nu)
+    # the acceptance ratio of each toggle kind: a merge or a split toggles a
+    # bridge (lam0); a toggle inside a component toggles another edge (lam1),
+    # and its ratio is scaled per step by (lam1/lam0)^k for the k bridges it loses
     add_merge, add_inside, drop_split, drop_inside = (
-        lam ** de * nu ** dk for de, dk in ((1, -1), (1, 0), (-1, 1), (-1, 0)))
+        lam ** de * nu ** dk
+        for lam, de, dk in ((lam0, 1, -1), (lam1, 1, 0), (lam0, -1, 1), (lam1, -1, 0)))
     forests = mode == MODE_FORESTS
-    labelled = forests or nu != 1.0
+    split = lam0 != lam1 and not forests  # toggles inside a component change the bridges
+    per_bridge = lam1 / lam0
+    labelled = forests or nu != 1.0 or split
     members = member.tobytes() if mode == MODE_MEMBER_ARRAY else None
+    test = member if mode == MODE_PREDICATE else None
     vbit = [1 << w for w in range(n)]
     # (u, v, 1 << u, 1 << v) of each edge bit, in bit order; the edge bit
     # itself is shifted per step, since a table of m of them takes O(m^2) bytes
@@ -330,6 +355,7 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, 
     lab = list(range(n))
     comp = vbit[:]
     free: list[int] = []  # the labels no component has
+    bridges = 0  # kept when split
 
     def relabel(vs: int, label: int):
         while vs:
@@ -353,6 +379,9 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, 
                 side = reach(adj, ub, vb)
                 if side & vb:
                     r = drop_inside
+                    if split:
+                        now = bridge_mask(Graph(n, mask ^ bit)).bit_count()
+                        r *= per_bridge ** (bridges - now)
             if r >= 1.0 or x < r:
                 mask ^= bit
                 if labelled and not side & vb:  # a split
@@ -365,15 +394,25 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, 
                     label = free.pop()
                     comp[label] = moved
                     relabel(moved, label)
+                    bridges -= 1
+                elif split:
+                    bridges = now
             else:
                 adj[u] |= vb
                 adj[v] |= ub
         elif labelled and lab[u] == lab[v]:  # u-v closes a cycle
-            if not forests and (add_inside >= 1.0 or x < add_inside):
-                mask ^= bit
-                adj[u] |= vb
-                adj[v] |= ub
-        elif add_merge >= 1.0 or x < add_merge:
+            if not forests:
+                r = add_inside
+                if split:
+                    now = bridge_mask(Graph(n, mask ^ bit)).bit_count()
+                    r *= per_bridge ** (bridges - now)
+                if (r >= 1.0 or x < r) and (test is None or test(mask ^ bit)):
+                    mask ^= bit
+                    adj[u] |= vb
+                    adj[v] |= ub
+                    if split:
+                        bridges = now
+        elif (add_merge >= 1.0 or x < add_merge) and (test is None or test(mask ^ bit)):
             mask ^= bit
             adj[u] |= vb
             adj[v] |= ub
@@ -384,6 +423,7 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam: float, 
                 comp[big] |= comp[small]
                 relabel(comp[small], big)
                 free.append(small)
+                bridges += 1
         if t == keep:
             out.append(mask)
             keep += thin

@@ -159,9 +159,17 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
     """Metropolis chain over edge toggles targeting the weighted n-slice.
 
     Proposals toggle a uniform vertex pair; moves leaving the family are
-    rejected, others accepted with min(1, lam^de * nu^dkappa).  The chain
-    starts from the edgeless graph (always a member) and is irreducible since
-    every member reaches it by edge deletions.
+    rejected, others accepted with min(1, lambda0^de0 * lambda1^de1 *
+    nu^dkappa), de0 and de1 the changes in the bridge and other edge counts.
+    The chain starts from the edgeless graph (always a member) and is
+    irreducible since every member reaches it by edge deletions.  The family
+    must be closed under edge deletion, as every minor-closed family is.
+
+    One kernel runs every family and weighting (_kernels.mcmc_chain).  Its
+    membership comes from the family's array up to BRUTE_FORCE_CAP vertices
+    and from base_member past it; forests and all need none.  base_member is
+    never asked about a removal, and about an addition only once the
+    Metropolis test has accepted it.
     """
     if fam.connected_only:
         raise ValueError("the edge-toggle chain targets the full family; "
@@ -171,44 +179,20 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
         return [Graph(n, 0)] * draws
     total = burn_in + draws * thin
     rng = rng_stream(seed)
-    if w.is_diagonal:
-        proposals = rng.integers(0, m, size=total, dtype=np.int64)
-        uniforms = rng.random(total)
-        if fam.name == "all":
-            mode, member = _kernels.MODE_ALL, None
-        elif fam.predicate is is_forest:
-            mode, member = _kernels.MODE_FORESTS, None
-        elif n <= BRUTE_FORCE_CAP:
-            mode, member = _kernels.MODE_MEMBER_ARRAY, member_mask_array(fam, n)
-        else:
-            return _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws)
-        masks = _kernels.mcmc_chain(n, proposals, uniforms, float(w.lam), float(w.nu),
-                                    mode, member, burn_in, thin, draws)
-        return [Graph(n, s) for s in masks]
     proposals = rng.integers(0, m, size=total, dtype=np.int64)
     uniforms = rng.random(total)
-    return _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws)
-
-
-def _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws) -> list[Graph]:
-    """The chain with a membership test per proposal (base_member) and exact
-    weights; mcmc_sample draws its proposals and uniforms the same way for
-    every mode."""
-    g = Graph(n, 0)
-    out = []
-    for t in range(len(proposals)):
-        b = int(proposals[t])
-        new = Graph(n, g.mask ^ (1 << b))
-        if fam.base_member(new):
-            wt_ratio = float(weight(new, w)) / float(weight(g, w))
-            if wt_ratio >= 1.0 or uniforms[t] < wt_ratio:
-                g = new
-        step = t + 1
-        if step > burn_in and (step - burn_in) % thin == 0 and len(out) < draws:
-            out.append(g)
-    if len(out) != draws:
-        raise ValueError("proposal stream too short")
-    return out
+    member = None
+    if fam.name == "all":
+        mode = _kernels.MODE_ALL
+    elif fam.predicate is is_forest:
+        mode = _kernels.MODE_FORESTS
+    elif n <= BRUTE_FORCE_CAP:
+        mode, member = _kernels.MODE_MEMBER_ARRAY, member_mask_array(fam, n)
+    else:
+        mode, member = _kernels.MODE_PREDICATE, lambda s: fam.base_member(Graph(n, s))
+    masks = _kernels.mcmc_chain(n, proposals, uniforms, float(w.lambda0), float(w.lambda1),
+                                float(w.nu), mode, member, burn_in, thin, draws)
+    return [Graph(n, s) for s in masks]
 
 
 def transition_matrix(fam, w: Weighting, n: int) -> tuple[list[int], list[list[Fraction]]]:

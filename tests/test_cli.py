@@ -237,7 +237,8 @@ def test_steps_outside_mcmc_exit_2(method, capsys):
 
 
 def test_mcmc_series_parallel_beyond_member_arrays(capsys):
-    # n=8 has no membership array; the chain tests membership per step
+    # n=8 has no membership array; the chain asks base_member about each
+    # addition it accepts, and about no removal
     from minorclass.families import builtin_family
 
     code, out = run_cli(["sample", "--family", "series-parallel", "--method", "mcmc", "--n", "8",

@@ -4,7 +4,9 @@ The subset-lattice pass is checked mask by mask against per-graph oracles
 (components, adjacency, bridges and 2-core of each `Graph`) and at n = 8
 against closed forms.  The tree series is checked against a math.fsum of its
 closed-form terms, and the Pruefer decoder against networkx's decoder and,
-exhaustively at n <= 6, as a bijection onto the labelled trees.
+exhaustively at n <= 6, as a bijection onto the labelled trees.  The MCMC
+chain is checked draw for draw against `_mcmc_python`, a reference chain
+that tests membership and recomputes both weights on every proposal.
 """
 
 import functools
@@ -19,9 +21,16 @@ import pytest
 
 from minorclass import _kernels as K
 from minorclass.enumeration import brute_force_tau, forest_table, member_mask_array
-from minorclass.families import builtin_family
-from minorclass.graphs import Graph, Weighting, bridge_mask, component_masks, two_core
-from minorclass.sampling import _mcmc_python
+from minorclass.families import builtin_family, excluded_minor_family
+from minorclass.graphs import (
+    Graph,
+    Weighting,
+    bridge_mask,
+    component_masks,
+    path_graph,
+    two_core,
+    weight,
+)
 
 
 def _graph_stats(g: Graph) -> tuple[int, int, int, int, int]:
@@ -121,34 +130,79 @@ def test_all_graphs_at_n8():
     assert got.ce.sum() == 251_548_592  # connected labelled graphs on 8 vertices, OEIS A001187
 
 
-@pytest.mark.parametrize("family, n, lam, nu, burn_in, thin", [
-    pytest.param("forests", 5, 2, Fraction(1, 2), 1000, 4, id="forests-5"),
-    pytest.param("all", 5, 2, Fraction(1, 2), 1000, 4, id="all-5"),
-    pytest.param("series-parallel", 5, 2, Fraction(1, 2), 1000, 4, id="series-parallel-5"),
-    pytest.param("forests", 12, 2, Fraction(1, 2), 1000, 4, id="forests-12"),
-    pytest.param("forests", 30, 1, 1, 1000, 4, id="forests-30-unweighted"),
-    pytest.param("all", 8, Fraction(1, 2), 4, 1000, 4, id="all-8-frequent-splits"),
-    pytest.param("series-parallel", 5, 2, 1, 1000, 4, id="series-parallel-5-nu-1"),
-    pytest.param("forests", 9, 2, Fraction(1, 2), 0, 1, id="forests-9-every-step"),
+def _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws) -> list[Graph]:
+    """The chain with a membership test per proposal (base_member) and exact
+    weights; mcmc_sample draws its proposals and uniforms the same way for
+    every mode."""
+    g = Graph(n, 0)
+    out = []
+    for t in range(len(proposals)):
+        b = int(proposals[t])
+        new = Graph(n, g.mask ^ (1 << b))
+        if fam.base_member(new):
+            wt_ratio = float(weight(new, w)) / float(weight(g, w))
+            if wt_ratio >= 1.0 or uniforms[t] < wt_ratio:
+                g = new
+        step = t + 1
+        if step > burn_in and (step - burn_in) % thin == 0 and len(out) < draws:
+            out.append(g)
+    if len(out) != draws:
+        raise ValueError("proposal stream too short")
+    return out
+
+
+NO_P4 = excluded_minor_family("no-p4", (path_graph(4),))
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("family, n, weights, burn_in, thin, predicate", [
+    pytest.param("forests", 5, (2, 2, HALF), 1000, 4, False, id="forests-5"),
+    pytest.param("all", 5, (2, 2, HALF), 1000, 4, False, id="all-5"),
+    pytest.param("series-parallel", 5, (2, 2, HALF), 1000, 4, False, id="series-parallel-5"),
+    pytest.param("forests", 12, (2, 2, HALF), 1000, 4, False, id="forests-12"),
+    pytest.param("forests", 30, (1, 1, 1), 1000, 4, False, id="forests-30-unweighted"),
+    pytest.param("all", 8, (HALF, HALF, 4), 1000, 4, False, id="all-8-frequent-splits"),
+    pytest.param("series-parallel", 5, (2, 2, 1), 1000, 4, False, id="series-parallel-5-nu-1"),
+    pytest.param("forests", 9, (2, 2, HALF), 0, 1, False, id="forests-9-every-step"),
+    pytest.param("planar", 8, (1, 1, 1), 1000, 2, True, id="predicate-planar-8"),
+    pytest.param("series-parallel", 8, (2, 2, HALF), 1000, 2, True,
+                 id="predicate-series-parallel-8"),
+    pytest.param("ex-k-disjoint-cycles:1", 8, (2, 2, 1), 1000, 2, True,
+                 id="predicate-ex-k-disjoint-cycles-8"),
+    pytest.param(NO_P4, 6, (2, 2, HALF), 1000, 4, True, id="predicate-no-p4-6"),
+    pytest.param("forests", 9, (HALF, 2, 2), 1000, 4, False, id="forests-9-lam0-lam1"),
+    pytest.param("all", 6, (2, HALF, 1), 1000, 4, False, id="all-6-lam0-lam1"),
+    pytest.param("all", 7, (HALF, 2, 2), 1000, 4, False, id="all-7-lam0-lam1-nu"),
+    pytest.param("series-parallel", 6, (4, HALF, 2), 1000, 4, False,
+                 id="series-parallel-6-lam0-lam1"),
+    pytest.param("ex-k-disjoint-cycles:1", 8, (HALF, 2, 2), 1000, 2, True,
+                 id="predicate-ex-k-disjoint-cycles-8-lam0-lam1"),
+    pytest.param(NO_P4, 6, (HALF, 2, 1), 1000, 4, True, id="predicate-no-p4-6-lam0-lam1"),
 ])
-def test_mcmc_chain_matches_python_chain(family, n, lam, nu, burn_in, thin):
+def test_mcmc_chain_matches_python_chain(family, n, weights, burn_in, thin, predicate):
     """Draw for draw on one stream, the incremental chain equals the generic
     chain that recomputes membership and weights per step.  Every weight
-    ratio is an exact power of two, so both paths compute it exactly."""
-    fam = builtin_family(family)
-    w = Weighting(lam, nu)
+    ratio is an exact power of two, so both paths compute it exactly.
+
+    The predicate cases test membership by base_member, as mcmc_sample does
+    past the membership arrays.  The family without a P4 minor is not
+    bridge-addable, so its chain must test merges too."""
+    fam = builtin_family(family) if isinstance(family, str) else family
+    w = Weighting.extended(*weights)
     m = n * (n - 1) // 2
     rng = np.random.default_rng(12)
     draws = 1000
     proposals = rng.integers(0, m, size=burn_in + thin * draws, dtype=np.int64)
     uniforms = rng.random(len(proposals))
-    if family == "all":
+    if predicate:
+        mode, member = K.MODE_PREDICATE, lambda s: fam.base_member(Graph(n, s))
+    elif fam.name == "all":
         mode, member = K.MODE_ALL, None
-    elif family == "forests":
+    elif fam.name == "forests":
         mode, member = K.MODE_FORESTS, None
     else:
         mode, member = K.MODE_MEMBER_ARRAY, member_mask_array(fam, n)
-    got = K.mcmc_chain(n, proposals, uniforms, float(lam), float(nu), mode, member,
+    got = K.mcmc_chain(n, proposals, uniforms, *map(float, weights), mode, member,
                        burn_in, thin, draws)
     want = _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws)
     assert got == [g.mask for g in want]
@@ -167,7 +221,7 @@ def test_mcmc_chain_memory_grows_with_pair_count(mode, nu):
     uniforms = rng.random(steps)
     tracemalloc.start()
     try:
-        K.mcmc_chain(n, proposals, uniforms, 1.0, nu, mode, None, 1000, 10, 100)
+        K.mcmc_chain(n, proposals, uniforms, 1.0, 1.0, nu, mode, None, 1000, 10, 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -188,7 +242,7 @@ def test_mcmc_chain_memory_does_not_grow_with_steps(monkeypatch):
         uniforms = rng.random(steps)
         tracemalloc.start()
         try:
-            K.mcmc_chain(n, proposals, uniforms, 1.0, 1.0, K.MODE_FORESTS, None, 0,
+            K.mcmc_chain(n, proposals, uniforms, 1.0, 1.0, 1.0, K.MODE_FORESTS, None, 0,
                          steps // draws, draws)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -200,9 +254,9 @@ def test_mcmc_chain_rejects_short_streams():
     proposals = np.zeros(10, dtype=np.int64)
     uniforms = np.zeros(10)
     with pytest.raises(ValueError, match="too short"):
-        K.mcmc_chain(3, proposals, uniforms, 1.0, 1.0, K.MODE_ALL, None, 5, 2, 3)
+        K.mcmc_chain(3, proposals, uniforms, 1.0, 1.0, 1.0, K.MODE_ALL, None, 5, 2, 3)
     with pytest.raises(ValueError, match="too short"):
-        K.mcmc_chain(3, proposals, uniforms, 1.0, 1.0, K.MODE_ALL, None, 5, 0, 3)
+        K.mcmc_chain(3, proposals, uniforms, 1.0, 1.0, 1.0, K.MODE_ALL, None, 5, 0, 3)
 
 
 def _tree_series_fsum(N, lam, x, nu, rooted):

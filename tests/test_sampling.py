@@ -155,18 +155,25 @@ def test_mcmc_forest_connectivity_matches_forest_table(n):
     assert abs(connected.mean() - p) <= 5 * se
 
 
-def test_mcmc_member_array_and_python_routes_agree_in_law():
+def test_mcmc_extended_weighting_matches_exact_sampler():
+    """With lambda0 != lambda1 the chain weighs bridges and other edges apart;
+    its (e, kappa) law matches the exact sampler's."""
     sp = builtin_family("series-parallel")
-    kernel = mcmc_sample(sp, W11, 5, draws=20000, burn_in=20000, thin=5, seed=6)
-    # extended weighting forces the pure-python membership loop
-    wext = Weighting.extended(1, 1, 1)
-    python = mcmc_sample(sp, wext, 5, draws=20000, burn_in=20000, thin=5, seed=6)
-    assert tv_distance(e_kappa_histogram(kernel), e_kappa_histogram(python)) <= 0.03
+    w = Weighting.extended(2, Fraction(1, 2), Fraction(3, 2))
+    xs = exact_sample(sp, w, 5, seed=16, draws=10**5)
+    ms = mcmc_sample(sp, w, 5, draws=20000, burn_in=20000, thin=5, seed=6)
+    assert tv_distance(e_kappa_histogram(xs), e_kappa_histogram(ms)) <= 0.02
+
+
+def test_mcmc_thin_0_past_member_arrays():
+    with pytest.raises(ValueError, match="too short"):
+        mcmc_sample(builtin_family("series-parallel"), W11, 8, 3, burn_in=5, thin=0)
 
 
 def test_exact_stationarity():
     for fam, w in [(FORESTS, W11), (ALL, Weighting(2, 3)),
-                   (builtin_family("series-parallel"), Weighting(Fraction(1, 2), 3))]:
+                   (builtin_family("series-parallel"), Weighting(Fraction(1, 2), 3)),
+                   (ALL, Weighting.extended(2, Fraction(1, 2), 3))]:
         assert stationary_residual(fam, w, 3) == 0
 
 
