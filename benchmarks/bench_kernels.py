@@ -60,6 +60,7 @@ def bench_sweep(n, mode, want_bridges, label):
 def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0):
     """The chain from the edgeless graph; families other than forests and all
     test membership by base_member on a fresh family (an empty memo)."""
+    from minorclass.enumeration import lattice_mode
     from minorclass.families import builtin_family
     from minorclass.graphs import Graph
 
@@ -68,13 +69,9 @@ def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0):
     proposals = rng.integers(0, m, size=steps, dtype=np.int64)
     uniforms = rng.random(steps)
     draws = steps // 20
-    member = None
-    if family == "forests":
-        mode = K.MODE_FORESTS
-    elif family == "all":
-        mode = K.MODE_ALL
-    else:
-        fam = builtin_family(family)
+    fam = builtin_family(family)
+    mode, member = lattice_mode(fam), None
+    if mode == K.MODE_MEMBER_ARRAY:
         mode, member = K.MODE_PREDICATE, lambda s: fam.base_member(Graph(n, s))
 
     def run():

@@ -10,7 +10,7 @@ inputs.
 
 Kernels:
   * subset_stats      - component count, edge count and min-degree flag for every edge mask
-  * sweep_counts      - aggregate member counts by (edges, components, bridges, 2-core)
+  * sweep_counts      - aggregate member counts by (edges, bridges, components, 2-core)
   * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n), the
                         one chain for every family and weighting
   * tree_series_sum   - partial sums of the weighted (rooted) tree series
@@ -198,23 +198,20 @@ def subset_stats(n: int) -> SliceStats:
 class SweepCounts:
     """Exact member counts aggregated over one n-slice.
 
-    ek[e, k]      members with e edges and k components
-    ce[e]         connected members with e edges
-    be[e]         connected members with e edges and min degree >= 2
-    core[e, c]    connected members with e edges and 2-core of c vertices (optional)
-    ext_a[e,e0,k] members by (edges, bridges, components)        (optional)
-    ext_c[e,e0]   connected members by (edges, bridges)          (optional)
-    ext_b[e,e0]   connected min-degree>=2 members by (edges, bridges) (optional)
+    a[e, e0, k]   members with e edges, e0 of them bridges, and k components
+    c[e, e0]      connected members with e edges, e0 of them bridges
+    b[e, e0]      connected members with min degree >= 2, by (edges, bridges)
+    core[e, v]    connected members with e edges and a 2-core of v vertices (optional)
+
+    Without the bridge split the bridge axis has length 1: every mask counts
+    at e0 = 0.
     """
 
     n: int
-    ek: np.ndarray
-    ce: np.ndarray
-    be: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    b: np.ndarray
     core: np.ndarray | None = None
-    ext_a: np.ndarray | None = None
-    ext_c: np.ndarray | None = None
-    ext_b: np.ndarray | None = None
 
 
 def _blocks(n: int, bridges: bool, core: bool):
@@ -237,24 +234,23 @@ def _tally(out: np.ndarray, index: np.ndarray, sel: np.ndarray | None):
     flat += np.bincount(index if sel is None else index[sel], minlength=out.size)
 
 
-def sweep_counts(n: int, member: np.ndarray | None = None, mode: int = MODE_MEMBER_ARRAY,
-                 want_core: bool = False, want_bridges: bool = False) -> SweepCounts:
-    """Aggregate exact member counts over all 2^(n(n-1)/2) edge masks, n <= LATTICE_CAP."""
+def sweep_counts(n: int, member: np.ndarray | None, mode: int, want_core: bool = False,
+                 want_bridges: bool = False) -> SweepCounts:
+    """Aggregate exact member counts over all 2^(n(n-1)/2) edge masks, n <= LATTICE_CAP.
+
+    The members are every mask (MODE_ALL), the forests, found by e = n - kappa
+    (MODE_FORESTS), or the masks s with member[s] != 0 (MODE_MEMBER_ARRAY).
+    want_bridges splits every count by its bridge count e0, and want_core
+    adds the 2-core table.
+    """
     if n > LATTICE_CAP:
         raise ResourceCapError(f"the subset lattice stops at n={LATTICE_CAP}")
-    if member is None and mode == MODE_MEMBER_ARRAY:
-        mode = MODE_ALL
     m = n * (n - 1) // 2
-    ek = np.zeros((m + 1, n + 2), dtype=np.int64)
-    ce = np.zeros(m + 1, dtype=np.int64)
-    be = np.zeros(m + 1, dtype=np.int64)
+    splits = m + 1 if want_bridges else 1
+    a = np.zeros((m + 1, splits, n + 2), dtype=np.int64)
+    c = np.zeros((m + 1, splits), dtype=np.int64)
+    b = np.zeros((m + 1, splits), dtype=np.int64)
     core = np.zeros((m + 1, n + 1), dtype=np.int64) if want_core else None
-    if want_bridges:
-        ext_a = np.zeros((m + 1, m + 1, n + 2), dtype=np.int64)
-        ext_c = np.zeros((m + 1, m + 1), dtype=np.int64)
-        ext_b = np.zeros((m + 1, m + 1), dtype=np.int64)
-    else:
-        ext_a = ext_c = ext_b = None
     for start, blk in _blocks(n, want_bridges, want_core):
         if mode == MODE_ALL:
             ok = None
@@ -266,17 +262,13 @@ def sweep_counts(n: int, member: np.ndarray | None = None, mode: int = MODE_MEMB
         sel_c = connected if ok is None else ok & connected
         sel_b = sel_c & (blk.mindeg2 != 0)
         e = blk.edges.astype(np.uint16)
-        _tally(ek, e * (n + 2) + blk.kappa, ok)
-        _tally(ce, e, sel_c)
-        _tally(be, e, sel_b)
+        split = e * splits + blk.bridges if want_bridges else e
+        _tally(a, split * (n + 2) + blk.kappa, ok)
+        _tally(c, split, sel_c)
+        _tally(b, split, sel_b)
         if want_core:
             _tally(core, e * (n + 1) + blk.core, sel_c)
-        if want_bridges:
-            split = e * (m + 1) + blk.bridges
-            _tally(ext_a, split * (n + 2) + blk.kappa, ok)
-            _tally(ext_c, split, sel_c)
-            _tally(ext_b, split, sel_b)
-    return SweepCounts(n, ek, ce, be, core, ext_a, ext_c, ext_b)
+    return SweepCounts(n, a, c, b, core)
 
 
 # ---------------------------------------------------------------------------

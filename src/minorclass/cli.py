@@ -12,6 +12,7 @@ integers or fractions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -20,11 +21,12 @@ import locale  # noqa: F401  (argparse's gettext would import it inside main, at
 import math
 import sys
 from collections import defaultdict
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import pair_endpoints
+from ._kernels import MODE_FORESTS, pair_endpoints
 from .errors import EmptySliceError, ResourceCapError
 from .families import family_from_spec
 from .graphs import Graph, RootedGraph, Weighting, graph_from_text, pair_count, \
@@ -134,24 +136,26 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _write_text(path: str | None, text: str):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_text(path: str | None, text: str | Iterator[str]):
+    """Write text, or each chunk an iterator yields, to path (stdout for None or "-")."""
+    chunks = (text,) if isinstance(text, str) else text
+    with contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_enumerate(cfg: ExperimentConfig) -> int:
-    from .enumeration import compute_weight_table, forest_table
+    from .enumeration import compute_weight_table, forest_table, lattice_mode
 
     fam = family_from_spec(cfg.family)
     w = cfg.weighting()
-    if cfg.n_max > cfg.cap and fam.predicate is not None and fam.name in ("forests", "trees"):
+    if cfg.n_max > cfg.cap and lattice_mode(fam) == MODE_FORESTS:
         table = forest_table(w, cfg.n_max)
+        if fam.connected_only:  # trees: every member is connected
+            table.a = table.c
     else:
         table = compute_weight_table(fam, w, cfg.n_max, cap=cfg.cap, verbose=True)
     ratios = table.ratios("a")
@@ -186,7 +190,7 @@ def cmd_census(cfg: ExperimentConfig) -> int:
 
 def cmd_constants(cfg: ExperimentConfig) -> int:
     from .asymptotics import constants_from_gamma, forest_limit_pack, planar_constants
-    from .enumeration import build_census, compute_weight_table
+    from .enumeration import build_census, compute_weight_table, lattice_mode
 
     w = cfg.weighting()
     if cfg.family == "planar-preset":
@@ -213,7 +217,7 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
     consts = constants_from_gamma(gamma, w, census=census)
     out = consts.to_dict()
     out["note"] = estimate_note
-    if fam.name in ("forests", "trees"):
+    if lattice_mode(fam) == MODE_FORESTS:
         pack = forest_limit_pack(w)
         out["forest_closed_forms"] = {
             "conn_limit": pack.conn_limit,
@@ -229,6 +233,7 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
 # packed byte, so the chunk stays small enough that the writer adds about
 # nothing to the sampler's peak memory.
 _JSONL_CHUNK_BYTES = 1 << 15
+_JSONL_CHUNK_LINES = 256  # lines per write of the JSONL text
 
 
 def _set_bits(buf: bytes) -> np.ndarray:
@@ -305,7 +310,7 @@ def graph_from_json(line: str) -> Graph:
 
 
 def cmd_sample(cfg: ExperimentConfig) -> int:
-    from .enumeration import build_census
+    from .enumeration import build_census, lattice_mode
     from .sampling import boltzmann_config, boltzmann_poisson_sample, exact_sample, \
         mcmc_sample, random_tree_sample
 
@@ -334,7 +339,7 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
         census = build_census(fam, cfg.census_n_max, cap=max(cfg.cap, cfg.census_n_max))
         if cfg.rho is not None:
             rho = float(parse_number(cfg.rho))
-        elif fam.name in ("forests", "trees"):
+        elif lattice_mode(fam) == MODE_FORESTS:
             rho = 1.0 / (math.e * float(w.lambda0))
         else:
             raise ValueError("boltzmann sampling needs --rho for this family")
@@ -343,8 +348,10 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     else:
         raise ValueError(f"unknown sampling method {cfg.method!r}")
     lines = graphs_to_jsonl(samples)
-    del samples  # free the draws before their text is joined
-    _write_text(cfg.out, "\n".join(lines + [""]))
+    del samples  # free the draws before their text is written
+    # a chunk of lines at a time: neither the whole text nor its encoding is ever held
+    _write_text(cfg.out, ("\n".join(lines[s:s + _JSONL_CHUNK_LINES]) + "\n"
+                          for s in range(0, len(lines), _JSONL_CHUNK_LINES)))
     return 0
 
 

@@ -12,7 +12,9 @@ below it is a member.  Contractions and vertex deletions are OR-linear maps
 on the edge mask, evaluated for all masks at once and looked up in the cached
 array of the order below; edge deletions are closed by a subset-AND pass over
 the lattice.  Only masks that match a minor's edge count and degree sequence
-are canonicalized.  Forests use the component count instead (e = n - kappa).
+are canonicalized.  Forests use the component count instead (e = n - kappa),
+and the family of all graphs needs no membership at all; `lattice_mode`
+decides which of the three routes a family takes.
 
 The unlabelled census grows by canonical augmentation: each class of order
 n-1 is joined to a new vertex by every nonempty neighbour set, each result
@@ -37,6 +39,7 @@ from .graphs import (
     Weighting,
     big_frag_split,
     component_masks,
+    every_graph,
     induced_subgraph,
     is_forest,
     pair_bit,
@@ -50,17 +53,29 @@ if TYPE_CHECKING:  # pragma: no cover
     from .families import GraphFamily
 
 BRUTE_FORCE_CAP = 7
-HARD_CAP = 8
+
+
+def lattice_mode(fam: "GraphFamily") -> int:
+    """How the lattice sweeps the family, decided by its predicate, never its
+    name: every mask (MODE_ALL), the forests by e = n - kappa (MODE_FORESTS),
+    or the family's membership array (MODE_MEMBER_ARRAY)."""
+    if fam.predicate is every_graph:
+        return _kernels.MODE_ALL
+    if fam.predicate is is_forest:
+        return _kernels.MODE_FORESTS
+    return _kernels.MODE_MEMBER_ARRAY
+
 
 def member_mask_array(fam: "GraphFamily", n: int) -> np.ndarray | None:
     """uint8 membership (base family, ignoring connected-only views) for every
     edge mask on n vertices; None means every graph is a member."""
-    if fam.predicate is not None and fam.name == "all":
+    mode = lattice_mode(fam)
+    if mode == _kernels.MODE_ALL:
         return None
     cached = fam._member_arrays.get(n)
     if cached is not None:
         return cached
-    if fam.predicate is is_forest:
+    if mode == _kernels.MODE_FORESTS:
         stats = _kernels.subset_stats(n)
         arr = (stats.edges + stats.kappa == n).view(np.uint8)
     else:
@@ -69,23 +84,18 @@ def member_mask_array(fam: "GraphFamily", n: int) -> np.ndarray | None:
     return arr
 
 
-def _check_array_cap(n: int):
-    if n > BRUTE_FORCE_CAP:
+def _check_caps(fam: "GraphFamily", n: int, cap: int):
+    """Raise ResourceCapError when the slice n is past the given cap, the
+    lattice cap, or (for families swept by membership array) the array cap."""
+    if n > cap:
+        raise ResourceCapError(f"brute force at n={n} needs an explicit cap >= {n}")
+    if n > _kernels.LATTICE_CAP:
+        raise ResourceCapError(f"brute force is limited to n <= {_kernels.LATTICE_CAP}")
+    if n > BRUTE_FORCE_CAP and lattice_mode(fam) == _kernels.MODE_MEMBER_ARRAY:
         raise ResourceCapError(
             f"membership arrays for minor-tested families stop at n={BRUTE_FORCE_CAP}; "
             "only forests and all support the n=8 override"
         )
-
-
-def _check_caps(fam: "GraphFamily", n: int, cap: int):
-    """Raise ResourceCapError when the slice n is past the given cap, the hard
-    cap, or (for minor-tested families) the membership-array cap."""
-    if n > cap:
-        raise ResourceCapError(f"brute force at n={n} needs an explicit cap >= {n}")
-    if n > HARD_CAP:
-        raise ResourceCapError(f"brute force is limited to n <= {HARD_CAP}")
-    if fam.name != "all" and fam.predicate is not is_forest:
-        _check_array_cap(n)
 
 
 def _one_step_maps(n: int) -> list[tuple[list[int], int]]:
@@ -112,7 +122,7 @@ def _minor_closed_member_array(fam: "GraphFamily", n: int) -> np.ndarray:
     deletions land in the cached (n-1)-vertex array; the edge deletions are
     closed by one subset-AND pass over the lattice.
     """
-    _check_array_cap(n)
+    _check_caps(fam, n, n)  # the lattice and array caps; callers check their own cap
     if fam.predicate is not None and not fam.excluded_minors:
         raise ValueError(f"family {fam.name!r} has no excluded minors to build its array from")
     m = pair_count(n)
@@ -203,14 +213,9 @@ class TauTriple(tuple):
 
 
 def _sweep_members(fam: "GraphFamily", n: int, **wanted) -> _kernels.SweepCounts:
-    """Sweep the n-slice over the family's members: every mask for `all`,
-    forests past the array cap by e = n - kappa, others by membership array."""
-    if fam.name == "all":
-        member, mode = None, _kernels.MODE_ALL
-    elif fam.predicate is is_forest and n > BRUTE_FORCE_CAP:
-        member, mode = None, _kernels.MODE_FORESTS
-    else:
-        member, mode = member_mask_array(fam, n), _kernels.MODE_MEMBER_ARRAY
+    """Sweep the n-slice over the family's members by its lattice_mode."""
+    mode = lattice_mode(fam)
+    member = member_mask_array(fam, n) if mode == _kernels.MODE_MEMBER_ARRAY else None
     return _kernels.sweep_counts(n, member, mode, **wanted)
 
 
@@ -219,37 +224,25 @@ def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int,
     """Exact (tau(A_n), tau(C_n), tau(B_n)) by exhaustive enumeration.
 
     Default cap is 7 (2^21 graphs); pass cap=8 explicitly to allow n=8.
+    Each column sums count * lam0^e0 * lam1^(e - e0) * nu^k over the sweep's
+    cells (e edges, e0 bridges, k components; e0 = 0 unless lam0 != lam1).
     For a connected-members view the a-column equals the c-column.
     """
     _check_caps(fam, n, cap)
     counts = _sweep_members(fam, n, want_bridges=not w.is_diagonal)
-    exact = w.is_rational
-    lam0 = _as_exact(w.lambda0) if exact else w.lambda0
-    lam1 = _as_exact(w.lambda1) if exact else w.lambda1
-    nu = _as_exact(w.nu) if exact else w.nu
-    m = pair_count(n)
-    if w.is_diagonal:
-        a = sum(
-            int(counts.ek[e, k]) * lam0 ** e * nu ** k
-            for e in range(m + 1) for k in range(n + 2) if counts.ek[e, k]
-        )
-        c = sum(int(counts.ce[e]) * lam0 ** e * nu for e in range(m + 1) if counts.ce[e])
-        b = sum(int(counts.be[e]) * lam0 ** e * nu for e in range(m + 1) if counts.be[e])
-    else:
-        a = sum(
-            int(counts.ext_a[e, e0, k]) * lam0 ** e0 * lam1 ** (e - e0) * nu ** k
-            for e in range(m + 1) for e0 in range(m + 1) for k in range(n + 2)
-            if counts.ext_a[e, e0, k]
-        )
-        c = sum(
-            int(counts.ext_c[e, e0]) * lam0 ** e0 * lam1 ** (e - e0) * nu
-            for e in range(m + 1) for e0 in range(m + 1) if counts.ext_c[e, e0]
-        )
-        b = sum(
-            int(counts.ext_b[e, e0]) * lam0 ** e0 * lam1 ** (e - e0) * nu
-            for e in range(m + 1) for e0 in range(m + 1) if counts.ext_b[e, e0]
-        )
-    a, c, b = _simplify(a or 0), _simplify(c or 0), _simplify(b or 0)
+    lam0, lam1, nu = (_as_exact(x) if w.is_rational else x
+                      for x in (w.lambda0, w.lambda1, w.nu))
+
+    def tau(cells: np.ndarray):
+        """Sum over the nonzero cells [e, e0, k] of a, or [e, e0] of c and b,
+        whose members all have k = 1."""
+        total = 0
+        for cell in np.argwhere(cells).tolist():
+            e, e0, k = cell if len(cell) == 3 else (*cell, 1)
+            total += int(cells[tuple(cell)]) * lam0 ** e0 * lam1 ** (e - e0) * nu ** k
+        return _simplify(total or 0)
+
+    a, c, b = tau(counts.a), tau(counts.c), tau(counts.b)
     if fam.connected_only:
         a = c
     return TauTriple(a, c, b)
@@ -421,8 +414,7 @@ def f_nk_bruteforce(fam: "GraphFamily", w: Weighting, n: int, k: int,
     """Cross-check: sum the weights of connected members with v(core) = k directly."""
     if not w.is_diagonal:
         raise ValueError("the brute-force core sweep supports the diagonal weighting")
-    if n > cap or n > HARD_CAP:
-        raise ResourceCapError(f"core sweep capped at n <= {min(cap, HARD_CAP)}")
+    _check_caps(fam, n, cap)
     counts = _sweep_members(fam, n, want_core=True)
     lam = _as_exact(w.lam) if w.is_rational else w.lam
     nu = _as_exact(w.nu) if w.is_rational else w.nu
@@ -554,7 +546,7 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
                 canon_mask, aut = _canon_data(n, mask)
                 found[canon_mask] = aut
         labelled = sum(math.factorial(n) // aut for aut in found.values())
-        connected = int(_sweep_members(fam, n).ce.sum())
+        connected = int(_sweep_members(fam, n).c.sum())
         if labelled != connected:
             raise AssertionError(f"census at n={n}: the classes hold {labelled} labelled "
                                  f"graphs, the sweep counts {connected} connected members")
@@ -652,8 +644,7 @@ def exact_connectivity_probability(fam: "GraphFamily", w: Weighting, n: int,
 def exact_frag_distribution(fam: "GraphFamily", w: Weighting, n: int,
                             cap: int = BRUTE_FORCE_CAP) -> dict:
     """Exact Pr[frag = k] for the weighted random graph on the family's n-slice."""
-    if n > cap or n > HARD_CAP:
-        raise ResourceCapError("frag distribution needs the enumeration range")
+    _check_caps(fam, n, cap)
     totals: dict[int, Fraction] = {}
     denom = Fraction(0)
     exact = w.is_rational

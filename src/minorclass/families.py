@@ -29,6 +29,7 @@ from .graphs import (
     core_mask,
     cycle_graph,
     disjoint_union,
+    every_graph,
     graph_from_text,
     induced_subgraph,
     is_connected,
@@ -323,7 +324,7 @@ def builtin_family(name: str) -> GraphFamily:
     if name == "all":
         return GraphFamily(
             "all",
-            predicate=lambda g: True,
+            predicate=every_graph,
             flags=_TRUE_FLAGS,
             memoize_membership=False,
         )
@@ -420,16 +421,6 @@ class VerificationReport:
     holds: bool
     counterexample: Optional[tuple] = None
     details: str = ""
-
-
-def _member_masks(fam: GraphFamily, n: int):
-    """Member edge masks at order n (ascending), using the enumeration sweep."""
-    from .enumeration import member_mask_array
-
-    arr = member_mask_array(fam, n)
-    if arr is None:
-        return range(1 << len(pairs(n)))
-    return np.nonzero(arr)[0].tolist()
 
 
 def _induced_images(masks: np.ndarray, n: int, vset: int) -> np.ndarray:
@@ -595,10 +586,11 @@ class FreelyAddableVerdict:
 def freely_addable_at_scale(h: Graph, fam: GraphFamily, n_max: int = 5) -> FreelyAddableVerdict:
     """Check that g + h (disjoint union) stays in the family for members g up to n_max."""
     from .canon import canonicalize
+    from .enumeration import member_masks
 
     seen = set()
     for n in range(0, n_max + 1):
-        for mask in _member_masks(fam, n):
+        for mask in member_masks(fam, n, connected=False):
             g = Graph(n, mask)
             code = canonicalize(g).code
             if code in seen:
@@ -625,10 +617,11 @@ def dichotomy_scan(fam: GraphFamily, n_max: int = 4, k_max: int = 4) -> list[Dic
     member is ever reported as both.
     """
     from .canon import canonicalize
+    from .enumeration import member_masks
 
     reps: dict[bytes, Graph] = {}
     for n in range(1, n_max + 1):
-        for mask in _member_masks(fam, n):
+        for mask in member_masks(fam, n, connected=False):
             g = Graph(n, mask)
             code = canonicalize(g).code
             if code not in reps:

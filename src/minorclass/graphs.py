@@ -268,6 +268,11 @@ def is_connected(g: Graph) -> bool:
     return component_count(g) == 1
 
 
+def every_graph(g: Graph) -> bool:
+    """The predicate of the family of all graphs: every graph is a member."""
+    return True
+
+
 def is_forest(g: Graph) -> bool:
     """Acyclic check: a graph is a forest iff e = n - (number of components)."""
     return g.edge_count == g.n - component_count(g)

@@ -25,6 +25,7 @@ from .canon import canonicalize
 from .enumeration import (
     BRUTE_FORCE_CAP,
     UnlabelledCensus,
+    lattice_mode,
     member_mask_array,
     member_masks,
 )
@@ -37,7 +38,6 @@ from .graphs import (
     component_masks,
     disjoint_union,
     induced_subgraph,
-    is_forest,
     pair_count,
     pendant_appearances,
     two_core,
@@ -55,11 +55,13 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int,
-                 cap: int = 7) -> list[Graph]:
+                 cap: int = BRUTE_FORCE_CAP) -> list[Graph]:
     """i.i.d. draws with Pr(G) proportional to its cluster weight, by cumulative
-    inversion over the enumerated member list."""
-    if n > min(cap, 7):
-        raise ResourceCapError("exact sampling needs the enumeration range (n <= 7)")
+    inversion over the enumerated member list, for every family only up to
+    BRUTE_FORCE_CAP vertices."""
+    if n > min(cap, BRUTE_FORCE_CAP):
+        raise ResourceCapError(
+            f"exact sampling needs the enumeration range (n <= {BRUTE_FORCE_CAP})")
     masks = member_masks(fam, n)
     if not masks:
         raise EmptySliceError(f"family {fam.name!r} has no members of order {n}")
@@ -165,12 +167,17 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
     irreducible since every member reaches it by edge deletions.  The family
     must be closed under edge deletion, as every minor-closed family is.
 
-    One kernel runs every family and weighting (_kernels.mcmc_chain).  Its
-    membership comes from the family's array up to BRUTE_FORCE_CAP vertices
-    and from base_member past it; forests and all need none.  base_member is
-    never asked about a removal, and about an addition only once the
-    Metropolis test has accepted it.
+    One kernel runs every family and weighting (_kernels.mcmc_chain), in the
+    family's lattice_mode.  Past BRUTE_FORCE_CAP vertices a family swept by
+    membership array is tested by base_member instead; forests and all need
+    no test.  base_member is never asked about a removal, and about an
+    addition only once the Metropolis test has accepted it.
+
+    draws and burn_in must be >= 0 and thin >= 1 (else ValueError).
     """
+    for name, value, low in (("draws", draws, 0), ("burn_in", burn_in, 0), ("thin", thin, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     if fam.connected_only:
         raise ValueError("the edge-toggle chain targets the full family; "
                          "connected-member views are not supported")
@@ -181,15 +188,12 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
     rng = rng_stream(seed)
     proposals = rng.integers(0, m, size=total, dtype=np.int64)
     uniforms = rng.random(total)
-    member = None
-    if fam.name == "all":
-        mode = _kernels.MODE_ALL
-    elif fam.predicate is is_forest:
-        mode = _kernels.MODE_FORESTS
-    elif n <= BRUTE_FORCE_CAP:
-        mode, member = _kernels.MODE_MEMBER_ARRAY, member_mask_array(fam, n)
-    else:
-        mode, member = _kernels.MODE_PREDICATE, lambda s: fam.base_member(Graph(n, s))
+    mode, member = lattice_mode(fam), None
+    if mode == _kernels.MODE_MEMBER_ARRAY:
+        if n <= BRUTE_FORCE_CAP:
+            member = member_mask_array(fam, n)
+        else:
+            mode, member = _kernels.MODE_PREDICATE, lambda s: fam.base_member(Graph(n, s))
     masks = _kernels.mcmc_chain(n, proposals, uniforms, float(w.lambda0), float(w.lambda1),
                                 float(w.nu), mode, member, burn_in, thin, draws)
     return [Graph(n, s) for s in masks]

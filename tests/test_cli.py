@@ -267,6 +267,41 @@ def test_forests_lift_beyond_cap(capsys):
     assert rows[9]["c_n"] == str(9 ** 7)
 
 
+def test_trees_past_cap_stay_connected(capsys):
+    """Past --cap, trees take the forest table's route with a = c, so the rows
+    up to the cap are those of the brute-force sweep."""
+    _, within = run_cli(["enumerate", "--family", "trees", "--nmax", "7"], capsys)
+    code, past = run_cli(["enumerate", "--family", "trees", "--nmax", "8"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(past)))
+    assert rows[:8] == list(csv.DictReader(io.StringIO(within)))
+    assert rows[8]["a_n"] == rows[8]["c_n"] == str(8 ** 6)
+
+
+def test_json_family_named_all_is_swept_by_its_minors(tmp_path, capsys):
+    """A JSON family is counted and sampled by its excluded minors whatever its
+    name: one named "all" that excludes K3 is the forests."""
+    (tmp_path / "k3.graph").write_text(graph_to_text(complete_graph(3)))
+    paths = {}
+    for name in ("all", "no-k3"):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"name": name, "excluded_minors": ["k3.graph"]}))
+    outs = [run_cli(["enumerate", "--family", str(paths[name]), "--nmax", "5"], capsys)
+            for name in ("all", "no-k3")]
+    assert outs[0] == outs[1]
+    assert list(csv.DictReader(io.StringIO(outs[0][1])))[3]["a_n"] == "7"
+    code, _ = run_cli(["census", "--family", str(paths["all"]), "--nmax", "4"], capsys)
+    assert code == 0
+    from minorclass.families import load_family
+    from minorclass.graphs import Weighting, is_forest
+    from minorclass.sampling import mcmc_sample
+
+    draws = mcmc_sample(load_family(paths["all"]), Weighting(1, 1), 6, 200, burn_in=200,
+                        thin=2, seed=1)
+    assert all(is_forest(g) for g in draws)
+    assert any(g.edge_count for g in draws)
+
+
 def test_parse_number():
     from fractions import Fraction
 

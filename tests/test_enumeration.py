@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from minorclass._kernels import MODE_ALL, MODE_FORESTS, MODE_MEMBER_ARRAY
 from minorclass.canon import automorphism_count, canonicalize
 from minorclass.enumeration import (
     brute_force_tau,
@@ -21,6 +22,7 @@ from minorclass.enumeration import (
     factorial_growth_check,
     falling_moment_check,
     forest_table,
+    lattice_mode,
     member_masks,
     ratio_sequence,
 )
@@ -44,6 +46,15 @@ def test_brute_force_examples():
 def test_known_forest_sequence():
     got = [brute_force_tau(FORESTS, W11, n).a for n in range(7)]
     assert got == [1, 1, 2, 7, 38, 291, 2932]
+
+
+def test_lattice_mode_follows_the_predicate_not_the_name():
+    assert lattice_mode(builtin_family("all")) == MODE_ALL
+    assert lattice_mode(FORESTS) == lattice_mode(TREES) == MODE_FORESTS
+    for fam in (builtin_family("planar"), builtin_family("series-parallel"),
+                excluded_minor_family("all", (cycle_graph(3),)),
+                excluded_minor_family("forests", (cycle_graph(3),))):
+        assert lattice_mode(fam) == MODE_MEMBER_ARRAY, fam.name
 
 
 def test_cap_errors():

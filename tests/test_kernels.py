@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from minorclass import _kernels as K
-from minorclass.enumeration import brute_force_tau, forest_table, member_mask_array
+from minorclass.enumeration import brute_force_tau, forest_table, lattice_mode, member_mask_array
 from minorclass.families import builtin_family, excluded_minor_family
 from minorclass.graphs import (
     Graph,
@@ -45,29 +45,26 @@ def _oracle(n: int) -> list[tuple[int, int, int, int, int]]:
     return [_graph_stats(Graph(n, s)) for s in range(1 << (n * (n - 1) // 2))]
 
 
-def _expected_counts(n, ok):
-    """SweepCounts fields summed directly over the per-graph statistics of the masks ok[s]."""
+def _expected_counts(n, ok, bridges):
+    """SweepCounts fields summed directly over the per-graph statistics of the
+    masks ok[s]; without the bridge split every mask counts at e0 = 0."""
     m = n * (n - 1) // 2
-    ek = np.zeros((m + 1, n + 2), dtype=np.int64)
-    ce = np.zeros(m + 1, dtype=np.int64)
-    be = np.zeros(m + 1, dtype=np.int64)
+    splits = m + 1 if bridges else 1
+    a = np.zeros((m + 1, splits, n + 2), dtype=np.int64)
+    c = np.zeros((m + 1, splits), dtype=np.int64)
+    b = np.zeros((m + 1, splits), dtype=np.int64)
     core = np.zeros((m + 1, n + 1), dtype=np.int64)
-    ext_a = np.zeros((m + 1, m + 1, n + 2), dtype=np.int64)
-    ext_c = np.zeros((m + 1, m + 1), dtype=np.int64)
-    ext_b = np.zeros((m + 1, m + 1), dtype=np.int64)
-    for s, (e, kappa, mindeg2, e0, c) in enumerate(_oracle(n)):
+    for s, (e, kappa, mindeg2, e0, v) in enumerate(_oracle(n)):
         if not ok(s, e, kappa):
             continue
-        ek[e, kappa] += 1
-        ext_a[e, e0, kappa] += 1
+        e0 = e0 if bridges else 0
+        a[e, e0, kappa] += 1
         if kappa == 1:
-            ce[e] += 1
-            core[e, c] += 1
-            ext_c[e, e0] += 1
+            c[e, e0] += 1
+            core[e, v] += 1
             if mindeg2:
-                be[e] += 1
-                ext_b[e, e0] += 1
-    return dict(ek=ek, ce=ce, be=be, core=core, ext_a=ext_a, ext_c=ext_c, ext_b=ext_b)
+                b[e, e0] += 1
+    return dict(a=a, c=c, b=b, core=core)
 
 
 def _assert_sweep_matches(got, want):
@@ -97,24 +94,27 @@ def test_subset_stats_on_random_masks_at_n7():
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("mode", [K.MODE_ALL, K.MODE_FORESTS])
 def test_sweep_paths_agree(n, mode):
-    """Every SweepCounts field equals the direct sum over per-graph statistics."""
-    got = K.sweep_counts(n, None, mode, want_core=True, want_bridges=True)
-    if mode == K.MODE_ALL:
-        want = _expected_counts(n, lambda s, e, kappa: True)
-    else:
-        want = _expected_counts(n, lambda s, e, kappa: e == n - kappa)
-    _assert_sweep_matches(got, want)
-    plain = K.sweep_counts(n, None, mode)
-    assert plain.core is None and plain.ext_a is None
-    _assert_sweep_matches(plain, {k: want[k] for k in ("ek", "ce", "be")})
+    """Every SweepCounts field equals the direct sum over per-graph
+    statistics, with the bridge split and without it."""
+    ok = (lambda s, e, kappa: True) if mode == K.MODE_ALL else (lambda s, e, kappa: e == n - kappa)
+    for bridges in (True, False):
+        want = _expected_counts(n, ok, bridges)
+        _assert_sweep_matches(K.sweep_counts(n, None, mode, want_core=True,
+                                             want_bridges=bridges), want)
+        plain = K.sweep_counts(n, None, mode, want_bridges=bridges)
+        assert plain.core is None
+        _assert_sweep_matches(plain, {k: want[k] for k in ("a", "c", "b")})
 
 
 def test_sweep_with_member_array():
     rng = np.random.default_rng(0)
     for n in range(7):
         member = (rng.random(1 << (n * (n - 1) // 2)) < 0.5).astype(np.uint8)
-        got = K.sweep_counts(n, member, K.MODE_MEMBER_ARRAY, want_core=True, want_bridges=True)
-        _assert_sweep_matches(got, _expected_counts(n, lambda s, e, kappa: member[s]))
+        for bridges in (True, False):
+            got = K.sweep_counts(n, member, K.MODE_MEMBER_ARRAY, want_core=True,
+                                 want_bridges=bridges)
+            _assert_sweep_matches(got, _expected_counts(n, lambda s, e, kappa: member[s],
+                                                        bridges))
 
 
 def test_forests_at_n8_match_forest_table():
@@ -126,8 +126,9 @@ def test_forests_at_n8_match_forest_table():
 
 def test_all_graphs_at_n8():
     got = K.sweep_counts(8, None, K.MODE_ALL)
-    assert got.ek.sum() == 1 << 28
-    assert got.ce.sum() == 251_548_592  # connected labelled graphs on 8 vertices, OEIS A001187
+    assert got.a.shape == (29, 1, 10)
+    assert got.a.sum() == 1 << 28
+    assert got.c.sum() == 251_548_592  # connected labelled graphs on 8 vertices, OEIS A001187
 
 
 def _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws) -> list[Graph]:
@@ -194,14 +195,11 @@ def test_mcmc_chain_matches_python_chain(family, n, weights, burn_in, thin, pred
     draws = 1000
     proposals = rng.integers(0, m, size=burn_in + thin * draws, dtype=np.int64)
     uniforms = rng.random(len(proposals))
+    mode, member = lattice_mode(fam), None
     if predicate:
         mode, member = K.MODE_PREDICATE, lambda s: fam.base_member(Graph(n, s))
-    elif fam.name == "all":
-        mode, member = K.MODE_ALL, None
-    elif fam.name == "forests":
-        mode, member = K.MODE_FORESTS, None
-    else:
-        mode, member = K.MODE_MEMBER_ARRAY, member_mask_array(fam, n)
+    elif mode == K.MODE_MEMBER_ARRAY:
+        member = member_mask_array(fam, n)
     got = K.mcmc_chain(n, proposals, uniforms, *map(float, weights), mode, member,
                        burn_in, thin, draws)
     want = _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from minorclass import sampling
 from minorclass.enumeration import (
     brute_force_tau,
     build_census,
@@ -166,8 +167,26 @@ def test_mcmc_extended_weighting_matches_exact_sampler():
 
 
 def test_mcmc_thin_0_past_member_arrays():
-    with pytest.raises(ValueError, match="too short"):
+    with pytest.raises(ValueError, match="thin must be >= 1"):
         mcmc_sample(builtin_family("series-parallel"), W11, 8, 3, burn_in=5, thin=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+@pytest.mark.parametrize("draws, burn_in, thin, name", [
+    (3, 5, 0, "thin"),
+    (3, -5, 1, "burn_in"),
+    (3, -5, 0, "burn_in"),
+    (-1, 5, 1, "draws"),
+])
+def test_mcmc_sample_checks_arguments_first(n, draws, burn_in, thin, name, monkeypatch):
+    """Bad chain arguments raise a ValueError naming the argument at every
+    order, before the n <= 1 shortcut and before any stream is drawn."""
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was drawn before the argument check")
+
+    monkeypatch.setattr(sampling, "rng_stream", no_stream)
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        mcmc_sample(builtin_family("planar"), W11, n, draws, burn_in=burn_in, thin=thin)
 
 
 def test_exact_stationarity():
