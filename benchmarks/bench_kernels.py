@@ -59,7 +59,7 @@ def bench_sweep(n, mode, want_bridges, label):
 
 def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0):
     """The chain from the edgeless graph; families other than forests and all
-    test membership by base_member on a fresh family (an empty memo)."""
+    test membership by base_member, which asks their predicate directly."""
     from minorclass.enumeration import lattice_mode
     from minorclass.families import builtin_family
     from minorclass.graphs import Graph
@@ -144,10 +144,14 @@ def _warm_family(name, n):
 
 
 def bench_census(name, n):
+    """One census from built arrays; the label gives its canonicalizations."""
+    from minorclass.canon import _canon_data
     from minorclass.enumeration import build_census
 
     fam = _warm_family(name, n)
-    return f"build_census n<={n} {name}", "python", _time(build_census, fam, n, repeat=1)
+    t = _time(build_census, fam, n, repeat=1)
+    misses = _canon_data.cache_info().misses
+    return f"build_census n<={n} {name} ({misses} canonicalizations)", "python", t
 
 
 def bench_verify(verify, name, n):
@@ -221,13 +225,15 @@ def main():
         bench_mcmc(20_000, 10, "all", nu=2.0, lam0=0.5, lam1=2.0),
         bench_mcmc(5000, 300),  # setup-bound: the per-pair table of 44,850 pairs
         bench_mcmc(4000, 9, "planar"),  # membership by predicate on accepted additions
+        bench_mcmc(4000, 9, "ex-k-disjoint-cycles:1"),
         bench_tree_series(terms),
         bench_prufer(draws, 300),
         bench_jsonl_trees(draws, 300),
         bench_jsonl_boltzmann(50 * draws, 6),
-    ] + [bench_member_array(name, n_sweep)
+    ] + [bench_member_array(name, n) for n in sorted({6, n_sweep})
          for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1")
-    ] + [bench_census(name, n_sweep) for name in ("all", "planar")
+    ] + [bench_census(name, n)
+         for name, n in dict.fromkeys((("all", n_sweep), ("planar", n_sweep), ("all", 7)))
     ] + [bench_planar_dichotomy(), bench_planar_networkx(100)
     ] + [bench_verify(verify, "planar", n_sweep)
          for verify in (verify_bridge_addable, verify_decomposable, verify_trimmable)]

@@ -11,19 +11,22 @@ isomorphic to a listed minor and every graph one deletion or contraction
 below it is a member.  Contractions and vertex deletions are OR-linear maps
 on the edge mask, evaluated for all masks at once and looked up in the cached
 array of the order below; edge deletions are closed by a subset-AND pass over
-the lattice.  Only masks that match a minor's edge count and degree sequence
-are canonicalized.  Forests use the component count instead (e = n - kappa),
-and the family of all graphs needs no membership at all; `lattice_mode`
-decides which of the three routes a family takes.
+the lattice.  A minor of the slice's own order is excluded at its edge mask
+under all n! vertex permutations, so the DP canonicalizes nothing.  Forests
+use the component count instead (e = n - kappa), and the family of all
+graphs needs no membership at all; `lattice_mode` decides which of the three
+routes a family takes.
 
 The unlabelled census grows by canonical augmentation: each class of order
-n-1 is joined to a new vertex by every nonempty neighbour set, each result
-is looked up in the n-slice membership array, and only those are
-canonicalized, never every labelled member.
+n-1 is joined to a new vertex by the nonempty neighbour sets that take the
+lowest-indexed members of each of its twin classes, each result is looked up
+in the n-slice membership array, and only the members are canonicalized,
+never every labelled member.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +35,14 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import _kernels
-from .canon import CanonicalCode, _canon_data, automorphism_count, canonicalize, code_of
+from .canon import (
+    CanonicalCode,
+    _canon_data,
+    _twin_classes,
+    automorphism_count,
+    canonicalize,
+    code_of,
+)
 from .errors import ResourceCapError
 from .graphs import (
     Graph,
@@ -120,7 +130,9 @@ def _minor_closed_member_array(fam: "GraphFamily", n: int) -> np.ndarray:
     and every graph one step below it is a member: each single-edge deletion,
     each edge contraction and each vertex deletion.  Contractions and vertex
     deletions land in the cached (n-1)-vertex array; the edge deletions are
-    closed by one subset-AND pass over the lattice.
+    closed by one subset-AND pass over the lattice.  The graphs isomorphic to
+    a listed minor H with n vertices are H's images under the n! vertex
+    permutations (at most 5,040 at the array cap).
     """
     _check_caps(fam, n, n)  # the lattice and array caps; callers check their own cap
     if fam.predicate is not None and not fam.excluded_minors:
@@ -142,19 +154,16 @@ def _minor_closed_member_array(fam: "GraphFamily", n: int) -> np.ndarray:
             ok &= applies[image]
     same_order = [h for h in fam.excluded_minors if h.n == n]
     if same_order:
-        masks = np.arange(1 << m, dtype=np.int64)
-        e = np.bitwise_count(masks)
-        incident = [sum(1 << pair_bit(u, v) for u in range(1, n + 1) if u != v)
-                    for v in range(1, n + 1)]
-    for h in same_order:
-        cands = masks[(e == h.edge_count) & ok]
-        degrees = np.sort(np.array([np.bitwise_count(cands & inc) for inc in incident],
-                                   dtype=np.int64).reshape(n, len(cands)), axis=0)
-        cands = cands[(degrees.T == sorted(h.degrees())).all(axis=1)]
-        code = canonicalize(h).code
-        for s in cands.tolist():
-            if canonicalize(Graph(n, s)).code == code:
-                ok[s] = False
+        # every labelling of a same-order minor: its edges under all n! permutations
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        bit = np.zeros((n, n), dtype=np.int64)
+        for b, (u, v) in enumerate(pairs(n)):
+            bit[u - 1, v - 1] = bit[v - 1, u - 1] = b
+        for h in same_order:
+            relabelled = np.zeros(len(perms), dtype=np.int64)
+            for u, v in h.edges:
+                relabelled |= np.int64(1) << bit[perms[:, u - 1], perms[:, v - 1]]
+            ok[relabelled] = False
     for b in range(m):
         half = ok.reshape(-1, 2, 1 << b)
         half[:, 1, :] &= half[:, 0, :]
@@ -524,11 +533,14 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
     deletion leaves it connected, and a minor-closed family is closed under
     vertex deletion.  So the n-vertex classes are the distinct canonical forms
     of the (n-1)-vertex classes joined to a new vertex n by every nonempty
-    neighbour set N.  In the lattice layout that graph's mask is
-    N << pair_count(n-1) | rep, so its membership is one lookup in the n-slice
-    membership array.  Each entry's representative is the canonical graph of
-    its class, and the canonicalization that finds it also counts its
-    automorphisms.  Per order, the class sizes n!/aut must add up to the
+    neighbour set N.  Permuting the members of a twin class of the parent
+    (`canon._twin_classes`) is an automorphism of it, so only the sets N that
+    take the lowest-indexed members of each twin class are joined; every
+    other set rebuilds an isomorphic child.  In the lattice layout the child's
+    mask is N << pair_count(n-1) | rep, so its membership is one lookup in the
+    n-slice membership array.  Each entry's representative is the canonical
+    graph of its class, and the canonicalization that finds it also counts
+    its automorphisms.  Per order, the class sizes n!/aut must add up to the
     connected-member count of the lattice sweep.
     """
     _check_caps(fam, n_max, cap)
@@ -536,10 +548,16 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
     reps = [0]  # canonical masks of the (n-1)-vertex classes; the empty graph below n = 1
     for n in range(1, n_max + 1):
         member = member_mask_array(fam, n)
-        masks = np.arange(1 if n > 1 else 0, 1 << (n - 1), dtype=np.int64) << pair_count(n - 1)
+        nbrs = np.arange(1 if n > 1 else 0, 1 << (n - 1), dtype=np.int64)
         found: dict[int, int] = {}
         for rep in reps:
-            ext = masks | rep
+            # a set may take a twin only if it takes that twin's predecessor in its class
+            prev, _ = _twin_classes(n - 1, Graph(n - 1, rep).adjacency())
+            keep = nbrs
+            for w, p in enumerate(prev):
+                if p >= 0:
+                    keep = keep[(keep >> w & 1) <= (keep >> p & 1)]
+            ext = keep << pair_count(n - 1) | rep
             if member is not None:
                 ext = ext[member[ext] != 0]
             for mask in ext.tolist():

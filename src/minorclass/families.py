@@ -276,26 +276,30 @@ class GraphFamily:
     flags: FamilyFlags = field(default_factory=FamilyFlags)
     connected_only: bool = False
     minor_budget: int = DEFAULT_BUDGET
-    memoize_membership: bool = True
     _code_memo: dict = field(default_factory=dict, repr=False)
     _member_arrays: dict = field(default_factory=dict, repr=False)
 
+    @property
+    def memoize_membership(self) -> bool:
+        """Whether base_member keys a canonical memo: only for families
+        decided by minor search, where one search costs more than the key."""
+        return self.predicate is None
+
     def base_member(self, g: Graph) -> bool:
-        """Membership ignoring the connected-only view."""
-        if self.predicate is not None and not self.memoize_membership:
+        """Membership ignoring the connected-only view.  A predicate
+        is called directly; the excluded-minor search is memoized by the
+        canonical code of g up to CANON_MEMO_CAP vertices."""
+        if self.predicate is not None:
             return self.predicate(g)
         key = None
-        if self.memoize_membership and g.n <= CANON_MEMO_CAP:
+        if g.n <= CANON_MEMO_CAP:
             from .canon import canonicalize
 
             key = canonicalize(g).code
             hit = self._code_memo.get(key)
             if hit is not None:
                 return hit
-        if self.predicate is not None:
-            verdict = self.predicate(g)
-        else:
-            verdict = all(not has_minor(g, m, self.minor_budget) for m in self.excluded_minors)
+        verdict = all(not has_minor(g, m, self.minor_budget) for m in self.excluded_minors)
         if key is not None:
             self._code_memo[key] = verdict
         return verdict
@@ -326,7 +330,6 @@ def builtin_family(name: str) -> GraphFamily:
             "all",
             predicate=every_graph,
             flags=_TRUE_FLAGS,
-            memoize_membership=False,
         )
     if name == "forests":
         return GraphFamily(
@@ -334,7 +337,6 @@ def builtin_family(name: str) -> GraphFamily:
             excluded_minors=(cycle_graph(3),),
             predicate=is_forest,
             flags=_TRUE_FLAGS,
-            memoize_membership=False,
         )
     if name == "trees":
         fam = builtin_family("forests")
@@ -353,7 +355,6 @@ def builtin_family(name: str) -> GraphFamily:
             "series-parallel",
             excluded_minors=(complete_graph(4),),
             predicate=_no_k4_minor,
-            memoize_membership=False,
             flags=_TRUE_FLAGS,
         )
     if name.startswith("ex-k-disjoint-cycles:"):

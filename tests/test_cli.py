@@ -357,3 +357,21 @@ def test_import_loads_neither_networkx_nor_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "['numpy.random']"
+
+
+def test_membership_and_census_do_not_load_numpy_ma():
+    """np.unique and np.isin import numpy.ma on first use, which costs tens of
+    milliseconds in a fresh process; the membership DP, the census and the
+    closure checks stay clear of it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import contextlib, io, sys\n"
+            "from minorclass import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['enumerate', '--family', 'planar', '--nmax', '6'])\n"
+            "    cli.main(['census', '--family', 'all', '--nmax', '6'])\n"
+            "    cli.main(['families-check', '--family', 'planar', '--nmax', '6'])\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

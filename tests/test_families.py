@@ -467,6 +467,88 @@ def test_member_array_equals_has_minor(minors):
         assert member_mask_array(fam, n).tolist() == direct, n
 
 
+def _automorphisms_by_permutation(h: Graph) -> int:
+    """Vertex permutations of h that map its edge set onto itself."""
+    import itertools
+
+    edges = {frozenset(e) for e in h.edges}
+    return sum({frozenset((p[u - 1], p[v - 1])) for u, v in h.edges} == edges
+               for p in itertools.permutations(range(1, h.n + 1)))
+
+
+@pytest.mark.parametrize("h", [disjoint_union(cycle_graph(4), empty_graph(1)),
+                               complete_bipartite(3, 3)], ids=["C4+K1", "K3,3"])
+def test_member_array_marks_every_labelling_of_a_same_order_minor(h):
+    """A minor with nontrivial automorphisms (and an isolated vertex) is
+    excluded in each of its labellings: the DP agrees with the per-graph
+    minor search, memoized by canonical code, at every mask for n <= 6 and on
+    2,000 seeded masks at n = 7, and at order h.n exactly h.n!/aut(h) masks
+    with e(h) edges are non-members, the copies of h."""
+    import math
+
+    import numpy as np
+
+    from minorclass.graphs import pair_count
+
+    fam = excluded_minor_family("x", (h,))
+    search = excluded_minor_family("x", (h,))
+    rng = np.random.default_rng(13)
+    for n in range(0, 8):
+        total = 1 << pair_count(n)
+        masks = range(total) if n <= 6 else rng.integers(0, total, 2000).tolist()
+        direct = [search.base_member(Graph(n, m)) for m in masks]
+        assert member_mask_array(fam, n)[list(masks)].tolist() == direct, n
+    arr = member_mask_array(fam, h.n)
+    edges = np.bitwise_count(np.arange(len(arr), dtype=np.int64))
+    marked = int(((edges == h.edge_count) & (arr == 0)).sum())
+    assert marked == math.factorial(h.n) // _automorphisms_by_permutation(h)
+
+
+def test_memo_only_for_minor_search():
+    """memoize_membership is derived from the predicate and cannot be set."""
+    from minorclass.families import GraphFamily
+
+    for name in ("all", "forests", "trees", "planar", "series-parallel",
+                 "ex-k-disjoint-cycles:1"):
+        assert builtin_family(name).memoize_membership is False
+    assert excluded_minor_family("no-k4", (complete_graph(4),)).memoize_membership is True
+    assert GraphFamily("any", predicate=lambda g: True).memoize_membership is False
+    with pytest.raises(AttributeError):
+        builtin_family("planar").memoize_membership = True
+    with pytest.raises(TypeError):
+        GraphFamily("x", memoize_membership=False)
+
+
+@pytest.mark.parametrize("name", ["planar", "ex-k-disjoint-cycles:1"])
+def test_predicate_families_skip_the_canonical_memo(name):
+    """A built-in predicate is asked directly: base_member neither keys the
+    memo nor canonicalizes."""
+    from minorclass.canon import _canon_data
+
+    fam = builtin_family(name)
+    rng = random.Random(50)
+    graphs = []
+    for _ in range(50):
+        n = rng.randint(0, 9)
+        graphs.append(Graph(n, rng.getrandbits(n * (n - 1) // 2)))
+    misses = _canon_data.cache_info().misses
+    assert [fam.base_member(g) for g in graphs] == [fam.predicate(g) for g in graphs]
+    assert fam._code_memo == {}
+    assert _canon_data.cache_info().misses == misses
+
+
+def test_json_family_memoizes_minor_search(tmp_path):
+    (tmp_path / "k4.graph").write_text(graph_to_text(complete_graph(4)))
+    (tmp_path / "f.json").write_text(json.dumps({"name": "no-k4", "excluded_minors": ["k4.graph"]}))
+    fam = load_family(tmp_path / "f.json")
+    assert fam.memoize_membership
+    assert fam.base_member(complete_graph(4)) is False and fam.base_member(cycle_graph(5))
+    assert len(fam._code_memo) == 2
+    # another labelling of C5 is answered from the memo
+    assert fam.base_member(Graph.from_edges(5, [(1, 3), (3, 5), (5, 2), (2, 4), (4, 1)]))
+    assert len(fam._code_memo) == 2
+
+
 def test_member_array_needs_excluded_minors():
     from minorclass.families import GraphFamily
 
