@@ -70,9 +70,8 @@ def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0):
     uniforms = rng.random(steps)
     draws = steps // 20
     fam = builtin_family(family)
-    mode, member = lattice_mode(fam), None
-    if mode == K.MODE_MEMBER_ARRAY:
-        mode, member = K.MODE_PREDICATE, lambda s: fam.base_member(Graph(n, s))
+    mode = lattice_mode(fam)
+    member = (lambda s: fam.base_member(Graph(n, s))) if mode == K.MODE_MEMBER_ARRAY else None
 
     def run():
         K.mcmc_chain(n, proposals, uniforms, lam0, lam1, nu, mode, member,

@@ -10,9 +10,11 @@ inputs.
 
 Kernels:
   * subset_stats      - component count, edge count and min-degree flag for every edge mask
-  * sweep_counts      - aggregate member counts by (edges, bridges, components, 2-core)
+  * core_sets         - 2-core vertex set of every edge mask, by one peel of the whole slice
+  * sweep_counts      - aggregate member counts by (edges, bridges, components)
   * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n), the
-                        one chain for every family and weighting
+                        one chain for every family and weighting; membership is one
+                        test on an edge mask, asked only about accepted additions
   * tree_series_sum   - partial sums of the weighted (rooted) tree series
   * prufer_decode     - batch decode of uniform parent sequences into trees
 """
@@ -63,7 +65,6 @@ BLOCK = 1 << 21     # masks per block when a larger slice is streamed
 MODE_MEMBER_ARRAY = 0
 MODE_ALL = 1
 MODE_FORESTS = 2
-MODE_PREDICATE = 3  # mcmc_chain only: membership by a test on one edge mask
 
 
 @dataclass
@@ -73,8 +74,8 @@ class SliceStats:
     kappa, edges and mindeg2 (1 iff every vertex has degree >= 2) are always
     set.  deg0 and deg1 (the sets of vertices of degree 0 and 1) and roots
     (roots[v]: the bit of the least vertex of v's component) are what
-    extending the slice by one vertex needs.  bridges (bridge count) and core
-    (vertices in the 2-core) are computed on request.
+    extending the slice by one vertex needs.  bridges (bridge count) is
+    computed on request.
     """
 
     kappa: np.ndarray
@@ -84,7 +85,6 @@ class SliceStats:
     deg1: np.ndarray | None = None
     roots: np.ndarray | None = None
     bridges: np.ndarray | None = None
-    core: np.ndarray | None = None
 
 
 _RECORDS: dict[int, SliceStats] = {}
@@ -100,7 +100,7 @@ def _record(n: int, extendable: bool = False) -> SliceStats:
         if n == 0:  # the empty graph
             zero = np.zeros(1, dtype=np.uint8)
             rec = SliceStats(zero, zero, np.ones(1, dtype=np.uint8), zero, zero,
-                             np.zeros((0, 1), dtype=np.uint8), bridges=zero, core=zero)
+                             np.zeros((0, 1), dtype=np.uint8), bridges=zero)
         else:
             rec = _extend(_record(n - 1, extendable=True), n, 0, 1 << (n - 1), extendable)
         for arr in (rec.kappa, rec.edges, rec.mindeg2):
@@ -118,20 +118,21 @@ def adjacency(n: int) -> list[np.ndarray]:
     return adj
 
 
-def core_sets(adj: list[np.ndarray], n: int) -> np.ndarray:
-    """Vertex set of the 2-core, by peeling every vertex of degree <= 1 each round."""
-    present = np.full(np.broadcast_shapes(*(a.shape for a in adj)), (1 << n) - 1,
-                      dtype=np.uint8)
+def core_sets(n: int) -> np.ndarray:
+    """Vertex set of the 2-core for every edge mask on n vertices, by peeling
+    every vertex of degree <= 1 each round."""
+    adj = adjacency(n)
+    present = np.full(1 << (n * (n - 1) // 2), (1 << n) - 1, dtype=np.uint8)
     for _ in range(n):
         gone = np.zeros_like(present)
         for v, a in enumerate(adj):
             gone |= (np.bitwise_count(a & present) <= 1).view(np.uint8) << np.uint8(v)
         present &= ~gone
-    return present.reshape(-1)
+    return present
 
 
 def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = False,
-            bridges: bool = False, low_adj: list[np.ndarray] | None = None) -> SliceStats:
+            bridges: bool = False) -> SliceStats:
     """The masks of the n-slice whose vertex n has the neighbour sets first,
     ..., first + count - 1 (count a power of two dividing first), from the
     whole (n-1)-slice `low`, which must be extendable.
@@ -140,8 +141,7 @@ def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = 
     kappa = kappa_low + 1 - (components touched).  An edge u-n is a bridge
     iff u is the only vertex of N in its component; a low edge b is one iff
     removing it raises kappa, a comparison of the two halves of
-    kappa.reshape(-1, 2, 1 << b).  The 2-core needs the low slice's
-    adjacency, low_adj.
+    kappa.reshape(-1, 2, 1 << b).
     """
     nbrs = np.arange(first, first + count, dtype=np.uint8)[:, None]
     # root bits of the components N touches, and of those it touches more than once
@@ -173,10 +173,6 @@ def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = 
         for b in range(n * (n - 1) // 2 - (n - 1)):
             halves = out.kappa.reshape(-1, 2, 1 << b)
             out.bridges.reshape(-1, 2, 1 << b)[:, 1, :] += halves[:, 0, :] == halves[:, 1, :] + 1
-    if low_adj is not None:
-        adj = [a | ((nbrs >> np.uint8(u)) & np.uint8(1)) << np.uint8(n - 1)
-               for u, a in enumerate(low_adj)]
-        out.core = np.bitwise_count(core_sets(adj + [nbrs], n))
     return out
 
 
@@ -201,7 +197,6 @@ class SweepCounts:
     a[e, e0, k]   members with e edges, e0 of them bridges, and k components
     c[e, e0]      connected members with e edges, e0 of them bridges
     b[e, e0]      connected members with min degree >= 2, by (edges, bridges)
-    core[e, v]    connected members with e edges and a 2-core of v vertices (optional)
 
     Without the bridge split the bridge axis has length 1: every mask counts
     at e0 = 0.
@@ -211,21 +206,18 @@ class SweepCounts:
     a: np.ndarray
     c: np.ndarray
     b: np.ndarray
-    core: np.ndarray | None = None
 
 
-def _blocks(n: int, bridges: bool, core: bool):
+def _blocks(n: int, bridges: bool):
     """(first mask, statistics) of consecutive blocks covering the n-slice:
     one block up to RECORD_CAP, blocks of BLOCK masks past it."""
     if n == 0:
         yield 0, _record(0)
         return
     low = _record(n - 1, extendable=True)
-    low_adj = adjacency(n - 1) if core else None
     count = min(1 << (n - 1), max(1, BLOCK // low.kappa.size))
     for first in range(0, 1 << (n - 1), count):
-        yield first * low.kappa.size, _extend(low, n, first, count, bridges=bridges,
-                                              low_adj=low_adj)
+        yield first * low.kappa.size, _extend(low, n, first, count, bridges=bridges)
 
 
 def _tally(out: np.ndarray, index: np.ndarray, sel: np.ndarray | None):
@@ -234,14 +226,13 @@ def _tally(out: np.ndarray, index: np.ndarray, sel: np.ndarray | None):
     flat += np.bincount(index if sel is None else index[sel], minlength=out.size)
 
 
-def sweep_counts(n: int, member: np.ndarray | None, mode: int, want_core: bool = False,
+def sweep_counts(n: int, member: np.ndarray | None, mode: int,
                  want_bridges: bool = False) -> SweepCounts:
     """Aggregate exact member counts over all 2^(n(n-1)/2) edge masks, n <= LATTICE_CAP.
 
     The members are every mask (MODE_ALL), the forests, found by e = n - kappa
     (MODE_FORESTS), or the masks s with member[s] != 0 (MODE_MEMBER_ARRAY).
-    want_bridges splits every count by its bridge count e0, and want_core
-    adds the 2-core table.
+    want_bridges splits every count by its bridge count e0.
     """
     if n > LATTICE_CAP:
         raise ResourceCapError(f"the subset lattice stops at n={LATTICE_CAP}")
@@ -250,8 +241,7 @@ def sweep_counts(n: int, member: np.ndarray | None, mode: int, want_core: bool =
     a = np.zeros((m + 1, splits, n + 2), dtype=np.int64)
     c = np.zeros((m + 1, splits), dtype=np.int64)
     b = np.zeros((m + 1, splits), dtype=np.int64)
-    core = np.zeros((m + 1, n + 1), dtype=np.int64) if want_core else None
-    for start, blk in _blocks(n, want_bridges, want_core):
+    for start, blk in _blocks(n, want_bridges):
         if mode == MODE_ALL:
             ok = None
         elif mode == MODE_FORESTS:
@@ -266,9 +256,7 @@ def sweep_counts(n: int, member: np.ndarray | None, mode: int, want_core: bool =
         _tally(a, split * (n + 2) + blk.kappa, ok)
         _tally(c, split, sel_c)
         _tally(b, split, sel_b)
-        if want_core:
-            _tally(core, e * (n + 1) + blk.core, sel_c)
-    return SweepCounts(n, a, c, b, core)
+    return SweepCounts(n, a, c, b)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +275,18 @@ def _blockwise(a: np.ndarray):
 
 
 def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float, lam1: float,
-               nu: float, mode: int, member: np.ndarray | Callable[[int], bool] | None,
+               nu: float, mode: int, member: Callable[[int], bool] | None,
                burn_in: int, thin: int, draws: int) -> list[int]:
     """Metropolis edge-toggle chain; returns the thinned post-burn-in masks.
 
     The target is lam0^(bridges) * lam1^(other edges) * nu^kappa over the
     members of a family closed under edge deletion, as every minor-closed
     family is: a toggle is accepted with min(1, ratio of the two weights) if
-    the new graph is a member.  `member` is the membership array over edge
-    masks (MODE_MEMBER_ARRAY), a test on one edge mask (MODE_PREDICATE), or
-    None.  Removals never leave such a family, so the predicate is asked only
-    about additions the Metropolis test accepts.  Every forest edge is a
-    bridge, so forest mode weighs edges by lam0 alone.
+    the new graph is a member.  `member` is a test on one edge mask, or None
+    when every graph the mode allows is a member (MODE_ALL, MODE_FORESTS).
+    Removals never leave such a family, so the test is asked only about
+    additions the Metropolis test accepts.  Every forest edge is a bridge, so
+    forest mode weighs edges by lam0 alone.
 
     The edge mask is a Python int, so n is unbounded, and per-vertex
     adjacency bitmasks make each toggle local.  Where a decision reads the
@@ -313,10 +301,9 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
     Removing an edge from a forest always splits, and an accepted removal
     searches once from u for u's side; otherwise the search from u that
     decides the ratio already stops at v or returns u's whole side.  A split
-    gives a free label to the smaller of the two sides.  Member-array,
-    predicate and all chains with nu = 1 and lam0 = lam1 keep no labels,
-    since no ratio depends on them; member-array mode rejects non-members by
-    lookup first.
+    gives a free label to the smaller of the two sides.  All chains but
+    forest mode keep no labels when nu = 1 and lam0 = lam1, since no ratio
+    depends on them.
 
     With lam0 != lam1 the chain also keeps the bridge count: a merge adds one
     bridge and a split removes one, and a toggle inside a component recounts
@@ -337,8 +324,6 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
     split = lam0 != lam1 and not forests  # toggles inside a component change the bridges
     per_bridge = lam1 / lam0
     labelled = forests or nu != 1.0 or split
-    members = member.tobytes() if mode == MODE_MEMBER_ARRAY else None
-    test = member if mode == MODE_PREDICATE else None
     vbit = [1 << w for w in range(n)]
     # (u, v, 1 << u, 1 << v) of each edge bit, in bit order; the edge bit
     # itself is shifted per step, since a table of m of them takes O(m^2) bytes
@@ -361,9 +346,7 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
     for t, (b, x) in enumerate(zip(_blockwise(proposals[:total]), _blockwise(uniforms[:total]))):
         bit = 1 << b
         u, v, ub, vb = toggles[b]
-        if members is not None and not members[mask ^ bit]:
-            pass
-        elif mask & bit:
+        if mask & bit:
             adj[u] ^= vb
             adj[v] ^= ub
             side, r = 0, drop_split  # side: u's side, once searched
@@ -398,13 +381,13 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
                 if split:
                     now = bridge_mask(Graph(n, mask ^ bit)).bit_count()
                     r *= per_bridge ** (bridges - now)
-                if (r >= 1.0 or x < r) and (test is None or test(mask ^ bit)):
+                if (r >= 1.0 or x < r) and (member is None or member(mask ^ bit)):
                     mask ^= bit
                     adj[u] |= vb
                     adj[v] |= ub
                     if split:
                         bridges = now
-        elif (add_merge >= 1.0 or x < add_merge) and (test is None or test(mask ^ bit)):
+        elif (add_merge >= 1.0 or x < add_merge) and (member is None or member(mask ^ bit)):
             mask ^= bit
             adj[u] |= vb
             adj[v] |= ub

@@ -38,7 +38,14 @@ from .enumeration import (
     forest_table,
 )
 from .families import builtin_family
-from .graphs import Graph, RootedGraph, Weighting, pendant_appearances
+from .graphs import (
+    Graph,
+    RootedGraph,
+    Weighting,
+    big_frag_split,
+    is_connected,
+    pendant_appearances,
+)
 from .sampling import (
     boltzmann_component_counts,
     boltzmann_config,
@@ -234,9 +241,9 @@ def connectivity_bounds() -> CriterionResult:
     w = Weighting(1, 1)
     draws = 10**5
     samples = exact_sample(fam, w, 6, seed=11, draws=draws)
-    conn_emp = sum(1 for g in samples if _connected(g)) / draws
+    conn_emp = sum(1 for g in samples if is_connected(g)) / draws
     sigma = math.sqrt(conn_emp * (1 - conn_emp) / draws)
-    frag_emp = sum(6 - _bigc(g) for g in samples) / draws
+    frag_emp = sum(6 - big_frag_split(g)[0].graph.n for g in samples) / draws
     t6 = brute_force_tau(fam, w, 6)
     conn_exact = Fraction(t6.c, t6.a)
     frag_exact = exact_frag_mean(fam, w, 6)
@@ -253,18 +260,6 @@ def connectivity_bounds() -> CriterionResult:
         {"conn_empirical": conn_emp, "conn_exact": float(conn_exact),
          "frag_empirical": frag_emp, "frag_exact": float(frag_exact)},
     )
-
-
-def _connected(g: Graph) -> bool:
-    from .graphs import component_count
-
-    return component_count(g) == 1
-
-
-def _bigc(g: Graph) -> int:
-    from .graphs import big_frag_split
-
-    return big_frag_split(g)[0].graph.n
 
 
 def mcmc_oracle() -> CriterionResult:

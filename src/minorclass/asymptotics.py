@@ -187,12 +187,9 @@ class CensusSeriesValues:
     exp_sum: SeriesEvaluation           # exp of connected_sum (truncated F)
 
 
-def census_series_eval(census: UnlabelledCensus, rho, w: Weighting,
-                       dominated_by_trees: bool | None = None) -> CensusSeriesValues:
-    """Sum mu over the census entries; certified tails only under tree domination.
-
-    dominated_by_trees defaults to True for the forests/trees censuses, whose
-    connected members are exactly the trees.
+def census_series_eval(census: UnlabelledCensus, rho, w: Weighting) -> CensusSeriesValues:
+    """Sum mu over the census entries; certified tails only for a census of
+    the trees (census.of_trees), which the tree series dominates.
     """
     total = 0.0
     moment = 0.0
@@ -200,11 +197,9 @@ def census_series_eval(census: UnlabelledCensus, rho, w: Weighting,
         mu = float(mu_of_graph(en.rep, rho, w, aut=en.aut))
         total += mu
         moment += en.v * mu / float(rho)
-    if dominated_by_trees is None:
-        dominated_by_trees = census.family in ("forests", "trees")
     tail = None
     moment_tail = None
-    if dominated_by_trees and census.entries:
+    if census.of_trees and census.entries:
         lam, nu = float(w.lambda0), float(w.nu)
         if lam * math.e * float(rho) <= 1 + 1e-12:
             tail = tree_tail_bound(census.n_max, lam, float(rho), nu, rooted=False)

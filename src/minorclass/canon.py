@@ -183,14 +183,6 @@ def canonicalize(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCode:
     return code_of(g.n, canon_mask)
 
 
-def canonical_graph(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    """Canonical representative of g's isomorphism class."""
-    if g.n > cap:
-        raise ResourceCapError(f"canonicalize: {g.n} vertices exceeds cap {cap}")
-    canon_mask, _ = _canon_data(g.n, g.mask)
-    return Graph(g.n, canon_mask)
-
-
 def automorphism_count(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Order of the automorphism group, by exhaustive colour-respecting search."""
     if g.n > cap:

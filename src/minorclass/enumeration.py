@@ -239,8 +239,7 @@ def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int,
     """
     _check_caps(fam, n, cap)
     counts = _sweep_members(fam, n, want_bridges=not w.is_diagonal)
-    lam0, lam1, nu = (_as_exact(x) if w.is_rational else x
-                      for x in (w.lambda0, w.lambda1, w.nu))
+    lam0, lam1, nu = w.lambda0, w.lambda1, w.nu
 
     def tau(cells: np.ndarray):
         """Sum over the nonzero cells [e, e0, k] of a, or [e, e0] of c and b,
@@ -295,11 +294,9 @@ def cayley_tree_weights(w: Weighting, n_max: int) -> list:
 
     Tree edges are all bridges, so lam here is the bridge parameter lambda0.
     """
-    lam = _as_exact(w.lambda0) if w.is_rational else w.lambda0
-    nu = _as_exact(w.nu) if w.is_rational else w.nu
     out = [0]
     for n in range(1, n_max + 1):
-        out.append(_simplify(n ** max(n - 2, 0) * lam ** (n - 1) * nu))
+        out.append(_simplify(n ** max(n - 2, 0) * w.lambda0 ** (n - 1) * w.nu))
     return out
 
 
@@ -411,26 +408,34 @@ def f_nk(fam: "GraphFamily", w: Weighting, n: int, k: int, b_of_k):
     if not (3 <= k <= n):
         raise ValueError("need 3 <= k <= n")
     _require_trimmable(fam)
-    lam = _as_exact(w.lambda0) if w.is_rational else w.lambda0
+    lam = w.lambda0
     if k == n:
-        return _simplify(_as_exact(b_of_k) if isinstance(b_of_k, int) else b_of_k)
+        return _simplify(b_of_k)
     val = math.comb(n, k) * _as_exact(b_of_k) * lam * k * (lam * n) ** (n - 1 - k)
     return _simplify(val)
 
 
 def f_nk_bruteforce(fam: "GraphFamily", w: Weighting, n: int, k: int,
                     cap: int = BRUTE_FORCE_CAP):
-    """Cross-check: sum the weights of connected members with v(core) = k directly."""
+    """Cross-check: sum the weights of connected members with v(core) = k directly.
+
+    The connected members are tallied by edge count over the whole slice,
+    with every mask's 2-core size from one peel of the slice
+    (`_kernels.core_sets`); the whole slice stops at BRUTE_FORCE_CAP
+    vertices, whatever the cap.
+    """
     if not w.is_diagonal:
         raise ValueError("the brute-force core sweep supports the diagonal weighting")
     _check_caps(fam, n, cap)
-    counts = _sweep_members(fam, n, want_core=True)
-    lam = _as_exact(w.lam) if w.is_rational else w.lam
-    nu = _as_exact(w.nu) if w.is_rational else w.nu
-    total = sum(
-        int(counts.core[e, k]) * lam ** e * nu
-        for e in range(pair_count(n) + 1) if counts.core[e, k]
-    )
+    if n > BRUTE_FORCE_CAP:
+        raise ResourceCapError(f"the brute-force core sweep stops at n={BRUTE_FORCE_CAP}")
+    stats = _kernels.subset_stats(n)
+    member = member_mask_array(fam, n)
+    sel = (stats.kappa == 1) & (np.bitwise_count(_kernels.core_sets(n)) == k)
+    if member is not None:
+        sel &= member != 0
+    counts = np.bincount(stats.edges[sel], minlength=pair_count(n) + 1).tolist()
+    total = sum(c * w.lam ** e * w.nu for e, c in enumerate(counts) if c)
     return _simplify(total or 0)
 
 
@@ -444,9 +449,7 @@ def core_decomposition_identity(fam: "GraphFamily", w: Weighting, n: int,
         if b_vals[k] != 0:
             total = total + f_nk(fam, w, n, k, b_vals[k])
     one_vertex = 1 if fam.base_member(Graph(1, 0)) else 0
-    lam = _as_exact(w.lambda0) if w.is_rational else w.lambda0
-    nu = _as_exact(w.nu) if w.is_rational else w.nu
-    tree_term = one_vertex * n ** max(n - 2, 0) * lam ** (n - 1) * nu
+    tree_term = one_vertex * n ** max(n - 2, 0) * w.lambda0 ** (n - 1) * w.nu
     lhs = _simplify(total + tree_term)
     rhs = brute_force_tau(fam, w, n, cap=cap).c
     return lhs, rhs
@@ -514,9 +517,13 @@ class CensusEntry:
 
 @dataclass
 class UnlabelledCensus:
+    """The connected classes of a family up to n_max; of_trees is True when
+    they are exactly the trees, i.e. the family is swept as the forests."""
+
     family: str
     n_max: int
     entries: list
+    of_trees: bool = False
 
     def by_code(self) -> dict:
         return {en.code.hex: en for en in self.entries}
@@ -571,7 +578,8 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
         reps = sorted(found)
         entries += [CensusEntry(code_of(n, m), n, m.bit_count(), 1, found[m], Graph(n, m),
                                 math.factorial(n) // found[m]) for m in reps]
-    return UnlabelledCensus(fam.name, n_max, entries)
+    return UnlabelledCensus(fam.name, n_max, entries,
+                            of_trees=lattice_mode(fam) == _kernels.MODE_FORESTS)
 
 
 def census_labelled_total(census: UnlabelledCensus, w: Weighting, n: int):
@@ -651,12 +659,6 @@ def falling_moment_check(fam: "GraphFamily", w: Weighting, n: int,
 
 
 # -- exact structural expectations -----------------------------------------------------
-
-
-def exact_connectivity_probability(fam: "GraphFamily", w: Weighting, n: int,
-                                   cap: int = BRUTE_FORCE_CAP):
-    t = brute_force_tau(fam, w, n, cap=cap)
-    return _simplify(_as_exact(t.c) / _as_exact(t.a)) if w.is_rational else t.c / t.a
 
 
 def exact_frag_distribution(fam: "GraphFamily", w: Weighting, n: int,

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import adjacency, core_sets, subset_stats
+from ._kernels import core_sets, subset_stats
 from .errors import ResourceCapError
 from .graphs import (
     Graph,
@@ -532,7 +532,7 @@ def verify_trimmable(fam: GraphFamily, n_max: int = 6) -> VerificationReport:
         member = member_mask_array(fam, n)
         if member is None:
             continue
-        core = core_sets(adjacency(n), n)
+        core = core_sets(n)
         core_member = np.empty(len(member), dtype=bool)
         for vset in range(1 << n):
             at = np.flatnonzero(core == vset)

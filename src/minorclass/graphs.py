@@ -354,12 +354,8 @@ def big_frag_split(g: Graph) -> tuple[InducedSubgraph, InducedSubgraph]:
     if g.n < 1:
         raise ValueError("big/frag split needs at least one vertex")
     comps = component_masks(g)
+    # component_masks orders by least vertex, and max returns the first of equal maxima
     best = max(comps, key=lambda c: c.bit_count())
-    # component_masks orders by least vertex, so the first max-size mask wins ties
-    for c in comps:
-        if c.bit_count() == best.bit_count():
-            best = c
-            break
     rest = ((1 << g.n) - 1) & ~best
     return induced_subgraph(g, vertex_labels(best)), induced_subgraph(g, vertex_labels(rest))
 

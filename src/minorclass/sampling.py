@@ -112,7 +112,7 @@ def boltzmann_config(census: UnlabelledCensus, rho: float, w: Weighting,
     if not all(math.isfinite(m) for m in mus):
         raise ValueError("non-finite Boltzmann mean; rho or the weights are too large")
     note = None
-    if census.family in ("forests", "trees") and float(w.lambda0) * math.e * rho <= 1 + 1e-12:
+    if census.of_trees and float(w.lambda0) * math.e * rho <= 1 + 1e-12:
         note = tree_tail_bound(census.n_max, float(w.lambda0), rho, float(w.nu), rooted=False)
     return BoltzmannConfig(rho, w, census, mus, note)
 
@@ -168,10 +168,11 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
     must be closed under edge deletion, as every minor-closed family is.
 
     One kernel runs every family and weighting (_kernels.mcmc_chain), in the
-    family's lattice_mode.  Past BRUTE_FORCE_CAP vertices a family swept by
-    membership array is tested by base_member instead; forests and all need
-    no test.  base_member is never asked about a removal, and about an
-    addition only once the Metropolis test has accepted it.
+    family's lattice_mode.  A family swept by membership array is tested by a
+    lookup in that array up to BRUTE_FORCE_CAP vertices and by base_member
+    past it; forests and all need no test.  The test is never asked about a
+    removal, and about an addition only once the Metropolis test has
+    accepted it.
 
     draws and burn_in must be >= 0 and thin >= 1 (else ValueError).
     """
@@ -190,10 +191,8 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
     uniforms = rng.random(total)
     mode, member = lattice_mode(fam), None
     if mode == _kernels.MODE_MEMBER_ARRAY:
-        if n <= BRUTE_FORCE_CAP:
-            member = member_mask_array(fam, n)
-        else:
-            mode, member = _kernels.MODE_PREDICATE, lambda s: fam.base_member(Graph(n, s))
+        member = (member_mask_array(fam, n).tobytes().__getitem__ if n <= BRUTE_FORCE_CAP
+                  else lambda s: fam.base_member(Graph(n, s)))
     masks = _kernels.mcmc_chain(n, proposals, uniforms, float(w.lambda0), float(w.lambda1),
                                 float(w.nu), mode, member, burn_in, thin, draws)
     return [Graph(n, s) for s in masks]

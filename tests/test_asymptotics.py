@@ -17,10 +17,20 @@ from minorclass.asymptotics import (
     solve_alpha,
     solve_beta,
     tree_series_eval,
+    tree_tail_bound,
 )
 from minorclass.enumeration import build_census
-from minorclass.families import builtin_family
-from minorclass.graphs import Graph, RootedGraph, Weighting, cycle_graph, path_graph
+from minorclass.families import builtin_family, load_family
+from minorclass.graphs import (
+    Graph,
+    RootedGraph,
+    Weighting,
+    complete_graph,
+    cycle_graph,
+    graph_to_text,
+    path_graph,
+)
+from minorclass.sampling import boltzmann_config
 
 
 def test_solve_beta_examples():
@@ -118,6 +128,25 @@ def test_census_series_eval():
     assert 1.0 - vm <= rho * series.vertex_moment.tail_bound
 
 
+def test_census_tree_tail_comes_from_the_family_not_its_name(tmp_path):
+    """A K4-free family named "forests" has classes with cycles, so no tree
+    tail is certified for it; the built-in forests and trees keep theirs."""
+    (tmp_path / "k4.graph").write_text(graph_to_text(complete_graph(4)))
+    (tmp_path / "fam.json").write_text('{"name": "forests", "excluded_minors": ["k4.graph"]}')
+    rho, w = 1 / math.e, Weighting(1, 1)
+    impostor = build_census(load_family(tmp_path / "fam.json"), 5)
+    assert len(impostor.entries) == 24 and not impostor.of_trees
+    assert sum(en.e >= en.v for en in impostor.entries) == 16  # classes with a cycle
+    assert boltzmann_config(impostor, rho, w).truncated_mass_note is None
+    assert census_series_eval(impostor, rho, w).connected_sum.tail_bound is None
+    tail = tree_tail_bound(5, 1.0, rho, 1.0, rooted=False)
+    for name in ("forests", "trees"):
+        census = build_census(builtin_family(name), 5)
+        assert census.of_trees
+        assert boltzmann_config(census, rho, w).truncated_mass_note == tail
+        assert census_series_eval(census, rho, w).connected_sum.tail_bound == tail
+
+
 def test_census_series_empty_and_single():
     from minorclass.enumeration import UnlabelledCensus
 
@@ -126,7 +155,7 @@ def test_census_series_empty_and_single():
     series = census_series_eval(empty, 0.3, w)
     assert series.connected_sum.value == 0.0
     census = build_census(builtin_family("forests"), 1)  # K1 only
-    series = census_series_eval(census, 0.25, Weighting(1, 2), dominated_by_trees=False)
+    series = census_series_eval(census, 0.25, Weighting(1, 2))
     assert abs(series.connected_sum.value - 0.5) <= 1e-12  # rho * nu
 
 

@@ -28,7 +28,16 @@ from minorclass.enumeration import (
 )
 from minorclass.errors import ResourceCapError
 from minorclass.families import builtin_family, excluded_minor_family
-from minorclass.graphs import Graph, Weighting, complete_graph, copies, cycle_graph, path_graph
+from minorclass.graphs import (
+    Graph,
+    Weighting,
+    complete_graph,
+    copies,
+    cycle_graph,
+    path_graph,
+    two_core,
+    weight,
+)
 
 FORESTS = builtin_family("forests")
 TREES = builtin_family("trees")
@@ -194,6 +203,27 @@ def test_f_nk_formula_and_cross_check(lam, nu):
     b5 = brute_force_tau(ALL, w, 5).b
     assert f_nk(ALL, w, 5, 5, b5) == b5
     assert f_nk_bruteforce(ALL, w, 5, 5) == b5
+
+
+@pytest.mark.parametrize("name", ["all", "forests", "trees", "series-parallel"])
+def test_f_nk_bruteforce_matches_per_graph_two_core(name):
+    """The whole-slice peel gives every connected member's 2-core size as
+    graphs.two_core does, one graph at a time."""
+    fam = builtin_family(name)
+    w = Weighting(Fraction(1, 3), 2)
+    for n in range(7):
+        want: dict = {}
+        for mask in member_masks(fam, n, connected=True):
+            g = Graph(n, mask)
+            k = two_core(g).graph.n
+            want[k] = want.get(k, 0) + weight(g, w)
+        for k in range(n + 1):
+            assert f_nk_bruteforce(fam, w, n, k) == want.get(k, 0), (n, k)
+
+
+def test_f_nk_bruteforce_stops_at_n7():
+    with pytest.raises(ResourceCapError):
+        f_nk_bruteforce(ALL, W11, 8, 3, cap=8)
 
 
 def test_f_nk_zero_for_forests():

@@ -1,12 +1,13 @@
 """The kernels against independent slow paths.
 
 The subset-lattice pass is checked mask by mask against per-graph oracles
-(components, adjacency, bridges and 2-core of each `Graph`) and at n = 8
+(components, adjacency and bridges of each `Graph`) and at n = 8
 against closed forms.  The tree series is checked against a math.fsum of its
 closed-form terms, and the Pruefer decoder against networkx's decoder and,
 exhaustively at n <= 6, as a bijection onto the labelled trees.  The MCMC
 chain is checked draw for draw against `_mcmc_python`, a reference chain
-that tests membership and recomputes both weights on every proposal.
+that tests membership and recomputes both weights on every proposal, and its
+two membership tests, array lookup and base_member, against each other.
 """
 
 import functools
@@ -28,20 +29,18 @@ from minorclass.graphs import (
     bridge_mask,
     component_masks,
     path_graph,
-    two_core,
     weight,
 )
 
 
-def _graph_stats(g: Graph) -> tuple[int, int, int, int, int]:
-    """(edges, components, min-degree>=2, bridges, 2-core vertices) of one graph."""
+def _graph_stats(g: Graph) -> tuple[int, int, int, int]:
+    """(edges, components, min-degree>=2, bridges) of one graph."""
     mindeg2 = all(a.bit_count() >= 2 for a in g.adjacency())
-    return (g.edge_count, len(component_masks(g)), int(mindeg2),
-            bridge_mask(g).bit_count(), two_core(g).graph.n)
+    return (g.edge_count, len(component_masks(g)), int(mindeg2), bridge_mask(g).bit_count())
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle(n: int) -> list[tuple[int, int, int, int, int]]:
+def _oracle(n: int) -> list[tuple[int, int, int, int]]:
     return [_graph_stats(Graph(n, s)) for s in range(1 << (n * (n - 1) // 2))]
 
 
@@ -53,18 +52,16 @@ def _expected_counts(n, ok, bridges):
     a = np.zeros((m + 1, splits, n + 2), dtype=np.int64)
     c = np.zeros((m + 1, splits), dtype=np.int64)
     b = np.zeros((m + 1, splits), dtype=np.int64)
-    core = np.zeros((m + 1, n + 1), dtype=np.int64)
-    for s, (e, kappa, mindeg2, e0, v) in enumerate(_oracle(n)):
+    for s, (e, kappa, mindeg2, e0) in enumerate(_oracle(n)):
         if not ok(s, e, kappa):
             continue
         e0 = e0 if bridges else 0
         a[e, e0, kappa] += 1
         if kappa == 1:
             c[e, e0] += 1
-            core[e, v] += 1
             if mindeg2:
                 b[e, e0] += 1
-    return dict(a=a, c=c, b=b, core=core)
+    return dict(a=a, c=c, b=b)
 
 
 def _assert_sweep_matches(got, want):
@@ -86,7 +83,7 @@ def test_subset_stats_on_random_masks_at_n7():
     stats = K.subset_stats(7)
     rng = np.random.default_rng(7)
     for s in rng.integers(0, 1 << 21, size=2000).tolist():
-        e, kappa, mindeg2, _, _ = _graph_stats(Graph(7, s))
+        e, kappa, mindeg2, _ = _graph_stats(Graph(7, s))
         assert (stats.edges[s], stats.kappa[s], stats.mindeg2[s]) == (e, kappa, mindeg2)
     assert not stats.kappa.flags.writeable
 
@@ -98,12 +95,8 @@ def test_sweep_paths_agree(n, mode):
     statistics, with the bridge split and without it."""
     ok = (lambda s, e, kappa: True) if mode == K.MODE_ALL else (lambda s, e, kappa: e == n - kappa)
     for bridges in (True, False):
-        want = _expected_counts(n, ok, bridges)
-        _assert_sweep_matches(K.sweep_counts(n, None, mode, want_core=True,
-                                             want_bridges=bridges), want)
-        plain = K.sweep_counts(n, None, mode, want_bridges=bridges)
-        assert plain.core is None
-        _assert_sweep_matches(plain, {k: want[k] for k in ("a", "c", "b")})
+        _assert_sweep_matches(K.sweep_counts(n, None, mode, want_bridges=bridges),
+                              _expected_counts(n, ok, bridges))
 
 
 def test_sweep_with_member_array():
@@ -111,8 +104,7 @@ def test_sweep_with_member_array():
     for n in range(7):
         member = (rng.random(1 << (n * (n - 1) // 2)) < 0.5).astype(np.uint8)
         for bridges in (True, False):
-            got = K.sweep_counts(n, member, K.MODE_MEMBER_ARRAY, want_core=True,
-                                 want_bridges=bridges)
+            got = K.sweep_counts(n, member, K.MODE_MEMBER_ARRAY, want_bridges=bridges)
             _assert_sweep_matches(got, _expected_counts(n, lambda s, e, kappa: member[s],
                                                         bridges))
 
@@ -156,6 +148,11 @@ NO_P4 = excluded_minor_family("no-p4", (path_graph(4),))
 HALF = Fraction(1, 2)
 
 
+def _base_member_test(fam, n):
+    """The membership test mcmc_sample passes past the membership arrays."""
+    return lambda s: fam.base_member(Graph(n, s))
+
+
 @pytest.mark.parametrize("family, n, weights, burn_in, thin, predicate", [
     pytest.param("forests", 5, (2, 2, HALF), 1000, 4, False, id="forests-5"),
     pytest.param("all", 5, (2, 2, HALF), 1000, 4, False, id="all-5"),
@@ -197,14 +194,35 @@ def test_mcmc_chain_matches_python_chain(family, n, weights, burn_in, thin, pred
     uniforms = rng.random(len(proposals))
     mode, member = lattice_mode(fam), None
     if predicate:
-        mode, member = K.MODE_PREDICATE, lambda s: fam.base_member(Graph(n, s))
+        member = _base_member_test(fam, n)
     elif mode == K.MODE_MEMBER_ARRAY:
-        member = member_mask_array(fam, n)
+        member = member_mask_array(fam, n).tobytes().__getitem__
     got = K.mcmc_chain(n, proposals, uniforms, *map(float, weights), mode, member,
                        burn_in, thin, draws)
     want = _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws)
     assert got == [g.mask for g in want]
     assert len(set(got)) > 50
+
+
+@pytest.mark.parametrize("weights", [(2, 2, HALF), (HALF, 2, 2)], ids=["nu-half", "lam0-half"])
+@pytest.mark.parametrize("family", ["series-parallel", "planar", "ex-k-disjoint-cycles:1", NO_P4],
+                         ids=["series-parallel", "planar", "ex-k-disjoint-cycles-1", "no-p4"])
+def test_mcmc_chain_member_tests_agree(family, weights):
+    """At n = 6 the chain draws the same masks whether it asks the
+    membership array (as mcmc_sample does up to the array cap) or base_member
+    (as it does past it)."""
+    fam = builtin_family(family) if isinstance(family, str) else family
+    n, burn_in, thin, draws = 6, 1000, 4, 1000
+    rng = np.random.default_rng(13)
+    proposals = rng.integers(0, n * (n - 1) // 2, size=burn_in + thin * draws, dtype=np.int64)
+    uniforms = rng.random(len(proposals))
+    by_array, by_base_member = (
+        K.mcmc_chain(n, proposals, uniforms, *map(float, weights), K.MODE_MEMBER_ARRAY, test,
+                     burn_in, thin, draws)
+        for test in (member_mask_array(fam, n).tobytes().__getitem__,
+                     _base_member_test(fam, n)))
+    assert by_array == by_base_member
+    assert len(set(by_array)) > 50
 
 
 @pytest.mark.parametrize("mode, nu", [(K.MODE_FORESTS, 1.0), (K.MODE_ALL, 0.5)],
