@@ -14,7 +14,7 @@ Kernels:
   * sweep_counts      - aggregate member counts by (edges, bridges, components)
   * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n), the
                         one chain for every family and weighting; membership is one
-                        test on an edge mask, asked only about accepted additions
+                        test on an edge mask, asked only about additions
   * tree_series_sum   - partial sums of the weighted (rooted) tree series
   * prufer_decode     - batch decode of uniform parent sequences into trees
 """
@@ -285,8 +285,12 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
     the new graph is a member.  `member` is a test on one edge mask, or None
     when every graph the mode allows is a member (MODE_ALL, MODE_FORESTS).
     Removals never leave such a family, so the test is asked only about
-    additions the Metropolis test accepts.  Every forest edge is a bridge, so
-    forest mode weighs edges by lam0 alone.
+    additions: once the Metropolis test accepts one, except that with
+    lam0 != lam1 an addition inside a component is tested before its bridge
+    recount, which a non-member would waste.  Such an addition loses bridges
+    and never gains any, so with lam1 <= lam0 its ratio is at most lam1, and
+    a uniform >= lam1 rejects it before either.  Every forest edge is a
+    bridge, so forest mode weighs edges by lam0 alone.
 
     The edge mask is a Python int, so n is unbounded, and per-vertex
     adjacency bitmasks make each toggle local.  Where a decision reads the
@@ -323,6 +327,9 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
     forests = mode == MODE_FORESTS
     split = lam0 != lam1 and not forests  # toggles inside a component change the bridges
     per_bridge = lam1 / lam0
+    # with split and lam1 <= lam0, an addition inside a component with
+    # x >= add_inside is rejected unrecounted (see the docstring)
+    inside_cut = add_inside if per_bridge <= 1.0 else math.inf
     labelled = forests or nu != 1.0 or split
     vbit = [1 << w for w in range(n)]
     # (u, v, 1 << u, 1 << v) of each edge bit, in bit order; the edge bit
@@ -376,12 +383,13 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
                 adj[u] |= vb
                 adj[v] |= ub
         elif labelled and lab[u] == lab[v]:  # u-v closes a cycle
-            if not forests:
-                r = add_inside
+            # with split, the test is asked before the bridge recount
+            if not forests and (x < inside_cut if split else (add_inside >= 1.0 or x < add_inside)) \
+                    and (member is None or member(mask ^ bit)):
                 if split:
                     now = bridge_mask(Graph(n, mask ^ bit)).bit_count()
-                    r *= per_bridge ** (bridges - now)
-                if (r >= 1.0 or x < r) and (member is None or member(mask ^ bit)):
+                    r = add_inside * per_bridge ** (bridges - now)
+                if not split or r >= 1.0 or x < r:
                     mask ^= bit
                     adj[u] |= vb
                     adj[v] |= ub

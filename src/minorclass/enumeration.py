@@ -170,16 +170,22 @@ def _minor_closed_member_array(fam: "GraphFamily", n: int) -> np.ndarray:
     return ok.astype(np.uint8)
 
 
+def _connected_members(fam: "GraphFamily", n: int) -> np.ndarray:
+    """Boolean selector over the masks at order n: the connected members."""
+    sel = _kernels.subset_stats(n).kappa == 1
+    arr = member_mask_array(fam, n)
+    if arr is not None:
+        sel &= arr != 0
+    return sel
+
+
 def member_masks(fam: "GraphFamily", n: int, connected: bool | None = None) -> list[int]:
     """Member edge masks at order n, ascending; optionally only connected ones."""
-    arr = member_mask_array(fam, n)
     if connected is None and fam.connected_only:
         connected = True
     if connected:
-        sel = _kernels.subset_stats(n).kappa == 1
-        if arr is not None:
-            sel = sel & (arr != 0)
-        return np.nonzero(sel)[0].tolist()
+        return np.nonzero(_connected_members(fam, n))[0].tolist()
+    arr = member_mask_array(fam, n)
     if arr is None:
         return list(range(1 << pair_count(n)))
     return np.nonzero(arr)[0].tolist()
@@ -422,19 +428,14 @@ def f_nk_bruteforce(fam: "GraphFamily", w: Weighting, n: int, k: int,
     The connected members are tallied by edge count over the whole slice,
     with every mask's 2-core size from one peel of the slice
     (`_kernels.core_sets`); the whole slice stops at BRUTE_FORCE_CAP
-    vertices, whatever the cap.
+    vertices, so a larger cap is lowered to it.
     """
     if not w.is_diagonal:
         raise ValueError("the brute-force core sweep supports the diagonal weighting")
-    _check_caps(fam, n, cap)
-    if n > BRUTE_FORCE_CAP:
-        raise ResourceCapError(f"the brute-force core sweep stops at n={BRUTE_FORCE_CAP}")
-    stats = _kernels.subset_stats(n)
-    member = member_mask_array(fam, n)
-    sel = (stats.kappa == 1) & (np.bitwise_count(_kernels.core_sets(n)) == k)
-    if member is not None:
-        sel &= member != 0
-    counts = np.bincount(stats.edges[sel], minlength=pair_count(n) + 1).tolist()
+    _check_caps(fam, n, min(cap, BRUTE_FORCE_CAP))
+    sel = _connected_members(fam, n) & (np.bitwise_count(_kernels.core_sets(n)) == k)
+    counts = np.bincount(_kernels.subset_stats(n).edges[sel],
+                         minlength=pair_count(n) + 1).tolist()
     total = sum(c * w.lam ** e * w.nu for e, c in enumerate(counts) if c)
     return _simplify(total or 0)
 

@@ -171,8 +171,9 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
     family's lattice_mode.  A family swept by membership array is tested by a
     lookup in that array up to BRUTE_FORCE_CAP vertices and by base_member
     past it; forests and all need no test.  The test is never asked about a
-    removal, and about an addition only once the Metropolis test has
-    accepted it.
+    removal, and about an addition once the Metropolis test has accepted it,
+    or, with lambda0 != lambda1, before a toggle inside a component recounts
+    its bridges.
 
     draws and burn_in must be >= 0 and thin >= 1 (else ValueError).
     """
