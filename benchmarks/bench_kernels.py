@@ -93,6 +93,14 @@ def bench_prufer(draws, n):
     return f"prufer_decode {draws} trees on {n} vertices", "numpy", _time(K.prufer_decode, seqs)
 
 
+def bench_tree_sample(draws, n):
+    """Decode and pack: random_tree_sample's draws, Graphs and edge masks."""
+    from minorclass.sampling import random_tree_sample
+
+    label = f"random_tree_sample {draws} trees on {n} vertices"
+    return label, "numpy", _time(random_tree_sample, n, 1, draws)
+
+
 def bench_jsonl_trees(draws, n):
     from minorclass.cli import graphs_to_jsonl
     from minorclass.sampling import random_tree_sample
@@ -227,6 +235,7 @@ def main():
         bench_mcmc(4000, 9, "ex-k-disjoint-cycles:1"),
         bench_tree_series(terms),
         bench_prufer(draws, 300),
+        bench_tree_sample(draws, 300),
         bench_jsonl_trees(draws, 300),
         bench_jsonl_boltzmann(50 * draws, 6),
     ] + [bench_member_array(name, n) for n in sorted({6, n_sweep})

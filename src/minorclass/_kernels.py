@@ -463,19 +463,32 @@ def prufer_decode(seqs: np.ndarray) -> np.ndarray:
     and labelled trees on [n]; endpoints are 0-indexed.  Every row follows
     the smallest-leaf rule at once: edge i joins the least vertex of degree 1
     to seqs[:, i], and the last edge joins the two vertices of degree 1 left.
+
+    The state is flat: int32 degrees and a bool leaf flag per (row, vertex),
+    at index row * n + vertex, the degrees counted by one bincount.  A step
+    takes each row's least leaf by argmax over the flags and then writes only
+    the two cells of each row that change: the removed leaf's flag, and the
+    parent's degree and flag.  Each step forms its flat indices from
+    seqs[:, i]; no (draws, n-2) index copy is kept.
     """
     seqs = np.asarray(seqs, dtype=np.int64)
     draws, L = seqs.shape
-    rows = np.arange(draws)
-    deg = np.ones((draws, L + 2), dtype=np.int32)
-    np.add.at(deg, (rows[:, None], seqs), 1)
+    n = L + 2
+    base = np.arange(0, draws * n, n, dtype=np.int64)
+    deg = np.bincount((seqs + base[:, None]).ravel(), minlength=draws * n).astype(np.int32)
+    deg += 1
+    flag = deg == 1
+    flags = flag.reshape(draws, n)
     edges = np.empty((draws, L + 1, 2), dtype=np.int64)
     for i in range(L):
-        leaf = (deg == 1).argmax(axis=1)
+        leaf = flags.argmax(axis=1)
         v = seqs[:, i]
         edges[:, i, 0] = leaf
         edges[:, i, 1] = v
-        deg[rows, leaf] = 0
-        deg[rows, v] -= 1
-    edges[:, L] = np.nonzero(deg == 1)[1].reshape(draws, 2)
+        leaf += base
+        flag[leaf] = False
+        v = v + base
+        deg[v] -= 1
+        flag[v] = deg[v] == 1
+    edges[:, L] = np.nonzero(flags)[1].reshape(draws, 2)
     return edges

@@ -237,12 +237,21 @@ _JSONL_CHUNK_LINES = 256  # lines per write of the JSONL text
 
 
 def _set_bits(buf: bytes) -> np.ndarray:
-    """Ascending positions of the set bits of little-endian bytes; only the
-    nonzero bytes are unpacked."""
-    packed = np.frombuffer(buf, dtype=np.uint8)
-    at = np.flatnonzero(packed)
-    hit, bit = np.nonzero(np.unpackbits(packed[at][:, None], axis=1, bitorder="little"))
-    return at[hit] * 8 + bit
+    """Ascending positions of the set bits of little-endian bytes, whose
+    length is a multiple of 8.
+
+    The scan narrows in three steps, each a flatnonzero over a bool array
+    (numpy's nonzero is several times faster on bool than on uint8 or
+    uint64): the nonzero 64-bit words, the nonzero bytes of those words, and
+    the set bits of those bytes."""
+    words = np.frombuffer(buf, dtype="<u8")
+    at = np.flatnonzero(words != 0)
+    packed = words[at].view(np.uint8)
+    hit = np.flatnonzero(packed != 0)
+    bits = np.unpackbits(packed[hit], bitorder="little").view(bool)
+    on = np.flatnonzero(bits)
+    first = at[hit >> 3] * 64 + (hit & 7) * 8  # first bit of each nonzero byte
+    return first[on >> 3] + (on & 7)
 
 
 def _pair_tables(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,9 +277,10 @@ def graphs_to_jsonl(graphs: list[Graph]) -> list[str]:
     set in the OR of its masks: a "[u, v]" string per pair, in lexicographic
     order (the order of Graph.edges), and each pair's rank in that order,
     indexed by its bit (int32, up to the highest bit set).  Each chunk of a
-    group packs its masks into little-endian bytes, unpacks only the nonzero
-    bytes, and sorts every draw's set bits by their pair's rank.  No
-    (draws x pair_count) bit matrix is built.
+    group packs its masks into little-endian bytes, rows rounded up to whole
+    64-bit words, finds their set bits word by word (_set_bits), and sorts
+    every draw's set bits by their pair's rank.  No (draws x pair_count) bit
+    matrix is built.
     """
     lines: list[str] = [""] * len(graphs)
     by_n: defaultdict[int, list[int]] = defaultdict(list)
@@ -284,7 +294,7 @@ def graphs_to_jsonl(graphs: list[Graph]) -> list[str]:
             for i in idx:
                 lines[i] = '{"n": %d, "edges": []}' % n
             continue
-        width = (pair_count(n) + 7) // 8
+        width = (pair_count(n) + 63) // 64 * 8  # whole 64-bit words
         rank, text = _pair_tables(n, _set_bits(union.to_bytes(width, "little")))
         k = text.size
         step = max(1, _JSONL_CHUNK_BYTES // width)
@@ -495,6 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--nu")
+    p.add_argument("--lambda0")
+    p.add_argument("--lambda1")
     p.add_argument("--n", type=int)
     p.add_argument("--method", choices=["exact", "boltzmann", "mcmc", "tree"])
     p.add_argument("--draws", type=int)

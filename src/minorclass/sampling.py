@@ -54,11 +54,17 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 # -- exact sampler -------------------------------------------------------------
 
 
+def _check_draws(draws: int) -> None:
+    if draws < 0:
+        raise ValueError(f"draws must be >= 0, got {draws}")
+
+
 def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int,
                  cap: int = BRUTE_FORCE_CAP) -> list[Graph]:
     """i.i.d. draws with Pr(G) proportional to its cluster weight, by cumulative
     inversion over the enumerated member list, for every family only up to
-    BRUTE_FORCE_CAP vertices."""
+    BRUTE_FORCE_CAP vertices.  draws must be >= 0 (else ValueError)."""
+    _check_draws(draws)
     if n > min(cap, BRUTE_FORCE_CAP):
         raise ResourceCapError(
             f"exact sampling needs the enumeration range (n <= {BRUTE_FORCE_CAP})")
@@ -118,7 +124,10 @@ def boltzmann_config(census: UnlabelledCensus, rho: float, w: Weighting,
 
 
 def boltzmann_component_counts(cfg: BoltzmannConfig, seed: int, draws: int) -> np.ndarray:
-    """(draws, entries) independent Poisson counts, one column per census entry."""
+    """(draws, entries) independent Poisson counts, one column per census entry.
+
+    draws must be >= 0 (else ValueError)."""
+    _check_draws(draws)
     if not cfg.census.entries:
         raise EmptySliceError("empty census")
     rng = rng_stream(seed)
@@ -248,21 +257,27 @@ def random_tree_sample(n: int, seed: int, draws: int) -> list[Graph]:
     """Uniform labelled trees via parent-sequence decoding (bijective with n^(n-2)).
 
     Under the cluster weighting every tree has the same weight, so uniform
-    trees are exactly the weighted random trees.
+    trees are exactly the weighted random trees.  draws must be >= 0 (else
+    ValueError).
     """
+    _check_draws(draws)
     if n < 1:
         raise ValueError("trees need at least one vertex")
     if n == 1:
         return [Graph(1, 0)] * draws
     rng = rng_stream(seed)
     edges = _kernels.prufer_decode(rng.integers(0, n, size=(draws, n - 2), dtype=np.int64))
-    edges.sort(axis=2)
-    # the edge bit of each tree edge (see graphs.pair_bit), computed in place
-    bits = edges[:, :, 1] - 1
-    bits *= edges[:, :, 1]
+    # the edge bit v(v-1)/2 + u of each tree edge u < v (see graphs.pair_bit):
+    # bits takes v, and columns 0 and 1 are overwritten with u and v - 1, so no
+    # array beyond bits is allocated
+    u, v = edges[:, :, 0], edges[:, :, 1]
+    bits = np.maximum(u, v)
+    np.minimum(u, v, out=u)
+    np.subtract(bits, 1, out=v)
+    bits *= v
     bits //= 2
-    bits += edges[:, :, 0]
-    del edges
+    bits += u
+    del edges, u, v
     # each tree's edge mask as little-endian bytes, converted to one int
     width = (pair_count(n) + 7) // 8
     out = []

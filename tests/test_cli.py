@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import pytest
 
 from minorclass import cli
 from minorclass.cli import ExperimentConfig, graph_from_json, graphs_to_jsonl, main, parse_number
-from minorclass.graphs import Graph, complete_graph, graph_to_text, path_graph
+from minorclass.graphs import Graph, complete_graph, graph_to_text, path_graph, set_bits
 
 
 def run_cli(argv, capsys):
@@ -192,6 +193,28 @@ def test_config_file_merging(tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_sample_split_weight_flags_match_config(tmp_path, capsys):
+    """sample takes --lambda0/--lambda1 as enumerate does: the same draws as
+    a config file giving lambda0 and lambda1, and one of them alone is a
+    configuration error."""
+    argv = ["sample", "--method", "mcmc", "--family", "series-parallel", "--n", "6",
+            "--draws", "50", "--burn-in", "1000", "--seed", "3"]
+    code, by_flags = run_cli(argv + ["--lambda0", "1/2", "--lambda1", "2"], capsys)
+    assert code == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lambda0": "1/2", "lambda1": "2"}))
+    code, by_config = run_cli(argv + ["--config", str(path)], capsys)
+    assert code == 0
+    assert by_flags == by_config
+    assert by_flags != run_cli(argv, capsys)[1]
+    for flag in ("--lambda0", "--lambda1"):
+        code = main(argv + [flag, "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "lambda0 and lambda1 must be given together" in captured.err
+
+
 def test_exit_code_config_error(capsys):
     code, _ = run_cli(["enumerate", "--family", "no-such-family"], capsys)
     assert code == 2
@@ -313,7 +336,8 @@ def test_parse_number():
 def test_jsonl_writer_matches_json_dumps(monkeypatch):
     """Mixed orders, edgeless and repeated graphs, an order whose draws set
     only a few pairs, with chunks smaller than a group: two n = 300 masks per
-    chunk, then one draw per chunk."""
+    chunk, then one draw per chunk.  Orders 11, 12 and 13 (55, 66 and 78
+    pairs) put the mask width on both sides of one 64-bit word."""
     from minorclass.sampling import random_tree_sample
 
     k7 = complete_graph(7)
@@ -322,7 +346,10 @@ def test_jsonl_writer_matches_json_dumps(monkeypatch):
     graphs += [Graph(16, (1 << 120) - 1), Graph(16), Graph(16, 0b1011 << 100), Graph(1), k7]
     graphs += random_tree_sample(300, 4, 2) + [Graph(300), Graph(0), k7]
     graphs += [Graph(20, 1 << 150 | 0b101), Graph(20), Graph(20, 1 << 189 | 1 << 150)]
-    monkeypatch.setattr(cli, "_JSONL_CHUNK_BYTES", 12000)  # an n = 300 mask takes 5607 bytes
+    graphs += [Graph(2, 1), complete_graph(11), Graph(12, 1 << 64 | 1 << 63), Graph(2),
+               complete_graph(12), Graph(13, 1 << 77 | 1 << 64), complete_graph(13),
+               Graph(11, 1 << 54), Graph(12, 1 << 65), Graph(13, 1 << 63 | 1)]
+    monkeypatch.setattr(cli, "_JSONL_CHUNK_BYTES", 12000)  # an n = 300 mask takes 5608 bytes
     lines = graphs_to_jsonl(graphs)
     assert len(lines) == len(graphs)
     for g, line in zip(graphs, lines):
@@ -331,6 +358,20 @@ def test_jsonl_writer_matches_json_dumps(monkeypatch):
     monkeypatch.setattr(cli, "_JSONL_CHUNK_BYTES", 1)
     assert graphs_to_jsonl(graphs) == lines
     assert graphs_to_jsonl([]) == []
+
+
+def test_set_bits_matches_graphs_set_bits():
+    """Every width from 1 to 130 bits, which puts the top bit at each byte and
+    word position, and 44,850 bits, the width of an n = 300 mask: the top bit
+    alone, every bit, a random mask and a sparse one, as a buffer of whole
+    64-bit words."""
+    rng = random.Random(11)
+    for bits in [*range(1, 131), 44_850]:
+        top = 1 << (bits - 1)
+        sparse = sum(1 << b for b in rng.sample(range(bits), min(bits, 7)))
+        for mask in (0, top, 2 * top - 1, rng.getrandbits(bits) | top, sparse):
+            buf = mask.to_bytes((bits + 63) // 64 * 8, "little")
+            assert cli._set_bits(buf).tolist() == set_bits(mask)
 
 
 def test_mcmc_ex_k_cycles_past_15_vertices(capsys):

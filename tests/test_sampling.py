@@ -189,6 +189,20 @@ def test_mcmc_sample_checks_arguments_first(n, draws, burn_in, thin, name, monke
         mcmc_sample(builtin_family("planar"), W11, n, draws, burn_in=burn_in, thin=thin)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("sampler", ["tree", "exact", "boltzmann"])
+def test_samplers_check_draws_first(sampler, n):
+    """A negative draw count raises a ValueError naming draws at every order,
+    before the order checks and the n <= 1 shortcuts."""
+    census = build_census(FORESTS, n)
+    cfg = sampling.BoltzmannConfig(0.3, W11, census, [0.1] * len(census.entries))
+    draw = {"tree": lambda: random_tree_sample(n, 0, -1),
+            "exact": lambda: exact_sample(FORESTS, W11, n, 0, -1),
+            "boltzmann": lambda: boltzmann_poisson_sample(cfg, 0, -1)}[sampler]
+    with pytest.raises(ValueError, match="^draws must be >= 0, got -1$"):
+        draw()
+
+
 def test_exact_stationarity():
     for fam, w in [(FORESTS, W11), (ALL, Weighting(2, 3)),
                    (builtin_family("series-parallel"), Weighting(Fraction(1, 2), 3)),
