@@ -82,9 +82,11 @@ def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0):
     return label, "python", _time(run, repeat=1)
 
 
-def bench_tree_series(terms):
-    t = _time(K.tree_series_sum, terms, 1.0, 1 / math.e, 1.0, False)
-    return f"tree_series {terms} terms", "numpy", t
+def bench_tree_series(terms, x, where):
+    """The unrooted series with lam = nu = 1; inside the radius it stops
+    after the first chunk whose terms have underflowed."""
+    t = _time(K.tree_series_sum, terms, 1.0, x, 1.0, False)
+    return f"tree_series {terms} terms {where}", "numpy", t
 
 
 def bench_prufer(draws, n):
@@ -233,7 +235,8 @@ def main():
         bench_mcmc(5000, 300),  # setup-bound: the per-pair table of 44,850 pairs
         bench_mcmc(4000, 9, "planar"),  # membership by predicate on accepted additions
         bench_mcmc(4000, 9, "ex-k-disjoint-cycles:1"),
-        bench_tree_series(terms),
+        bench_tree_series(terms, 1 / math.e, "at the radius (x = 1/e)"),
+        bench_tree_series(200_000, 1 / 22, "inside the radius (x = 1/22)"),
         bench_prufer(draws, 300),
         bench_tree_sample(draws, 300),
         bench_jsonl_trees(draws, 300),

@@ -15,7 +15,8 @@ Kernels:
   * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n), the
                         one chain for every family and weighting; membership is one
                         test on an edge mask, asked only about additions
-  * tree_series_sum   - partial sums of the weighted (rooted) tree series
+  * tree_series_sum   - partial sums of the weighted (rooted) tree series, stopped
+                        once its terms have underflowed to 0.0
   * prufer_decode     - batch decode of uniform parent sequences into trees
 """
 
@@ -437,8 +438,15 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
 def tree_series_sum(N: int, lam: float, x: float, nu: float, rooted: bool) -> float:
     """Partial sum (N terms) of the weighted tree / rooted-tree series at x:
     the sum over n <= N of nu * n^(n-2) * lam^(n-1) * x^n / n!, with n^(n-1)
-    in place of n^(n-2) for rooted trees."""
+    in place of n^(n-2) for rooted trees.
+
+    The terms are summed in chunks of 65,536, and with lam * e * x <= 1 the
+    sum stops after the first chunk whose last term is 0.0: the log-terms
+    satisfy lt(n+1) - lt(n) = log(lam x) + (n-2) log(1 + 1/n) < log(lam x e)
+    <= 0 ((n-1) in place of (n-2) when rooted), so every later term is 0.0
+    too and every later chunk would add exactly 0.0."""
     log_lam, log_x, log_nu = math.log(lam), math.log(x), math.log(nu)
+    decreasing = lam * math.e * x <= 1.0
     total = 0.0
     chunk = 65536
     for start in range(1, N + 1, chunk):
@@ -447,7 +455,10 @@ def tree_series_sum(N: int, lam: float, x: float, nu: float, rooted: bool) -> fl
         lt = log_nu + (n - 1.0) * log_lam + n * log_x + (n - 2.0) * log_n - _log_factorial(n)
         if rooted:
             lt = lt + log_n
-        total += float(np.sum(np.exp(lt)))
+        terms = np.exp(lt)
+        total += float(np.sum(terms))
+        if decreasing and terms[-1] == 0.0:
+            break
     return total
 
 

@@ -307,7 +307,9 @@ def constants_from_gamma(gamma: float, w: Weighting, tol: float = 1e-9,
         out.conn_limit = math.exp(-d_trunc)
         out.frag_mean_limit = rho * series.vertex_moment.value
         if gamma > lam * math.e:
-            t_val = tree_series_eval(rho, w, 200000).tree.value
+            from ._kernels import tree_series_sum
+
+            t_val = tree_series_sum(200000, lam, rho, float(w.nu), rooted=False)
             out.core_conn_limit = math.exp(t_val - d_trunc)
     return out
 

@@ -20,8 +20,9 @@ routes a family takes.
 The unlabelled census grows by canonical augmentation: each class of order
 n-1 is joined to a new vertex by the nonempty neighbour sets that take the
 lowest-indexed members of each of its twin classes, each result is looked up
-in the n-slice membership array, and only the members are canonicalized,
-never every labelled member.
+in the n-slice membership array, and a member is canonicalized only when its
+new vertex has the largest (degree, neighbour-degree sum) among its non-cut
+vertices (McKay's canonical deletion), never every labelled member.
 """
 
 from __future__ import annotations
@@ -533,6 +534,35 @@ class UnlabelledCensus:
         return [en for en in self.entries if en.v == v]
 
 
+def _canonical_deletion(n: int, masks: np.ndarray) -> np.ndarray:
+    """Selector over the connected n-vertex edge masks `masks` whose vertex n
+    has the largest invariant (degree, sum of its neighbours' degrees) among
+    their non-cut vertices, of which vertex n is one.
+
+    Vertex w is a non-cut vertex iff the mask with w deleted is connected at
+    order n - 1.
+    """
+    from .families import _induced_images
+
+    ps = pairs(n)
+    stars = [sum(1 << b for b, p in enumerate(ps) if v in p) for v in range(1, n + 1)]
+    deg = [np.bitwise_count(masks & star).astype(np.int64) for star in stars]
+    nsum = [np.zeros_like(masks) for _ in range(n)]
+    for b, (u, v) in enumerate(ps):
+        edge = masks >> b & 1
+        nsum[u - 1] += edge * deg[v - 1]
+        nsum[v - 1] += edge * deg[u - 1]
+    # (degree, neighbour-degree sum) in lexicographic order; the sum is below n^2
+    inv = [d * n * n + s for d, s in zip(deg, nsum)]
+    kappa = _kernels.subset_stats(n - 1).kappa
+    ok = np.ones(len(masks), dtype=bool)
+    for w in range(n - 1):
+        # a vertex whose invariant beats vertex n's must be a cut vertex
+        cut = kappa[_induced_images(masks, n, (1 << n) - 1 ^ 1 << w)] != 1
+        ok &= (inv[w] <= inv[n - 1]) | cut
+    return ok
+
+
 def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> UnlabelledCensus:
     """Inventory of the connected members up to n_max, one entry per isomorphism class.
 
@@ -546,7 +576,15 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
     take the lowest-indexed members of each twin class are joined; every
     other set rebuilds an isomorphic child.  In the lattice layout the child's
     mask is N << pair_count(n-1) | rep, so its membership is one lookup in the
-    n-slice membership array.  Each entry's representative is the canonical
+    n-slice membership array.
+
+    A member child is canonicalized only when its new vertex has the largest
+    invariant (degree, sum of neighbour degrees) among its non-cut vertices
+    (`_canonical_deletion`).  Every class still has such a child: in a member
+    G, delete a non-cut vertex v of largest invariant; G - v is isomorphic to
+    a parent, the twin pruning maps v's neighbour set to a joined set by an
+    automorphism of that parent, and the isomorphism from that child to G
+    takes the new vertex to v.  Each entry's representative is the canonical
     graph of its class, and the canonicalization that finds it also counts
     its automorphisms.  Per order, the class sizes n!/aut must add up to the
     connected-member count of the lattice sweep.
@@ -557,7 +595,7 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
     for n in range(1, n_max + 1):
         member = member_mask_array(fam, n)
         nbrs = np.arange(1 if n > 1 else 0, 1 << (n - 1), dtype=np.int64)
-        found: dict[int, int] = {}
+        children = []
         for rep in reps:
             # a set may take a twin only if it takes that twin's predecessor in its class
             prev, _ = _twin_classes(n - 1, Graph(n - 1, rep).adjacency())
@@ -565,12 +603,14 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
             for w, p in enumerate(prev):
                 if p >= 0:
                     keep = keep[(keep >> w & 1) <= (keep >> p & 1)]
-            ext = keep << pair_count(n - 1) | rep
-            if member is not None:
-                ext = ext[member[ext] != 0]
-            for mask in ext.tolist():
-                canon_mask, aut = _canon_data(n, mask)
-                found[canon_mask] = aut
+            children.append(keep << pair_count(n - 1) | rep)
+        ext = np.concatenate(children) if children else nbrs[:0]  # no class, no child
+        if member is not None:
+            ext = ext[member[ext] != 0]
+        found: dict[int, int] = {}
+        for mask in ext[_canonical_deletion(n, ext)].tolist():
+            canon_mask, aut = _canon_data(n, mask)
+            found[canon_mask] = aut
         labelled = sum(math.factorial(n) // aut for aut in found.values())
         connected = int(_sweep_members(fam, n).c.sum())
         if labelled != connected:

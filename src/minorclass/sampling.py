@@ -111,6 +111,8 @@ def boltzmann_config(census: UnlabelledCensus, rho: float, w: Weighting,
                      radius_estimate: float | None = None) -> BoltzmannConfig:
     from .asymptotics import mu_of_graph, tree_tail_bound
 
+    if not census.entries:  # before the tail bound, which has no zero-term form
+        raise EmptySliceError("empty census")
     if radius_estimate is not None and rho > radius_estimate:
         warnings.warn("rho exceeds the estimated radius of convergence; "
                       "the truncated Boltzmann law may be badly biased")

@@ -236,6 +236,16 @@ def test_bad_config_values_exit_2_naming_the_flag(argv, flag, capsys):
     assert f"configuration error: {flag} must be" in captured.err
 
 
+@pytest.mark.parametrize("rho", [[], ["--rho", "0.3"]], ids=["radius", "inside"])
+def test_boltzmann_on_an_empty_census_exits_2(rho, capsys):
+    code = main(["sample", "--method", "boltzmann", "--family", "forests",
+                 "--census-nmax", "0"] + rho)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "configuration error: empty census\n"
+
+
 def test_mcmc_steps_below_burn_in_exit_2(capsys):
     argv = ["sample", "--method", "mcmc", "--family", "forests", "--n", "5", "--draws", "3"]
     code = main(argv + ["--steps", "70"])

@@ -4,10 +4,11 @@ core-size decomposition."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minorclass._kernels import MODE_ALL, MODE_FORESTS, MODE_MEMBER_ARRAY
-from minorclass.canon import automorphism_count, canonicalize
+from minorclass.canon import _canon_data, _twin_classes, automorphism_count, canonicalize, code_of
 from minorclass.enumeration import (
     brute_force_tau,
     build_census,
@@ -23,6 +24,7 @@ from minorclass.enumeration import (
     falling_moment_check,
     forest_table,
     lattice_mode,
+    member_mask_array,
     member_masks,
     ratio_sequence,
 )
@@ -34,6 +36,7 @@ from minorclass.graphs import (
     complete_graph,
     copies,
     cycle_graph,
+    pair_count,
     path_graph,
     two_core,
     weight,
@@ -326,17 +329,50 @@ def test_census_by_augmentation_matches_every_member_canonicalized(name):
 
 def test_census_canonicalizes_only_twin_pruned_children():
     """Each parent is joined only by neighbour sets that take the lowest-indexed
-    members of each of its twin classes, so all graphs on at most 6 vertices
-    cost at most 482 canonicalizations (760 when every nonempty neighbour set
-    is tried), with the same classes."""
-    from minorclass.canon import _canon_data
-
+    members of each of its twin classes, and a child is canonicalized only
+    when its new vertex is a canonical deletion, so all graphs on at most 6
+    vertices cost at most 180 canonicalizations (482 with the twin pruning
+    alone, 760 when every nonempty neighbour set is tried), with the same
+    classes."""
     fam = builtin_family("all")
     _canon_data.cache_clear()
     census = build_census(fam, 6)
-    assert _canon_data.cache_info().misses <= 482
+    assert _canon_data.cache_info().misses <= 180
     got = [(en.code.code, en.v, en.e, en.aut) for en in census.entries]
     assert got == _census_by_canonicalizing_every_member(fam, 6)
+
+
+def _census_by_every_twin_pruned_child(fam, n_max):
+    """(code, v, e, aut) of each class, from canonicalizing every member child
+    of the twin-pruned augmentation: build_census as it was before the
+    canonical-deletion filter."""
+    out = []
+    reps = [0]
+    for n in range(1, n_max + 1):
+        member = member_mask_array(fam, n)
+        nbrs = np.arange(1 if n > 1 else 0, 1 << (n - 1), dtype=np.int64)
+        found = {}
+        for rep in reps:
+            prev, _ = _twin_classes(n - 1, Graph(n - 1, rep).adjacency())
+            keep = nbrs
+            for w, p in enumerate(prev):
+                if p >= 0:
+                    keep = keep[(keep >> w & 1) <= (keep >> p & 1)]
+            ext = keep << pair_count(n - 1) | rep
+            if member is not None:
+                ext = ext[member[ext] != 0]
+            found.update(_canon_data(n, mask) for mask in ext.tolist())
+        reps = sorted(found)
+        out += [(code_of(n, m).code, n, m.bit_count(), found[m]) for m in reps]
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("no-k4", "no-2c3"))
+def test_census_matches_the_unfiltered_augmentation_at_n7(name):
+    fam = _census_family(name)
+    census = build_census(fam, 7)
+    got = [(en.code.code, en.v, en.e, en.aut) for en in census.entries]
+    assert got == _census_by_every_twin_pruned_child(fam, 7)
 
 
 @pytest.mark.parametrize("name", BUILTINS + ("trees",))
@@ -345,6 +381,13 @@ def test_census_class_sizes_add_up_to_connected_count_at_n7(name):
     census = build_census(fam, 7)
     total = sum(math.factorial(7) // en.aut for en in census.of_order(7))
     assert total == brute_force_tau(fam, W11, 7).c
+
+
+def test_census_past_the_last_connected_class():
+    """Without edges the only connected member is K1, and the orders above
+    it, which have no parent to join, are empty."""
+    census = build_census(excluded_minor_family("edgeless", (complete_graph(2),)), 4)
+    assert [(en.v, en.e, en.aut) for en in census.entries] == [(1, 0, 1)]
 
 
 def test_census_of_forests_stops_at_the_array_cap():

@@ -3,12 +3,14 @@
 The subset-lattice pass is checked mask by mask against per-graph oracles
 (components, adjacency and bridges of each `Graph`) and at n = 8
 against closed forms.  The tree series is checked against a math.fsum of its
-closed-form terms, and the Pruefer decoder edge for edge against
-`_prufer_argmax`, the whole-matrix decoder it replaced, against networkx's
-decoder and, exhaustively at n <= 6, as a bijection onto the labelled trees.  The MCMC
-chain is checked draw for draw against `_mcmc_python`, a reference chain
-that tests membership and recomputes both weights on every proposal, and its
-two membership tests, array lookup and base_member, against each other.
+closed-form terms, and bit for bit against `_tree_series_every_chunk`, the
+sum it was before it stopped at underflow.  The Pruefer decoder is checked
+edge for edge against `_prufer_argmax`, the whole-matrix decoder it replaced,
+against networkx's decoder and, exhaustively at n <= 6, as a bijection onto
+the labelled trees.  The MCMC chain is checked draw for draw against
+`_mcmc_python`, a reference chain that tests membership and recomputes both
+weights on every proposal, and its two membership tests, array lookup and
+base_member, against each other.
 """
 
 import functools
@@ -269,6 +271,45 @@ def test_tree_series_paths_agree():
     for lam, x, nu, rooted in ((1.0, 1 / math.e, 1.0, False), (2.0, 1 / (2 * math.e), 3.0, True)):
         got = K.tree_series_sum(150_000, lam, x, nu, rooted)
         assert got == pytest.approx(_tree_series_fsum(150_000, lam, x, nu, rooted), rel=1e-12)
+
+
+def _tree_series_every_chunk(N, lam, x, nu, rooted):
+    """tree_series_sum as it was before it stopped at underflow: every
+    65,536-term chunk is summed."""
+    log_lam, log_x, log_nu = math.log(lam), math.log(x), math.log(nu)
+    total = 0.0
+    chunk = 65536
+    for start in range(1, N + 1, chunk):
+        n = np.arange(start, min(start + chunk, N + 1), dtype=np.float64)
+        log_n = np.log(n)
+        lt = log_nu + (n - 1.0) * log_lam + n * log_x + (n - 2.0) * log_n - K._log_factorial(n)
+        if rooted:
+            lt = lt + log_n
+        total += float(np.sum(np.exp(lt)))
+    return total
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("at_radius", [True, False])
+def test_tree_series_stop_is_exact(monkeypatch, lam, at_radius):
+    """Stopping after the first chunk whose last term underflowed gives the
+    same bits as summing every chunk.  At the radius no term underflows, so
+    every chunk runs; at x = 1/(22 lam) the first chunk is the last."""
+    x = 1 / (math.e * lam) if at_radius else 1 / (22 * lam)
+    chunks = []
+    log_factorial = K._log_factorial
+
+    def counted(n):  # called once per chunk
+        chunks.append(n.size)
+        return log_factorial(n)
+
+    monkeypatch.setattr(K, "_log_factorial", counted)
+    for nu, rooted, N in itertools.product((0.5, 2.0), (False, True),
+                                           (1, 2, 65535, 65536, 65537, 200_000)):
+        chunks.clear()
+        got = K.tree_series_sum(N, lam, x, nu, rooted)
+        assert len(chunks) == (-(-N // 65536) if at_radius else 1)
+        assert got == _tree_series_every_chunk(N, lam, x, nu, rooted)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

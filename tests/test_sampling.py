@@ -109,6 +109,14 @@ def test_boltzmann_truncation_note():
         boltzmann_config(census, 0.9, W11, radius_estimate=1 / math.e)
 
 
+@pytest.mark.parametrize("rho", [1 / math.e, 0.3], ids=["radius", "inside"])
+def test_boltzmann_config_rejects_an_empty_census(rho):
+    """An empty census raises the sampler's own error, at the radius and
+    inside it, before the tail bound is asked about zero terms."""
+    with pytest.raises(EmptySliceError, match="^empty census$"):
+        boltzmann_config(build_census(FORESTS, 0), rho, W11)
+
+
 def test_boltzmann_graphs_and_stats():
     census = build_census(FORESTS, 5)
     cfg = boltzmann_config(census, 1 / math.e, W11)
