@@ -57,6 +57,32 @@ def bench_sweep(n, mode, want_bridges, label):
     return f"sweep_counts n={n} {label}", "numpy", t
 
 
+def bench_exact_sample(n, draws):
+    """The exact sampler with split weights: member cells, one bridge-counting
+    pass and the draws, on warm slice statistics after the first repeat."""
+    from fractions import Fraction
+
+    from minorclass.families import builtin_family
+    from minorclass.graphs import Weighting
+    from minorclass.sampling import exact_sample
+
+    w = Weighting.extended(Fraction(1, 2), 2, 3)
+    t = _time(exact_sample, builtin_family("all"), w, n, 0, draws)
+    return f"exact_sample all n={n} split (1/2, 2, 3), {draws} draws", "numpy", t
+
+
+def bench_frag_distribution(name, n):
+    """Exact fragment law at (1/2, 3/2) from built membership arrays."""
+    from fractions import Fraction
+
+    from minorclass.enumeration import exact_frag_distribution
+    from minorclass.graphs import Weighting
+
+    fam = _warm_family(name, n)
+    t = _time(exact_frag_distribution, fam, Weighting(Fraction(1, 2), Fraction(3, 2)), n)
+    return f"exact_frag_distribution {name} n={n}", "numpy", t
+
+
 def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0):
     """The chain from the edgeless graph; families other than forests and all
     test membership by base_member, which asks their predicate directly."""
@@ -226,6 +252,8 @@ def main():
         bench_subset_stats(n_sweep),
         bench_sweep(n_sweep, K.MODE_ALL, True, "all +bridges"),
         bench_sweep(n_sweep + 1, K.MODE_FORESTS, False, "forests"),
+        bench_exact_sample(n_sweep, 1000),
+        bench_frag_distribution("planar", n_sweep),
         bench_mcmc(steps, 7),
         bench_mcmc(steps, 16),
         bench_mcmc(steps, 60),

@@ -105,7 +105,7 @@ def mu_value(v: int, e: int, aut: int, rho, w: Weighting, kappa: int = 1):
     """Boltzmann mean rho^v * lam^e * nu^kappa / aut for a connected class member."""
     if not w.is_diagonal:
         raise ValueError("per-(v,e) mu needs the diagonal weighting; use mu_of_graph")
-    return rho ** v * w.lam ** e * w.nu ** kappa / aut
+    return rho ** v * w.cell_weight(e, 0, kappa) / aut
 
 
 def mu_of_graph(g: Graph, rho, w: Weighting, aut: int | None = None):
@@ -245,11 +245,8 @@ def pendant_limit(h: RootedGraph | Graph, gamma: float, w: Weighting | float) ->
     g = h.graph if isinstance(h, RootedGraph) else h
     if not isinstance(w, Weighting):
         w = Weighting(w, 1)
-    if w.is_diagonal:
-        num = float(w.lam) * float(w.lam) ** g.edge_count
-    else:
-        e0, e1 = bridge_partition(g)
-        num = float(w.lambda0) * float(w.lambda0) ** e0 * float(w.lambda1) ** e1
+    e0, e1 = bridge_partition(g) if not w.is_diagonal else (g.edge_count, 0)
+    num = float(w.lambda0) * float(w.lambda0) ** e0 * float(w.lambda1) ** e1
     return num / (gamma ** g.n * math.factorial(g.n))
 
 

@@ -4,6 +4,10 @@ The brute-force sweep aggregates integer counts by (edges, components,
 bridges, ...) over every edge mask of a slice in one lattice pass (each
 n-slice is built from the cached (n-1)-slice, see `_kernels`), and only then
 applies the weighting, so rational parameters give exact rational totals.
+Every exact per-mask weight comes from the same cells: `mask_cells` reads
+each member's (edges, bridges, components) from the lattice and weighs each
+occupied cell once (`Weighting.cell_weight`), and the exact sampler and the
+fragment law gather or tally over the cells, building no Graph per mask.
 
 Membership arrays for excluded-minor families come from a one-step-minor
 dynamic program with no per-graph search: a graph is a member iff it is not
@@ -31,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,7 +52,6 @@ from .errors import ResourceCapError
 from .graphs import (
     Graph,
     Weighting,
-    big_frag_split,
     component_masks,
     every_graph,
     induced_subgraph,
@@ -180,16 +183,32 @@ def _connected_members(fam: "GraphFamily", n: int) -> np.ndarray:
     return sel
 
 
-def member_masks(fam: "GraphFamily", n: int, connected: bool | None = None) -> list[int]:
-    """Member edge masks at order n, ascending; optionally only connected ones."""
+def member_masks(fam: "GraphFamily", n: int, connected: bool | None = None) -> np.ndarray:
+    """Ascending int64 array of the member edge masks at order n; optionally only connected ones."""
     if connected is None and fam.connected_only:
         connected = True
     if connected:
-        return np.nonzero(_connected_members(fam, n))[0].tolist()
+        return np.flatnonzero(_connected_members(fam, n))
     arr = member_mask_array(fam, n)
-    if arr is None:
-        return list(range(1 << pair_count(n)))
-    return np.nonzero(arr)[0].tolist()
+    return np.arange(1 << pair_count(n)) if arr is None else np.flatnonzero(arr)
+
+
+def mask_cells(w: Weighting, n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge mask's cell (e * (m + 1) + e0) * (n + 1) + kappa, from the
+    lattice (e edges, e0 bridges, counted only if lambda0 != lambda1, kappa
+    components; m = pair_count(n)), and the weight of each occupied cell, one
+    w.cell_weight call per cell, in an object array (0 elsewhere)."""
+    stats = _kernels.subset_stats(n)
+    cells = stats.edges[masks].astype(np.int64) * (pair_count(n) + 1)
+    if not w.is_diagonal:
+        (_, block), = _kernels._blocks(n, True)
+        cells += block.bridges[masks]
+    cells = cells * (n + 1) + stats.kappa[masks]
+    weights = np.zeros(cells.max(initial=-1) + 1, dtype=object)
+    for cell in np.flatnonzero(np.bincount(cells)).tolist():
+        e, e0 = divmod(cell // (n + 1), pair_count(n) + 1)
+        weights[cell] = w.cell_weight(e0, e - e0, cell % (n + 1))
+    return cells, weights
 
 
 # -- weighted totals ---------------------------------------------------------
@@ -207,32 +226,12 @@ def _as_exact(x):
     return x
 
 
-class TauTriple(tuple):
+class TauTriple(NamedTuple):
     """(a, c, b) totals: all members / connected / connected with min degree >= 2."""
 
-    __slots__ = ()
-
-    def __new__(cls, a, c, b):
-        return super().__new__(cls, (a, c, b))
-
-    @property
-    def a(self):
-        return self[0]
-
-    @property
-    def c(self):
-        return self[1]
-
-    @property
-    def b(self):
-        return self[2]
-
-
-def _sweep_members(fam: "GraphFamily", n: int, **wanted) -> _kernels.SweepCounts:
-    """Sweep the n-slice over the family's members by its lattice_mode."""
-    mode = lattice_mode(fam)
-    member = member_mask_array(fam, n) if mode == _kernels.MODE_MEMBER_ARRAY else None
-    return _kernels.sweep_counts(n, member, mode, **wanted)
+    a: object
+    c: object
+    b: object
 
 
 def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int,
@@ -240,13 +239,14 @@ def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int,
     """Exact (tau(A_n), tau(C_n), tau(B_n)) by exhaustive enumeration.
 
     Default cap is 7 (2^21 graphs); pass cap=8 explicitly to allow n=8.
-    Each column sums count * lam0^e0 * lam1^(e - e0) * nu^k over the sweep's
+    Each column sums count * w.cell_weight(e0, e - e0, k) over the sweep's
     cells (e edges, e0 bridges, k components; e0 = 0 unless lam0 != lam1).
     For a connected-members view the a-column equals the c-column.
     """
     _check_caps(fam, n, cap)
-    counts = _sweep_members(fam, n, want_bridges=not w.is_diagonal)
-    lam0, lam1, nu = w.lambda0, w.lambda1, w.nu
+    mode = lattice_mode(fam)
+    member = member_mask_array(fam, n) if mode == _kernels.MODE_MEMBER_ARRAY else None
+    counts = _kernels.sweep_counts(n, member, mode, want_bridges=not w.is_diagonal)
 
     def tau(cells: np.ndarray):
         """Sum over the nonzero cells [e, e0, k] of a, or [e, e0] of c and b,
@@ -254,7 +254,7 @@ def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int,
         total = 0
         for cell in np.argwhere(cells).tolist():
             e, e0, k = cell if len(cell) == 3 else (*cell, 1)
-            total += int(cells[tuple(cell)]) * lam0 ** e0 * lam1 ** (e - e0) * nu ** k
+            total += int(cells[tuple(cell)]) * w.cell_weight(e0, e - e0, k)
         return _simplify(total or 0)
 
     a, c, b = tau(counts.a), tau(counts.c), tau(counts.b)
@@ -426,19 +426,15 @@ def f_nk_bruteforce(fam: "GraphFamily", w: Weighting, n: int, k: int,
                     cap: int = BRUTE_FORCE_CAP):
     """Cross-check: sum the weights of connected members with v(core) = k directly.
 
-    The connected members are tallied by edge count over the whole slice,
-    with every mask's 2-core size from one peel of the slice
+    The connected members are tallied by their cells (mask_cells) over the
+    whole slice, with every mask's 2-core size from one peel of the slice
     (`_kernels.core_sets`); the whole slice stops at BRUTE_FORCE_CAP
     vertices, so a larger cap is lowered to it.
     """
-    if not w.is_diagonal:
-        raise ValueError("the brute-force core sweep supports the diagonal weighting")
     _check_caps(fam, n, min(cap, BRUTE_FORCE_CAP))
     sel = _connected_members(fam, n) & (np.bitwise_count(_kernels.core_sets(n)) == k)
-    counts = np.bincount(_kernels.subset_stats(n).edges[sel],
-                         minlength=pair_count(n) + 1).tolist()
-    total = sum(c * w.lam ** e * w.nu for e, c in enumerate(counts) if c)
-    return _simplify(total or 0)
+    cells, weights = mask_cells(w, n, np.flatnonzero(sel))
+    return _simplify(sum(c * x for c, x in zip(np.bincount(cells).tolist(), weights) if c) or 0)
 
 
 def core_decomposition_identity(fam: "GraphFamily", w: Weighting, n: int,
@@ -612,7 +608,10 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
             canon_mask, aut = _canon_data(n, mask)
             found[canon_mask] = aut
         labelled = sum(math.factorial(n) // aut for aut in found.values())
-        connected = int(_sweep_members(fam, n).c.sum())
+        # streamed past the whole slices, where only `all`, with no array, is left
+        connected = (int(np.count_nonzero(_connected_members(fam, n)))
+                     if n <= _kernels.RECORD_CAP else
+                     sum(int(np.count_nonzero(b.kappa == 1)) for _, b in _kernels._blocks(n, False)))
         if labelled != connected:
             raise AssertionError(f"census at n={n}: the classes hold {labelled} labelled "
                                  f"graphs, the sweep counts {connected} connected members")
@@ -665,7 +664,7 @@ def falling_moment_check(fam: "GraphFamily", w: Weighting, n: int,
 
     comp_code_memo: dict[tuple[int, int], bytes] = {}
     lhs_num = Fraction(0)
-    for mask in member_masks(fam, n, connected=False):
+    for mask in member_masks(fam, n, connected=False).tolist():
         g = Graph(n, mask)
         comps = component_masks(g)
         counts = [0] * len(picks)
@@ -704,17 +703,29 @@ def falling_moment_check(fam: "GraphFamily", w: Weighting, n: int,
 
 def exact_frag_distribution(fam: "GraphFamily", w: Weighting, n: int,
                             cap: int = BRUTE_FORCE_CAP) -> dict:
-    """Exact Pr[frag = k] for the weighted random graph on the family's n-slice."""
-    _check_caps(fam, n, cap)
-    totals: dict[int, Fraction] = {}
-    denom = Fraction(0)
-    exact = w.is_rational
-    for mask in member_masks(fam, n, connected=False):
-        g = Graph(n, mask)
-        big, frag = big_frag_split(g)
-        wt = _as_exact(weight(g, w)) if exact else weight(g, w)
-        totals[frag.graph.n] = totals.get(frag.graph.n, 0) + wt
-        denom += wt
+    """Exact Pr[frag = k] for the weighted random graph on the family's n-slice.
+
+    frag is n less the most vertices sharing a component root in the lattice
+    (`_kernels._record(n, extendable=True).roots`); the members are tallied
+    by (cell of mask_cells, frag).  The slice stops at BRUTE_FORCE_CAP.
+    """
+    _check_caps(fam, n, min(cap, BRUTE_FORCE_CAP))
+    if n < 1:
+        raise ValueError("big/frag split needs at least one vertex")
+    masks = member_masks(fam, n, connected=False)
+    # each vertex adds 1 to its root's 4-bit counter, which n <= 7 never overflows
+    counter = np.zeros(256, dtype=np.uint32)
+    counter[1 << np.arange(n)] = 1 << 4 * np.arange(n)
+    sizes = sum(counter[r[masks]] for r in _kernels._record(n, extendable=True).roots)
+    nibbles = sizes.view(np.uint8).reshape(-1, 4)
+    big = np.maximum(nibbles & 15, nibbles >> 4).max(axis=1)
+    cells, weights = mask_cells(w, n, masks)
+    tally = np.bincount(cells * n + (n - big))
+    totals: dict = {}
+    for key in np.flatnonzero(tally).tolist():
+        cell, frag = divmod(key, n)
+        totals[frag] = totals.get(frag, 0) + int(tally[key]) * _as_exact(weights[cell])
+    denom = sum(totals.values())
     return {k: _simplify(v / denom) for k, v in sorted(totals.items())}
 
 

@@ -591,7 +591,7 @@ def freely_addable_at_scale(h: Graph, fam: GraphFamily, n_max: int = 5) -> Freel
 
     seen = set()
     for n in range(0, n_max + 1):
-        for mask in member_masks(fam, n, connected=False):
+        for mask in member_masks(fam, n, connected=False).tolist():
             g = Graph(n, mask)
             code = canonicalize(g).code
             if code in seen:
@@ -622,7 +622,7 @@ def dichotomy_scan(fam: GraphFamily, n_max: int = 4, k_max: int = 4) -> list[Dic
 
     reps: dict[bytes, Graph] = {}
     for n in range(1, n_max + 1):
-        for mask in member_masks(fam, n, connected=False):
+        for mask in member_masks(fam, n, connected=False).tolist():
             g = Graph(n, mask)
             code = canonicalize(g).code
             if code not in reps:

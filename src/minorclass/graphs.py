@@ -196,6 +196,11 @@ class Weighting:
             raise ValueError("lam is only defined for a diagonal weighting")
         return self.lambda0
 
+    def cell_weight(self, e0: int, e1: int, kappa: int):
+        """The weight lambda0^e0 * lambda1^e1 * nu^kappa of a graph with e0
+        bridges, e1 other edges and kappa components."""
+        return self.lambda0 ** e0 * self.lambda1 ** e1 * self.nu ** kappa
+
     @property
     def is_rational(self) -> bool:
         return all(isinstance(x, (int, Fraction)) for x in (self.lambda0, self.lambda1, self.nu))
@@ -364,12 +369,10 @@ def big_frag_split(g: Graph) -> tuple[InducedSubgraph, InducedSubgraph]:
 
 
 def weight(g: Graph, w: Weighting):
-    """Cluster weight lambda0^e0 * lambda1^e1 * nu^kappa (lambda^e * nu^kappa on the diagonal)."""
-    kappa = component_count(g)
-    if w.is_diagonal:
-        return w.lambda0 ** g.edge_count * w.nu ** kappa
-    e0, e1 = bridge_partition(g)
-    return w.lambda0 ** e0 * w.lambda1 ** e1 * w.nu ** kappa
+    """Cluster weight w.cell_weight(e0, e1, kappa); on the diagonal every edge
+    counts as a bridge (e0 = e, e1 = 0), so no bridge is counted."""
+    e0, e1 = bridge_partition(g) if not w.is_diagonal else (g.edge_count, 0)
+    return w.cell_weight(e0, e1, component_count(g))
 
 
 # -- unions and stock graphs ------------------------------------------------
@@ -438,23 +441,21 @@ def _appearance_sites(g: Graph, h: RootedGraph) -> list[tuple[int, int]]:
             wmask |= 1 << v
         # the increasing bijection must map h onto the induced subgraph
         sub = 0
-        ok = True
         for j in range(k):
             for i in range(j):
                 bit = g.mask >> pair_bit(combo[i] + 1, combo[j] + 1) & 1
                 sub |= bit << pair_bit(i + 1, j + 1)
         if sub != target:
-            ok = False
-        if ok:
-            # exactly one edge leaves W, and it leaves from the least element
-            root = combo[0]
-            out_root = adj[root] & ~wmask
-            if out_root.bit_count() != 1:
-                continue
-            if any(adj[v] & ~wmask for v in combo[1:]):
-                continue
-            nbr = out_root.bit_length() - 1
-            sites.append((wmask, pair_bit(root + 1, nbr + 1)))
+            continue
+        # exactly one edge leaves W, and it leaves from the least element
+        root = combo[0]
+        out_root = adj[root] & ~wmask
+        if out_root.bit_count() != 1:
+            continue
+        if any(adj[v] & ~wmask for v in combo[1:]):
+            continue
+        nbr = out_root.bit_length() - 1
+        sites.append((wmask, pair_bit(root + 1, nbr + 1)))
     return sites
 
 

@@ -26,6 +26,7 @@ from .enumeration import (
     BRUTE_FORCE_CAP,
     UnlabelledCensus,
     lattice_mode,
+    mask_cells,
     member_mask_array,
     member_masks,
 )
@@ -34,7 +35,6 @@ from .graphs import (
     Graph,
     RootedGraph,
     Weighting,
-    big_frag_split,
     component_masks,
     disjoint_union,
     induced_subgraph,
@@ -62,27 +62,22 @@ def _check_draws(draws: int) -> None:
 def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int,
                  cap: int = BRUTE_FORCE_CAP) -> list[Graph]:
     """i.i.d. draws with Pr(G) proportional to its cluster weight, by cumulative
-    inversion over the enumerated member list, for every family only up to
-    BRUTE_FORCE_CAP vertices.  draws must be >= 0 (else ValueError)."""
+    inversion over the enumerated members, for every family only up to
+    BRUTE_FORCE_CAP vertices.  draws must be >= 0 (else ValueError).  Each
+    weight is gathered from the member's lattice cell (mask_cells)."""
     _check_draws(draws)
     if n > min(cap, BRUTE_FORCE_CAP):
         raise ResourceCapError(
             f"exact sampling needs the enumeration range (n <= {BRUTE_FORCE_CAP})")
     masks = member_masks(fam, n)
-    if not masks:
+    if not masks.size:
         raise EmptySliceError(f"family {fam.name!r} has no members of order {n}")
-    marr = np.asarray(masks, dtype=np.int64)
-    if w.is_diagonal:
-        e = np.bitwise_count(marr).astype(np.float64)
-        k = _kernels.subset_stats(n).kappa[marr].astype(np.float64)
-        weights = float(w.lambda0) ** e * float(w.nu) ** k
-    else:
-        weights = np.array([float(weight(Graph(n, int(m)), w)) for m in masks])
-    cum = np.cumsum(weights)
+    cells, weights = mask_cells(w, n, masks)
+    cum = np.cumsum(weights.astype(float)[cells])
     rng = rng_stream(seed)
     r = rng.random(draws) * cum[-1]
     idx = np.searchsorted(cum, r, side="right")
-    return [Graph(n, int(marr[i])) for i in idx]
+    return [Graph(n, s) for s in masks[idx].tolist()]
 
 
 # -- Boltzmann Poisson sampler ---------------------------------------------------
@@ -218,7 +213,7 @@ def transition_matrix(fam, w: Weighting, n: int) -> tuple[list[int], list[list[F
     """
     if not w.is_rational:
         raise ValueError("exact transition matrix needs rational weights")
-    masks = member_masks(fam, n, connected=False)
+    masks = member_masks(fam, n, connected=False).tolist()
     index = {s: i for i, s in enumerate(masks)}
     m = pair_count(n)
     P = [[Fraction(0) for _ in masks] for _ in masks]
@@ -329,11 +324,7 @@ def collect_stats(samples: Sequence[Graph], rooted: Sequence[RootedGraph] = (),
     for g in samples:
         comps = component_masks(g)
         kappa_hist[len(comps)] = kappa_hist.get(len(comps), 0) + 1
-        if g.n >= 1:
-            _, frag = big_frag_split(g)
-            fsize = frag.graph.n
-        else:
-            fsize = 0
+        fsize = g.n - max((c.bit_count() for c in comps), default=0)  # n less the big component
         frag_hist[fsize] = frag_hist.get(fsize, 0) + 1
         if g.n >= 1:
             frac = Fraction(two_core(g).graph.n, g.n)

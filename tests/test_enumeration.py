@@ -3,6 +3,7 @@ core-size decomposition."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from minorclass.enumeration import (
     compute_weight_table,
     core_decomposition_identity,
     egf_lift,
+    exact_frag_distribution,
     exact_frag_mean,
     f_nk,
     f_nk_bruteforce,
@@ -29,10 +31,11 @@ from minorclass.enumeration import (
     ratio_sequence,
 )
 from minorclass.errors import ResourceCapError
-from minorclass.families import builtin_family, excluded_minor_family
+from minorclass.families import builtin_family, excluded_minor_family, family_from_spec
 from minorclass.graphs import (
     Graph,
     Weighting,
+    big_frag_split,
     complete_graph,
     copies,
     cycle_graph,
@@ -211,17 +214,18 @@ def test_f_nk_formula_and_cross_check(lam, nu):
 @pytest.mark.parametrize("name", ["all", "forests", "trees", "series-parallel"])
 def test_f_nk_bruteforce_matches_per_graph_two_core(name):
     """The whole-slice peel gives every connected member's 2-core size as
-    graphs.two_core does, one graph at a time."""
+    graphs.two_core does, one graph at a time, and the lattice cells its
+    weight as graphs.weight does, diagonal or split."""
     fam = builtin_family(name)
-    w = Weighting(Fraction(1, 3), 2)
-    for n in range(7):
-        want: dict = {}
-        for mask in member_masks(fam, n, connected=True):
-            g = Graph(n, mask)
-            k = two_core(g).graph.n
-            want[k] = want.get(k, 0) + weight(g, w)
-        for k in range(n + 1):
-            assert f_nk_bruteforce(fam, w, n, k) == want.get(k, 0), (n, k)
+    for w in (Weighting(Fraction(1, 3), 2), Weighting.extended(Fraction(1, 3), 2, Fraction(3, 2))):
+        for n in range(7):
+            want: dict = {}
+            for mask in member_masks(fam, n, connected=True).tolist():
+                g = Graph(n, mask)
+                k = two_core(g).graph.n
+                want[k] = want.get(k, 0) + weight(g, w)
+            for k in range(n + 1):
+                assert f_nk_bruteforce(fam, w, n, k) == want.get(k, 0), (w, n, k)
 
 
 def test_f_nk_bruteforce_stops_at_n7():
@@ -309,7 +313,7 @@ def _census_by_canonicalizing_every_member(fam, n_max):
     connected member; the least-mask member stands for its class."""
     reps = {}
     for n in range(1, n_max + 1):
-        for mask in member_masks(fam, n, connected=True):
+        for mask in member_masks(fam, n, connected=True).tolist():
             reps.setdefault(canonicalize(Graph(n, mask)).code, Graph(n, mask))
     return sorted((code, g.n, g.edge_count, automorphism_count(g))
                   for code, g in reps.items())
@@ -415,6 +419,48 @@ def test_exact_frag_mean_bound():
         for w in (W11, Weighting(2, 3)):
             mean = exact_frag_mean(fam, w, 5)
             assert float(mean) < 2 * float(w.nu) / float(w.lam)
+
+
+FAMILY_FILES = Path(__file__).resolve().parent.parent / "perfbench" / "families"
+
+
+def _frag_distribution_per_graph(fam, w, n):
+    """exact_frag_distribution as a loop over the members, one Graph, one
+    big/frag split and one weight each (the reference for the lattice cells)."""
+    totals = {}
+    denom = 0
+    for mask in member_masks(fam, n, connected=False).tolist():
+        g = Graph(n, mask)
+        wt = Fraction(weight(g, w)) if w.is_rational else weight(g, w)
+        frag = big_frag_split(g)[1].graph.n
+        totals[frag] = totals.get(frag, 0) + wt
+        denom += wt
+    return {k: v / denom for k, v in sorted(totals.items())}
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("trees", "no-2c3", "no-k4", "planar-by-minors"))
+def test_frag_distribution_equals_per_graph_loop(name):
+    path = FAMILY_FILES / f"{name}.json"
+    fam = family_from_spec(str(path) if path.exists() else name)
+    for w in (Weighting(Fraction(1, 2), Fraction(3, 2)), Weighting.extended(Fraction(1, 2), 2, 3)):
+        for n in range(1, 7):
+            assert exact_frag_distribution(fam, w, n) == _frag_distribution_per_graph(fam, w, n), (w, n)
+
+
+@pytest.mark.parametrize("name", ("all", "planar", "forests"))
+def test_float_frag_distribution_near_per_graph_loop(name):
+    """Float weights are summed per cell, not per mask, so only the last bits move."""
+    fam = builtin_family(name)
+    w = Weighting(0.3, 1.7)
+    for n in range(1, 7):
+        got, want = exact_frag_distribution(fam, w, n), _frag_distribution_per_graph(fam, w, n)
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - want[k]) <= 1e-12 * want[k] for k in want), n
+
+
+def test_frag_distribution_needs_a_vertex():
+    with pytest.raises(ValueError):
+        exact_frag_distribution(ALL, W11, 0)
 
 
 def test_extended_weighting_counts():

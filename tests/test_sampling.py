@@ -1,5 +1,6 @@
 """Samplers against their exact laws."""
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +14,7 @@ from minorclass.enumeration import (
     build_census,
     exact_frag_distribution,
     forest_table,
+    mask_cells,
     member_masks,
 )
 from minorclass.errors import EmptySliceError
@@ -63,12 +65,56 @@ def test_exact_sample_law():
     samples = exact_sample(FORESTS, w, 4, seed=5, draws=draws)
     freq = Counter(g.mask for g in samples)
     total = brute_force_tau(FORESTS, w, 4).a
-    for mask in member_masks(FORESTS, 4):
+    for mask in member_masks(FORESTS, 4).tolist():
         p = float(Fraction(weight(Graph(4, mask), w)) / total)
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(freq.get(mask, 0) / draws - p) <= 4 * sigma + 1e-9
     # the triangle never appears
     assert all(component_count(g) >= 1 for g in samples)
+
+
+@functools.lru_cache(maxsize=None)
+def _per_graph_weights(name, w, n):
+    """float(weight(Graph(n, m), w)) for every member m, one Graph (and, with
+    lambda0 != lambda1, one bridge count) per member: the exact sampler's
+    weights as they were computed before the lattice cells."""
+    return [float(weight(Graph(n, m), w)) for m in member_masks(builtin_family(name), n).tolist()]
+
+
+def _exact_sample_per_graph(name, w, n, seed, draws):
+    """The exact sampler weighing every member by its own Graph (the reference
+    for the lattice-cell route)."""
+    masks = member_masks(builtin_family(name), n).tolist()
+    cum = np.cumsum(_per_graph_weights(name, w, n))
+    r = rng_stream(seed).random(draws) * cum[-1]
+    return [Graph(n, masks[i]) for i in np.searchsorted(cum, r, side="right")]
+
+
+BUILTINS = ("all", "forests", "trees", "planar", "series-parallel", "ex-k-disjoint-cycles:1")
+
+
+@pytest.mark.parametrize("w", [Weighting(Fraction(1, 3), Fraction(5, 2)), Weighting(0.3, 1.7),
+                               Weighting.extended(Fraction(1, 2), 2, 3)],
+                         ids=["diagonal-rational", "diagonal-float", "split"])
+def test_cell_weights_equal_per_graph_weights(w):
+    """Every member's sampling weight, gathered from its lattice cell, is the
+    float of graphs.weight on its own Graph."""
+    cases = [(name, n) for name in BUILTINS for n in range(6)] + [("planar", 6), ("all", 6)]
+    for name, n in cases:
+        cells, weights = mask_cells(w, n, member_masks(builtin_family(name), n))
+        assert weights.astype(float)[cells].tolist() == _per_graph_weights(name, w, n), (name, n)
+
+
+@pytest.mark.parametrize("name, n, w", [
+    ("all", 6, Weighting.extended(Fraction(1, 2), 2, 3)),
+    ("planar", 6, Weighting.extended(0.3, 2.5, 1.5)),
+    ("series-parallel", 5, Weighting.extended(2, Fraction(1, 3), Fraction(3, 2))),
+    ("trees", 6, Weighting.extended(Fraction(1, 2), 2, 3)),  # a connected-members view
+])
+def test_exact_sample_split_draws_equal_per_graph_sampler(name, n, w):
+    for seed in range(3):
+        got = exact_sample(builtin_family(name), w, n, seed, 2000)
+        assert got == _exact_sample_per_graph(name, w, n, seed, 2000), seed
 
 
 def test_boltzmann_component_law():
@@ -283,7 +329,7 @@ def test_kappa_stochastic_dominance_exact():
         kappa = subset_stats(6).kappa
         num = {}
         den = Fraction(0)
-        for mask in member_masks(fam, 6):
+        for mask in member_masks(fam, 6).tolist():
             g = Graph(6, mask)
             wt = Fraction(weight(g, w))
             num[int(kappa[mask])] = num.get(int(kappa[mask]), Fraction(0)) + wt
