@@ -369,8 +369,8 @@ def big_frag_split(g: Graph) -> tuple[InducedSubgraph, InducedSubgraph]:
 
 
 def weight(g: Graph, w: Weighting):
-    """Cluster weight w.cell_weight(e0, e1, kappa); on the diagonal every edge
-    counts as a bridge (e0 = e, e1 = 0), so no bridge is counted."""
+    """Cluster weight w.cell_weight(e0, e1, kappa).  On the diagonal the
+    bridges are not counted: every edge goes to e0 (e0 = e, e1 = 0)."""
     e0, e1 = bridge_partition(g) if not w.is_diagonal else (g.edge_count, 0)
     return w.cell_weight(e0, e1, component_count(g))
 
