@@ -2,11 +2,12 @@
 """Time the hot kernels.
 
 Runs each kernel in one process and prints a timing table (best of three;
-the mcmc, census and closure-check rows run once).  The JSONL rows time
-`cli.graphs_to_jsonl` alone, on draws made before the clock starts.  Every kernel has a
-single implementation, in numpy or plain Python; the lattice rows start from
-an empty slice cache in every repeat, and the census and closure-check rows
-from built membership arrays and an empty canonical cache.
+the mcmc, census and closure-check rows run once).  The graphs_to_jsonl rows
+time `jsonl.graphs_to_jsonl` alone, on draws made before the clock starts; the
+CLI-route tree row times the decode and the formatting together.  Every
+kernel has a single implementation, in numpy or plain Python; the lattice
+rows start from an empty slice cache in every repeat, and the census and
+closure-check rows from built membership arrays and an empty canonical cache.
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -83,10 +84,12 @@ def bench_frag_distribution(name, n):
     return f"exact_frag_distribution {name} n={n}", "numpy", t
 
 
-def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0):
+def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0, array=False):
     """The chain from the edgeless graph; families other than forests and all
-    test membership by base_member, which asks their predicate directly."""
-    from minorclass.enumeration import lattice_mode
+    test membership by base_member, which asks their predicate directly, or
+    with array=True by a lookup in their membership array (built before the
+    clock starts), as mcmc_sample does up to n = 7."""
+    from minorclass.enumeration import lattice_mode, member_mask_array
     from minorclass.families import builtin_family
     from minorclass.graphs import Graph
 
@@ -97,14 +100,17 @@ def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0):
     draws = steps // 20
     fam = builtin_family(family)
     mode = lattice_mode(fam)
-    member = (lambda s: fam.base_member(Graph(n, s))) if mode == K.MODE_MEMBER_ARRAY else None
+    member = None
+    if mode == K.MODE_MEMBER_ARRAY:
+        member = (member_mask_array(fam, n).tobytes().__getitem__ if array
+                  else lambda s: fam.base_member(Graph(n, s)))
 
     def run():
         K.mcmc_chain(n, proposals, uniforms, lam0, lam1, nu, mode, member,
                      steps - draws * 10, 10, draws)
 
     weights = f"nu={nu:g}" if lam0 == lam1 else f"lam0={lam0:g}, lam1={lam1:g}, nu={nu:g}"
-    label = f"mcmc_chain {steps} steps (n={n} {family}, {weights})"
+    label = f"mcmc_chain {steps} steps (n={n} {family}, {weights}{', array' if array else ''})"
     return label, "python", _time(run, repeat=1)
 
 
@@ -129,8 +135,20 @@ def bench_tree_sample(draws, n):
     return label, "numpy", _time(random_tree_sample, n, 1, draws)
 
 
+def bench_tree_jsonl_route(draws, n):
+    """The CLI's tree route: decode to edge bits and format them
+    (jsonl.trees_to_jsonl), with no Graph built."""
+    from minorclass.jsonl import trees_to_jsonl
+    from minorclass.sampling import random_tree_bits
+
+    def run():
+        trees_to_jsonl(n, random_tree_bits(n, 1, draws))
+
+    return f"{draws} trees on {n} vertices to JSONL lines (CLI route)", "numpy", _time(run)
+
+
 def bench_jsonl_trees(draws, n):
-    from minorclass.cli import graphs_to_jsonl
+    from minorclass.jsonl import graphs_to_jsonl
     from minorclass.sampling import random_tree_sample
 
     graphs = random_tree_sample(n, 0, draws)
@@ -138,7 +156,7 @@ def bench_jsonl_trees(draws, n):
 
 
 def bench_jsonl_boltzmann(draws, census_n):
-    from minorclass.cli import graphs_to_jsonl
+    from minorclass.jsonl import graphs_to_jsonl
     from minorclass.enumeration import build_census
     from minorclass.families import builtin_family
     from minorclass.graphs import Weighting
@@ -258,6 +276,8 @@ def main():
         bench_mcmc(steps, 16),
         bench_mcmc(steps, 60),
         bench_mcmc(steps, 10, "all", 0.5),
+        # member-array mode without labels, the benchmark's mcmc-sp-6 chain
+        bench_mcmc(steps, 6, "series-parallel", array=True),
         # recounts the bridges (graphs.bridge_mask) on every toggle inside a component
         bench_mcmc(20_000, 10, "all", nu=2.0, lam0=0.5, lam1=2.0),
         bench_mcmc(5000, 300),  # setup-bound: the per-pair table of 44,850 pairs
@@ -267,6 +287,7 @@ def main():
         bench_tree_series(200_000, 1 / 22, "inside the radius (x = 1/22)"),
         bench_prufer(draws, 300),
         bench_tree_sample(draws, 300),
+        bench_tree_jsonl_route(draws, 300),
         bench_jsonl_trees(draws, 300),
         bench_jsonl_boltzmann(50 * draws, 6),
     ] + [bench_member_array(name, n) for n in sorted({6, n_sweep})

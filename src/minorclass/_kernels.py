@@ -275,6 +275,26 @@ def _blockwise(a: np.ndarray):
         a[s:s + CHAIN_BLOCK].tolist() for s in range(0, len(a), CHAIN_BLOCK))
 
 
+def _first_whole(adj: list[int], a: int, b: int) -> int:
+    """Grow the vertex sets a and b one search layer at a time, in turn (a
+    first), through the per-vertex neighbour bitmasks adj, and return the
+    first that stops growing.  When a and b lie in distinct components, that
+    is the whole component of one of them, found in about twice the layers
+    of the shallower one."""
+    fa, fb = a, b
+    while True:
+        nxt = 0
+        while fa:
+            low = fa & -fa
+            nxt |= adj[low.bit_length() - 1]
+            fa ^= low
+        fa = nxt & ~a
+        if not fa:
+            return a
+        a |= fa
+        a, fa, b, fb = b, fb, a, fa
+
+
 def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float, lam1: float,
                nu: float, mode: int, member: Callable[[int], bool] | None,
                burn_in: int, thin: int, draws: int) -> list[int]:
@@ -293,22 +313,26 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
     a uniform >= lam1 rejects it before either.  Every forest edge is a
     bridge, so forest mode weighs edges by lam0 alone.
 
-    The edge mask is a Python int, so n is unbounded, and per-vertex
-    adjacency bitmasks make each toggle local.  Where a decision reads the
-    components (forest mode, nu != 1 or lam0 != lam1), the chain keeps a
-    label per vertex, lab[w], and the vertex bitmask of each label's
-    component, comp[label].  Invariant: comp[lab[w]] is the vertex set of w's
-    component in the current graph, and distinct components have distinct
-    labels.
+    The edge mask is a Python int, so n is unbounded.  Where a decision reads
+    the components (forest mode, nu != 1 or lam0 != lam1), the chain keeps
+    per-vertex adjacency bitmasks, which make each toggle local, a label per
+    vertex, lab[w], and the vertex bitmask of each label's component,
+    comp[label].  Invariant: comp[lab[w]] is the vertex set of w's component
+    in the current graph, and distinct components have distinct labels.
+    Every other chain weighs each toggle by lam^(+-1) alone, and keeps
+    neither labels nor adjacency: a loop of its own reads the mask and the
+    membership test, nothing else.
 
     So adding u-v closes a cycle iff lab[u] == lab[v] (forest mode rejects
     it), with no search.  An accepted merge relabels the smaller component.
     Removing an edge from a forest always splits, and an accepted removal
-    searches once from u for u's side; otherwise the search from u that
-    decides the ratio already stops at v or returns u's whole side.  A split
-    gives a free label to the smaller of the two sides.  All chains but
-    forest mode keep no labels when nu = 1 and lam0 = lam1, since no ratio
-    depends on them.
+    grows u's side and v's side one search layer at a time, in turn; the
+    first side that stops growing is whole, and it takes a free label.  So
+    the search costs about twice the layers of the shallower side, not all
+    of u's side.  Otherwise the search from u that decides the ratio already
+    stops at v or returns u's whole side, and a split gives a free label to
+    the smaller of the two sides.  Labels are internal: which side takes the
+    new one changes no mask.
 
     With lam0 != lam1 the chain also keeps the bridge count: a merge adds one
     bridge and a split removes one, and a toggle inside a component recounts
@@ -327,11 +351,26 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
         for lam, de, dk in ((lam0, 1, -1), (lam1, 1, 0), (lam0, -1, 1), (lam1, -1, 0)))
     forests = mode == MODE_FORESTS
     split = lam0 != lam1 and not forests  # toggles inside a component change the bridges
+    steps = enumerate(zip(_blockwise(proposals[:total]), _blockwise(uniforms[:total])))
+    mask = 0
+    out = []
+    keep = burn_in + thin - 1  # step index after which the next draw is kept
+    if not (forests or nu != 1.0 or split):  # no ratio reads the components
+        for t, (b, x) in steps:
+            bit = 1 << b
+            if mask & bit:
+                if drop_split >= 1.0 or x < drop_split:
+                    mask ^= bit
+            elif (add_merge >= 1.0 or x < add_merge) and (member is None or member(mask ^ bit)):
+                mask ^= bit
+            if t == keep:
+                out.append(mask)
+                keep += thin
+        return out
     per_bridge = lam1 / lam0
     # with split and lam1 <= lam0, an addition inside a component with
     # x >= add_inside is rejected unrecounted (see the docstring)
     inside_cut = add_inside if per_bridge <= 1.0 else math.inf
-    labelled = forests or nu != 1.0 or split
     vbit = [1 << w for w in range(n)]
     # (u, v, 1 << u, 1 << v) of each edge bit, in bit order; the edge bit
     # itself is shifted per step, since a table of m of them takes O(m^2) bytes
@@ -348,17 +387,14 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
             lab[low.bit_length() - 1] = label
             vs ^= low
 
-    mask = 0
-    out = []
-    keep = burn_in + thin - 1  # step index after which the next draw is kept
-    for t, (b, x) in enumerate(zip(_blockwise(proposals[:total]), _blockwise(uniforms[:total]))):
+    for t, (b, x) in steps:
         bit = 1 << b
         u, v, ub, vb = toggles[b]
         if mask & bit:
             adj[u] ^= vb
             adj[v] ^= ub
             side, r = 0, drop_split  # side: u's side, once searched
-            if labelled and not forests:
+            if not forests:
                 side = reach(adj, ub, vb)
                 if side & vb:
                     r = drop_inside
@@ -367,12 +403,13 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
                         r *= per_bridge ** (bridges - now)
             if r >= 1.0 or x < r:
                 mask ^= bit
-                if labelled and not side & vb:  # a split
-                    if forests:
-                        side = reach(adj, ub)
+                if not side & vb:  # a split
                     old = lab[u]
-                    rest = comp[old] ^ side
-                    moved = side if side.bit_count() <= rest.bit_count() else rest
+                    if forests:
+                        moved = _first_whole(adj, ub, vb)
+                    else:
+                        rest = comp[old] ^ side
+                        moved = side if side.bit_count() <= rest.bit_count() else rest
                     comp[old] ^= moved
                     label = free.pop()
                     comp[label] = moved
@@ -383,7 +420,7 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
             else:
                 adj[u] |= vb
                 adj[v] |= ub
-        elif labelled and lab[u] == lab[v]:  # u-v closes a cycle
+        elif lab[u] == lab[v]:  # u-v closes a cycle
             # with split, the test is asked before the bridge recount
             if not forests and (x < inside_cut if split else (add_inside >= 1.0 or x < add_inside)) \
                     and (member is None or member(mask ^ bit)):
@@ -400,14 +437,14 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
             mask ^= bit
             adj[u] |= vb
             adj[v] |= ub
-            if labelled:  # the smaller component takes the larger one's label
-                big, small = lab[u], lab[v]
-                if comp[big].bit_count() < comp[small].bit_count():
-                    big, small = small, big
-                comp[big] |= comp[small]
-                relabel(comp[small], big)
-                free.append(small)
-                bridges += 1
+            # the smaller component takes the larger one's label
+            big, small = lab[u], lab[v]
+            if comp[big].bit_count() < comp[small].bit_count():
+                big, small = small, big
+            comp[big] |= comp[small]
+            relabel(comp[small], big)
+            free.append(small)
+            bridges += 1
         if t == keep:
             out.append(mask)
             keep += thin
@@ -476,23 +513,42 @@ def prufer_decode(seqs: np.ndarray) -> np.ndarray:
     to seqs[:, i], and the last edge joins the two vertices of degree 1 left.
 
     The state is flat: int32 degrees and a bool leaf flag per (row, vertex),
-    at index row * n + vertex, the degrees counted by one bincount.  A step
-    takes each row's least leaf by argmax over the flags and then writes only
-    the two cells of each row that change: the removed leaf's flag, and the
-    parent's degree and flag.  Each step forms its flat indices from
-    seqs[:, i]; no (draws, n-2) index copy is kept.
+    at index row * stride + vertex, the degrees counted by one bincount.  The
+    stride is n rounded up to a multiple of 8, so each row's flags are whole
+    little-endian 64-bit words, whose padding cells stay False.  A step finds
+    each row's least leaf in two short scans, argmax over the nonzero words
+    and the lowest set byte of the first one (its trailing zero bits, by
+    bitwise_count), in place of an argmax that reads the row byte by byte up
+    to the leaf.  Then it writes only the two cells of each row that change:
+    the removed leaf's flag, and the parent's degree and flag.  Each step
+    forms its flat indices from seqs[:, i]; no (draws, n-2) index copy is
+    kept.
     """
     seqs = np.asarray(seqs, dtype=np.int64)
     draws, L = seqs.shape
     n = L + 2
-    base = np.arange(0, draws * n, n, dtype=np.int64)
-    deg = np.bincount((seqs + base[:, None]).ravel(), minlength=draws * n).astype(np.int32)
+    words = (n + 7) // 8
+    stride = 8 * words
+    base = np.arange(0, draws * stride, stride, dtype=np.int64)
+    deg = np.bincount((seqs + base[:, None]).ravel(), minlength=draws * stride).astype(np.int32)
     deg += 1
     flag = deg == 1
-    flags = flag.reshape(draws, n)
+    flags = flag.reshape(draws, stride)
+    flags[:, n:] = False
+    word = flag.view("<u8")
+    rows = word.reshape(draws, words)
+    first = np.arange(0, draws * words, words, dtype=np.int64)  # each row's first word
+    one = np.uint64(1)
     edges = np.empty((draws, L + 1, 2), dtype=np.int64)
     for i in range(L):
-        leaf = flags.argmax(axis=1)
+        at = (rows != 0).argmax(axis=1)
+        low = word[at + first]
+        low &= ~low + one  # the lowest set bit
+        low -= one
+        leaf = np.bitwise_count(low).astype(np.int64)
+        leaf >>= 3
+        at <<= 3
+        leaf += at
         v = seqs[:, i]
         edges[:, i, 0] = leaf
         edges[:, i, 1] = v

@@ -20,17 +20,15 @@ import json
 import locale  # noqa: F401  (argparse's gettext would import it inside main, at parser build)
 import math
 import sys
-from collections import defaultdict
 from collections.abc import Iterator
 from fractions import Fraction
 
-import numpy as np
-
-from ._kernels import MODE_FORESTS, pair_endpoints
+from ._kernels import MODE_FORESTS
 from .errors import EmptySliceError, ResourceCapError
 from .families import family_from_spec
-from .graphs import Graph, RootedGraph, Weighting, graph_from_text, pair_count, \
-    pendant_appearances, overlapping_pendant_appearances
+from .graphs import Graph, RootedGraph, Weighting, graph_from_text, pendant_appearances, \
+    overlapping_pendant_appearances
+from .jsonl import graph_from_json, graphs_to_jsonl, trees_to_jsonl
 
 
 def _fmt(x) -> str:
@@ -228,112 +226,36 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
     return 0
 
 
-# The JSONL writer packs at most this many mask bytes at once (one draw if it
-# is wider).  A chunk's per-edge index arrays take up to 8 int64 entries per
-# packed byte, so the chunk stays small enough that the writer adds about
-# nothing to the sampler's peak memory.
-_JSONL_CHUNK_BYTES = 1 << 15
 _JSONL_CHUNK_LINES = 256  # lines per write of the JSONL text
 
 
-def _set_bits(buf: bytes) -> np.ndarray:
-    """Ascending positions of the set bits of little-endian bytes, whose
-    length is a multiple of 8.
-
-    The scan narrows in three steps, each a flatnonzero over a bool array
-    (numpy's nonzero is several times faster on bool than on uint8 or
-    uint64): the nonzero 64-bit words, the nonzero bytes of those words, and
-    the set bits of those bytes."""
-    words = np.frombuffer(buf, dtype="<u8")
-    at = np.flatnonzero(words != 0)
-    packed = words[at].view(np.uint8)
-    hit = np.flatnonzero(packed != 0)
-    bits = np.unpackbits(packed[hit], bitorder="little").view(bool)
-    on = np.flatnonzero(bits)
-    first = at[hit >> 3] * 64 + (hit & 7) * 8  # first bit of each nonzero byte
-    return first[on >> 3] + (on & 7)
-
-
-def _pair_tables(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For ascending pair bits of order n: rank[b], the lexicographic rank of
-    bit b's pair among them (int32, indexed up to the highest bit), and the
-    "[u, v]" text of each pair in that order, joined from per-vertex halves.
-    Its index arrays are freed on return, before the lines are built."""
-    pu, pv = pair_endpoints(n, bits)
-    order = np.lexsort((pv, pu))
-    rank = np.empty(bits[-1] + 1, dtype=np.int32)
-    rank[bits[order]] = np.arange(bits.size, dtype=np.int32)
-    head = ["[%d, " % (u + 1) for u in range(n)]
-    tail = ["%d]" % (v + 1) for v in range(n)]
-    text = [head[u] + tail[v] for u, v in zip(pu[order].tolist(), pv[order].tolist())]
-    return rank, np.array(text, dtype=object)
-
-
-def graphs_to_jsonl(graphs: list[Graph]) -> list[str]:
-    """One JSONL line per graph, in order, each the same text as
-    json.dumps({"n": ..., "edges": [[u, v], ...]}) with the edges of Graph.edges.
-
-    The graphs are grouped by order n.  A group's tables cover only the pairs
-    set in the OR of its masks: a "[u, v]" string per pair, in lexicographic
-    order (the order of Graph.edges), and each pair's rank in that order,
-    indexed by its bit (int32, up to the highest bit set).  Each chunk of a
-    group packs its masks into little-endian bytes, rows rounded up to whole
-    64-bit words, finds their set bits word by word (_set_bits), and sorts
-    every draw's set bits by their pair's rank.  No (draws x pair_count) bit
-    matrix is built.
-    """
-    lines: list[str] = [""] * len(graphs)
-    by_n: defaultdict[int, list[int]] = defaultdict(list)
-    for i, g in enumerate(graphs):
-        by_n[g.n].append(i)
-    for n, idx in by_n.items():
-        union = 0
-        for i in idx:
-            union |= graphs[i].mask
-        if not union:
-            for i in idx:
-                lines[i] = '{"n": %d, "edges": []}' % n
-            continue
-        width = (pair_count(n) + 63) // 64 * 8  # whole 64-bit words
-        rank, text = _pair_tables(n, _set_bits(union.to_bytes(width, "little")))
-        k = text.size
-        step = max(1, _JSONL_CHUNK_BYTES // width)
-        for start in range(0, len(idx), step):
-            chunk = idx[start:start + step]
-            buf = bytearray(len(chunk) * width)
-            for row, i in enumerate(chunk):
-                buf[row * width:(row + 1) * width] = graphs[i].mask.to_bytes(width, "little")
-            rows, cols = np.divmod(_set_bits(buf), width * 8)
-            keys = np.sort(rows * k + rank[cols])
-            edges = text[keys % k].tolist()
-            ends = np.cumsum(np.bincount(rows, minlength=len(chunk))).tolist()
-            begin = 0
-            for i, end in zip(chunk, ends):
-                lines[i] = '{"n": %d, "edges": [%s]}' % (n, ", ".join(edges[begin:end]))
-                begin = end
-    return lines
-
-
-def graph_from_json(line: str) -> Graph:
-    data = json.loads(line)
-    return Graph.from_edges(data["n"], [tuple(e) for e in data["edges"]])
-
-
 def cmd_sample(cfg: ExperimentConfig) -> int:
-    from .enumeration import build_census, lattice_mode
-    from .sampling import boltzmann_config, boltzmann_poisson_sample, exact_sample, \
-        mcmc_sample, random_tree_sample
+    from .sampling import random_tree_bits
 
     if cfg.steps is not None and cfg.method != "mcmc":
         raise ValueError(f"--steps applies only to --method mcmc, got --method {cfg.method}")
-    w = cfg.weighting()
+    w = cfg.weighting()  # checked for every method, though trees take no weights
     n = cfg.n if cfg.n is not None else 6
     if cfg.method == "tree":
-        samples = random_tree_sample(n, cfg.seed, cfg.draws)
-    elif cfg.method == "exact":
+        lines = trees_to_jsonl(n, random_tree_bits(n, cfg.seed, cfg.draws))
+    else:
+        lines = graphs_to_jsonl(_sample_graphs(cfg, w, n))
+    # a chunk of lines at a time: neither the whole text nor its encoding is ever held
+    _write_text(cfg.out, ("\n".join(lines[s:s + _JSONL_CHUNK_LINES]) + "\n"
+                          for s in range(0, len(lines), _JSONL_CHUNK_LINES)))
+    return 0
+
+
+def _sample_graphs(cfg: ExperimentConfig, w: Weighting, n: int) -> list[Graph]:
+    """The draws of sample --method exact, mcmc or boltzmann."""
+    from .enumeration import build_census, lattice_mode
+    from .sampling import boltzmann_config, boltzmann_poisson_sample, exact_sample, \
+        mcmc_sample
+
+    if cfg.method == "exact":
         fam = family_from_spec(cfg.family)
-        samples = exact_sample(fam, w, n, cfg.seed, cfg.draws, cap=cfg.cap)
-    elif cfg.method == "mcmc":
+        return exact_sample(fam, w, n, cfg.seed, cfg.draws, cap=cfg.cap)
+    if cfg.method == "mcmc":
         fam = family_from_spec(cfg.family)
         draws = cfg.draws
         if cfg.steps is not None:
@@ -342,9 +264,8 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
                 raise ValueError(f"--steps must be >= --burn-in ({cfg.burn_in}), "
                                  f"got {cfg.steps}")
             draws = (cfg.steps - cfg.burn_in) // cfg.thin
-        samples = mcmc_sample(fam, w, n, draws, burn_in=cfg.burn_in,
-                              thin=cfg.thin, seed=cfg.seed)
-    elif cfg.method == "boltzmann":
+        return mcmc_sample(fam, w, n, draws, burn_in=cfg.burn_in, thin=cfg.thin, seed=cfg.seed)
+    if cfg.method == "boltzmann":
         fam = family_from_spec(cfg.family)
         census = build_census(fam, cfg.census_n_max, cap=max(cfg.cap, cfg.census_n_max))
         if cfg.rho is not None:
@@ -353,16 +274,8 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
             rho = 1.0 / (math.e * float(w.lambda0))
         else:
             raise ValueError("boltzmann sampling needs --rho for this family")
-        bc = boltzmann_config(census, rho, w)
-        samples = boltzmann_poisson_sample(bc, cfg.seed, cfg.draws)
-    else:
-        raise ValueError(f"unknown sampling method {cfg.method!r}")
-    lines = graphs_to_jsonl(samples)
-    del samples  # free the draws before their text is written
-    # a chunk of lines at a time: neither the whole text nor its encoding is ever held
-    _write_text(cfg.out, ("\n".join(lines[s:s + _JSONL_CHUNK_LINES]) + "\n"
-                          for s in range(0, len(lines), _JSONL_CHUNK_LINES)))
-    return 0
+        return boltzmann_poisson_sample(boltzmann_config(census, rho, w), cfg.seed, cfg.draws)
+    raise ValueError(f"unknown sampling method {cfg.method!r}")
 
 
 def cmd_stats(cfg: ExperimentConfig, infile: str) -> int:

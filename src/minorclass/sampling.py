@@ -106,6 +106,8 @@ def boltzmann_config(census: UnlabelledCensus, rho: float, w: Weighting,
                      radius_estimate: float | None = None) -> BoltzmannConfig:
     from .asymptotics import mu_of_graph, tree_tail_bound
 
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be a finite positive number")
     if not census.entries:  # before the tail bound, which has no zero-term form
         raise EmptySliceError("empty census")
     if radius_estimate is not None and rho > radius_estimate:
@@ -250,21 +252,19 @@ def stationary_residual(fam, w: Weighting, n: int) -> Fraction:
 # -- uniform random trees --------------------------------------------------------------
 
 
-def random_tree_sample(n: int, seed: int, draws: int) -> list[Graph]:
-    """Uniform labelled trees via parent-sequence decoding (bijective with n^(n-2)).
-
-    Under the cluster weighting every tree has the same weight, so uniform
-    trees are exactly the weighted random trees.  draws must be >= 0 (else
-    ValueError).
+def random_tree_bits(n: int, seed: int, draws: int) -> np.ndarray:
+    """Edge bits of uniform labelled trees via parent-sequence decoding
+    (bijective with n^(n-2)): row i holds the n - 1 pair bits v(v-1)/2 + u
+    (see graphs.pair_bit) of tree i's edges u < v, in decode order, as an int64
+    array (draws, n - 1).  draws must be >= 0 and n >= 1 (else ValueError).
     """
     _check_draws(draws)
     if n < 1:
         raise ValueError("trees need at least one vertex")
     if n == 1:
-        return [Graph(1, 0)] * draws
+        return np.zeros((draws, 0), dtype=np.int64)
     rng = rng_stream(seed)
     edges = _kernels.prufer_decode(rng.integers(0, n, size=(draws, n - 2), dtype=np.int64))
-    # the edge bit v(v-1)/2 + u of each tree edge u < v (see graphs.pair_bit):
     # bits takes v, and columns 0 and 1 are overwritten with u and v - 1, so no
     # array beyond bits is allocated
     u, v = edges[:, :, 0], edges[:, :, 1]
@@ -274,7 +274,18 @@ def random_tree_sample(n: int, seed: int, draws: int) -> list[Graph]:
     bits *= v
     bits //= 2
     bits += u
-    del edges, u, v
+    return bits
+
+
+def random_tree_sample(n: int, seed: int, draws: int) -> list[Graph]:
+    """Uniform labelled trees: the rows of random_tree_bits, each packed into
+    one Graph.
+
+    Under the cluster weighting every tree has the same weight, so uniform
+    trees are exactly the weighted random trees.  draws must be >= 0 (else
+    ValueError).
+    """
+    bits = random_tree_bits(n, seed, draws)
     # each tree's edge mask as little-endian bytes, converted to one int
     width = (pair_count(n) + 7) // 8
     out = []

@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
-from minorclass import cli
-from minorclass.cli import ExperimentConfig, graph_from_json, graphs_to_jsonl, main, parse_number
+from minorclass import cli, jsonl
+from minorclass.cli import ExperimentConfig, main, parse_number
+from minorclass.jsonl import graph_from_json, graphs_to_jsonl
 from minorclass.graphs import Graph, complete_graph, graph_to_text, path_graph, set_bits
 
 
@@ -359,15 +360,73 @@ def test_jsonl_writer_matches_json_dumps(monkeypatch):
     graphs += [Graph(2, 1), complete_graph(11), Graph(12, 1 << 64 | 1 << 63), Graph(2),
                complete_graph(12), Graph(13, 1 << 77 | 1 << 64), complete_graph(13),
                Graph(11, 1 << 54), Graph(12, 1 << 65), Graph(13, 1 << 63 | 1)]
-    monkeypatch.setattr(cli, "_JSONL_CHUNK_BYTES", 12000)  # an n = 300 mask takes 5608 bytes
+    monkeypatch.setattr(jsonl, "_CHUNK_BYTES", 12000)  # an n = 300 mask takes 5608 bytes
     lines = graphs_to_jsonl(graphs)
     assert len(lines) == len(graphs)
     for g, line in zip(graphs, lines):
         assert line == json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
         assert graph_from_json(line) == g
-    monkeypatch.setattr(cli, "_JSONL_CHUNK_BYTES", 1)
+    monkeypatch.setattr(jsonl, "_CHUNK_BYTES", 1)
     assert graphs_to_jsonl(graphs) == lines
     assert graphs_to_jsonl([]) == []
+
+
+@pytest.mark.parametrize("n, draws", [(1, 5), (2, 5), (3, 200), (41, 60), (300, 40), (2000, 10),
+                                      (5, 0)])
+def test_tree_output_matches_json_dumps_of_the_sampled_graphs(n, draws, monkeypatch, capsys):
+    """sample --method tree formats the decoded edge bits without building
+    Graphs, in batches smaller than the draws here; its text is json.dumps
+    over random_tree_sample's Graphs on the same seed."""
+    from minorclass.sampling import random_tree_sample
+
+    monkeypatch.setattr(jsonl, "_CHUNK_EDGES", 1000)
+    code, out = run_cli(["sample", "--method", "tree", "--n", str(n), "--draws", str(draws),
+                         "--seed", "7"], capsys)
+    assert code == 0
+    want = [json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
+            for g in random_tree_sample(n, 7, draws)]
+    assert out.splitlines() == want
+
+
+def test_tree_with_negative_draws_exits_2(capsys):
+    code = main(["sample", "--method", "tree", "--n", "5", "--draws", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "configuration error: --draws must be >= 0, got -1" in captured.err
+
+
+def test_jsonl_writer_formats_equal_draws_alike(monkeypatch):
+    """Equal (n, mask) draws in distinct Graph objects, shared Graph objects
+    (as Boltzmann draws are), and equal masks at distinct orders, in mixed
+    orders, with one mask per chunk: every line is json.dumps of its own
+    draw."""
+    from minorclass.enumeration import build_census
+    from minorclass.families import builtin_family
+    from minorclass.graphs import Weighting
+    from minorclass.sampling import boltzmann_config, boltzmann_poisson_sample
+
+    census = build_census(builtin_family("forests"), 4)
+    shared = boltzmann_poisson_sample(boltzmann_config(census, 0.3, Weighting(1, 1)), 5, 40)
+    assert len({id(g) for g in shared}) < len(shared)
+    graphs = []
+    for k, g in enumerate(shared):
+        graphs += [g, Graph(g.n, g.mask), Graph(g.n + 1 + k % 3, g.mask)]
+    graphs += [Graph(12, 1 << 65), complete_graph(5), Graph(12, 1 << 65), Graph(5),
+               complete_graph(5), Graph(13, 1 << 65), Graph(5)]
+    monkeypatch.setattr(jsonl, "_CHUNK_BYTES", 1)
+    lines = graphs_to_jsonl(graphs)
+    assert lines == [json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}) for g in graphs]
+
+
+@pytest.mark.parametrize("rho", ["0", "-1", "nan", "inf"])
+def test_boltzmann_rejects_rho_that_is_not_finite_and_positive(rho, capsys):
+    code = main(["sample", "--method", "boltzmann", "--family", "forests", "--census-nmax", "4",
+                 "--rho=" + rho])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "configuration error: rho must be a finite positive number\n"
 
 
 def test_set_bits_matches_graphs_set_bits():
@@ -381,7 +440,7 @@ def test_set_bits_matches_graphs_set_bits():
         sparse = sum(1 << b for b in rng.sample(range(bits), min(bits, 7)))
         for mask in (0, top, 2 * top - 1, rng.getrandbits(bits) | top, sparse):
             buf = mask.to_bytes((bits + 63) // 64 * 8, "little")
-            assert cli._set_bits(buf).tolist() == set_bits(mask)
+            assert jsonl._set_bits(buf).tolist() == set_bits(mask)
 
 
 def test_mcmc_ex_k_cycles_past_15_vertices(capsys):

@@ -162,6 +162,11 @@ def _base_member_test(fam, n):
     pytest.param("series-parallel", 5, (2, 2, HALF), 1000, 4, False, id="series-parallel-5"),
     pytest.param("forests", 12, (2, 2, HALF), 1000, 4, False, id="forests-12"),
     pytest.param("forests", 30, (1, 1, 1), 1000, 4, False, id="forests-30-unweighted"),
+    # the benchmark's settings: forest mode, and member-array mode without labels
+    pytest.param("forests", 10, (1, 1, 1), 1000, 4, False, id="forests-10-unweighted"),
+    pytest.param("forests", 16, (1, 1, 1), 1000, 4, False, id="forests-16-unweighted"),
+    pytest.param("series-parallel", 6, (1, 1, 1), 1000, 4, False,
+                 id="series-parallel-6-unweighted"),
     pytest.param("all", 8, (HALF, HALF, 4), 1000, 4, False, id="all-8-frequent-splits"),
     pytest.param("series-parallel", 5, (2, 2, 1), 1000, 4, False, id="series-parallel-5-nu-1"),
     pytest.param("forests", 9, (2, 2, HALF), 0, 1, False, id="forests-9-every-step"),
@@ -361,7 +366,7 @@ def _prufer_argmax(seqs: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("draws", [0, 1, 50])
-@pytest.mark.parametrize("n", [2, 3, 4, 8, 300])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 64, 65, 300])
 def test_prufer_decode_matches_reference(n, draws):
     """The same edges in the same order, shape and dtype."""
     rng = np.random.default_rng(1000 * n + draws)

@@ -19,7 +19,7 @@ from minorclass.enumeration import (
 )
 from minorclass.errors import EmptySliceError
 from minorclass.families import builtin_family
-from minorclass.graphs import Graph, RootedGraph, Weighting, component_count, weight
+from minorclass.graphs import Graph, RootedGraph, Weighting, component_count, set_bits, weight
 from minorclass.sampling import (
     boltzmann_component_counts,
     boltzmann_config,
@@ -31,6 +31,7 @@ from minorclass.sampling import (
     mcmc_sample,
     pairwise_max_correlation,
     poisson_chi_square,
+    random_tree_bits,
     random_tree_sample,
     rng_stream,
     stationary_residual,
@@ -276,6 +277,16 @@ def test_random_trees_small():
     assert len(freq) == 3
     for count in freq.values():
         assert abs(count / 30000 - 1 / 3) <= 0.01
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 300])
+def test_random_tree_bits_are_the_sampled_masks(n):
+    """Each row of random_tree_bits holds the set bits of the same draw of
+    random_tree_sample, as int64."""
+    bits = random_tree_bits(n, 4, 30)
+    assert bits.dtype == np.int64 and bits.shape == (30, n - 1)
+    assert [sorted(row) for row in bits.tolist()] == \
+        [set_bits(g.mask) for g in random_tree_sample(n, 4, 30)]
 
 
 def test_random_trees_are_uniform_on_n4():
