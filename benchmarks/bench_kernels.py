@@ -39,10 +39,11 @@ def _time(fn, *args, repeat=3):
 
 
 def _cold(fn, *args, **kwargs):
-    """Time fn with the lattice cache cleared before each repeat, so every
-    repeat builds its slices from n = 0."""
+    """Time fn with the lattice and forest-slice caches cleared before each
+    repeat, so every repeat builds its slices from n = 0."""
     def run():
         K._RECORDS.clear()
+        K._FORESTS.clear()
         fn(*args, **kwargs)
 
     return _time(run)
@@ -51,6 +52,14 @@ def _cold(fn, *args, **kwargs):
 def bench_subset_stats(n):
     masks = 1 << (n * (n - 1) // 2)
     return f"subset_stats n={n} ({masks} masks)", "numpy", _cold(K.subset_stats, n)
+
+
+def bench_forest_slice(n):
+    """The forests alone, each slice extended from the forests one vertex
+    below; past n = 7 in blocks of neighbour sets."""
+    count = K.forest_slice(n).masks.size
+    t = _cold(K.forest_slice, n)
+    return f"forest_slice n={n} ({count} forests)", "numpy", t
 
 
 def bench_sweep(n, mode, want_bridges, label):
@@ -268,6 +277,8 @@ def main():
 
     benches = [
         bench_subset_stats(n_sweep),
+        bench_forest_slice(n_sweep),
+        bench_forest_slice(n_sweep + 1),
         bench_sweep(n_sweep, K.MODE_ALL, True, "all +bridges"),
         bench_sweep(n_sweep + 1, K.MODE_FORESTS, False, "forests"),
         bench_exact_sample(n_sweep, 1000),

@@ -11,7 +11,10 @@ inputs.
 Kernels:
   * subset_stats      - component count, edge count and min-degree flag for every edge mask
   * core_sets         - 2-core vertex set of every edge mask, by one peel of the whole slice
-  * sweep_counts      - aggregate member counts by (edges, bridges, components)
+  * forest_slice      - the forests' masks and statistics alone, each slice built by
+                        extending the forests one vertex below, never the whole lattice
+  * sweep_counts      - aggregate member counts by (edges, bridges, components); the
+                        forests are read from forest_slice
   * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n), the
                         one chain for every family and weighting; membership is one
                         test on an edge mask, asked only about additions
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,7 +79,8 @@ class SliceStats:
     set.  deg0 and deg1 (the sets of vertices of degree 0 and 1) and roots
     (roots[v]: the bit of the least vertex of v's component) are what
     extending the slice by one vertex needs.  bridges (bridge count) is
-    computed on request.
+    computed on request.  masks (int64) holds the edge masks of the rows
+    where they are not the consecutive masks of a whole slice (forest_slice).
     """
 
     kappa: np.ndarray
@@ -86,9 +90,11 @@ class SliceStats:
     deg1: np.ndarray | None = None
     roots: np.ndarray | None = None
     bridges: np.ndarray | None = None
+    masks: np.ndarray | None = None
 
 
 _RECORDS: dict[int, SliceStats] = {}
+_FORESTS: dict[int, SliceStats] = {}
 
 
 def _record(n: int, extendable: bool = False) -> SliceStats:
@@ -136,7 +142,8 @@ def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = 
             bridges: bool = False) -> SliceStats:
     """The masks of the n-slice whose vertex n has the neighbour sets first,
     ..., first + count - 1 (count a power of two dividing first), from the
-    whole (n-1)-slice `low`, which must be extendable.
+    (n-1)-slice `low`, which must be extendable.  The rows are ordered by
+    neighbour set, then by row of `low`; the bridges need `low` whole.
 
     Adding vertex n with neighbours N merges the components N touches:
     kappa = kappa_low + 1 - (components touched).  An edge u-n is a bridge
@@ -175,6 +182,43 @@ def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = 
             halves = out.kappa.reshape(-1, 2, 1 << b)
             out.bridges.reshape(-1, 2, 1 << b)[:, 1, :] += halves[:, 0, :] == halves[:, 1, :] + 1
     return out
+
+
+def forest_slice(n: int, extendable: bool = False) -> SliceStats:
+    """The forests on n <= LATTICE_CAP vertices: their ascending edge masks
+    and the lattice's statistics of those masks, cached like the whole slices.
+    Every edge of a forest is a bridge, so bridges is edges.
+
+    A forest minus vertex n is a forest on n - 1 vertices, so the n-forests
+    are the (n-1)-forests extended by every neighbour set of vertex n whose
+    row keeps e + kappa = n.  The neighbour set is each row's high bits and
+    the outer axis of _extend, so the masks come out ascending.  The
+    extension runs in blocks of neighbour sets of at most BLOCK rows (four
+    at n = 8), so a block's temporaries stay bounded.
+    """
+    if n > LATTICE_CAP:
+        raise ResourceCapError(f"the subset lattice stops at n={LATTICE_CAP}")
+    rec = _FORESTS.get(n)
+    if rec is None or (extendable and rec.roots is None):
+        if n == 0:  # the empty graph
+            rec = replace(_record(0), masks=np.zeros(1, dtype=np.int64))
+        else:
+            low = forest_slice(n - 1, extendable=True)
+            count = min(1 << (n - 1), 1 << max(0, (BLOCK // low.kappa.size).bit_length() - 1))
+            parts = []
+            for first in range(0, 1 << (n - 1), count):
+                blk = _extend(low, n, first, count, extendable)
+                nbrs = np.arange(first, first + count, dtype=np.int64)[:, None]
+                blk.masks = (nbrs << (n - 1) * (n - 2) // 2 | low.masks).reshape(-1)
+                keep = blk.edges + blk.kappa == n
+                parts.append({k: v[..., keep] for k, v in vars(blk).items() if v is not None})
+            rec = SliceStats(**{k: np.concatenate([p[k] for p in parts], axis=-1)
+                                for k in parts[0]})
+        rec.bridges = rec.edges
+        for arr in (rec.kappa, rec.edges, rec.mindeg2, rec.masks):
+            arr.flags.writeable = False
+        _FORESTS[n] = rec
+    return rec
 
 
 def subset_stats(n: int) -> SliceStats:
@@ -229,11 +273,12 @@ def _tally(out: np.ndarray, index: np.ndarray, sel: np.ndarray | None):
 
 def sweep_counts(n: int, member: np.ndarray | None, mode: int,
                  want_bridges: bool = False) -> SweepCounts:
-    """Aggregate exact member counts over all 2^(n(n-1)/2) edge masks, n <= LATTICE_CAP.
+    """Aggregate exact member counts over the n-vertex edge masks, n <= LATTICE_CAP.
 
-    The members are every mask (MODE_ALL), the forests, found by e = n - kappa
-    (MODE_FORESTS), or the masks s with member[s] != 0 (MODE_MEMBER_ARRAY).
-    want_bridges splits every count by its bridge count e0.
+    The members are every mask (MODE_ALL), the forests, read from
+    forest_slice alone (MODE_FORESTS), or the masks s with member[s] != 0
+    (MODE_MEMBER_ARRAY); every mode but MODE_FORESTS sweeps all
+    2^(n(n-1)/2) masks.  want_bridges splits every count by its bridge count e0.
     """
     if n > LATTICE_CAP:
         raise ResourceCapError(f"the subset lattice stops at n={LATTICE_CAP}")
@@ -242,13 +287,9 @@ def sweep_counts(n: int, member: np.ndarray | None, mode: int,
     a = np.zeros((m + 1, splits, n + 2), dtype=np.int64)
     c = np.zeros((m + 1, splits), dtype=np.int64)
     b = np.zeros((m + 1, splits), dtype=np.int64)
-    for start, blk in _blocks(n, want_bridges):
-        if mode == MODE_ALL:
-            ok = None
-        elif mode == MODE_FORESTS:
-            ok = blk.edges + blk.kappa == n
-        else:
-            ok = member[start:start + blk.kappa.size] != 0
+    blocks = [(0, forest_slice(n))] if mode == MODE_FORESTS else _blocks(n, want_bridges)
+    for start, blk in blocks:
+        ok = member[start:start + blk.kappa.size] != 0 if mode == MODE_MEMBER_ARRAY else None
         connected = blk.kappa == 1
         sel_c = connected if ok is None else ok & connected
         sel_b = sel_c & (blk.mindeg2 != 0)
@@ -337,7 +378,11 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
     With lam0 != lam1 the chain also keeps the bridge count: a merge adds one
     bridge and a split removes one, and a toggle inside a component recounts
     them (graphs.bridge_mask).  If that toggle loses k bridges (k < 0 when it
-    gains some), its ratio is lam1^(+-1) * (lam1/lam0)^k.
+    gains some), its ratio is lam1^(+-1) * (lam1/lam0)^k.  Two screens skip
+    the recount where its outcome is known: an addition to a bridgeless graph
+    keeps it bridgeless, and a removal inside a component only gains bridges,
+    so with lam1 > lam0 its ratio is at most drop_inside, and a uniform >=
+    drop_inside rejects it unrecounted.
     """
     total = burn_in + draws * thin
     if thin < 1 or burn_in < 0 or len(proposals) < total or len(uniforms) < total:
@@ -368,9 +413,10 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
                 keep += thin
         return out
     per_bridge = lam1 / lam0
-    # with split and lam1 <= lam0, an addition inside a component with
-    # x >= add_inside is rejected unrecounted (see the docstring)
+    # with split, an addition inside a component with x >= inside_cut, or a
+    # removal inside one with x >= drop_cut, is rejected unrecounted
     inside_cut = add_inside if per_bridge <= 1.0 else math.inf
+    drop_cut = drop_inside if per_bridge > 1.0 else math.inf
     vbit = [1 << w for w in range(n)]
     # (u, v, 1 << u, 1 << v) of each edge bit, in bit order; the edge bit
     # itself is shifted per step, since a table of m of them takes O(m^2) bytes
@@ -398,7 +444,7 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
                 side = reach(adj, ub, vb)
                 if side & vb:
                     r = drop_inside
-                    if split:
+                    if split and x < drop_cut:
                         now = bridge_mask(Graph(n, mask ^ bit)).bit_count()
                         r *= per_bridge ** (bridges - now)
             if r >= 1.0 or x < r:
@@ -425,7 +471,7 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
             if not forests and (x < inside_cut if split else (add_inside >= 1.0 or x < add_inside)) \
                     and (member is None or member(mask ^ bit)):
                 if split:
-                    now = bridge_mask(Graph(n, mask ^ bit)).bit_count()
+                    now = bridge_mask(Graph(n, mask ^ bit)).bit_count() if bridges else 0
                     r = add_inside * per_bridge ** (bridges - now)
                 if not split or r >= 1.0 or x < r:
                     mask ^= bit

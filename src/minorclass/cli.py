@@ -41,15 +41,18 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def parse_number(s: str):
-    """Parse an int, a fraction like 1/2, or a float."""
+def parse_number(s: str, flag: str):
+    """Parse an int, a fraction like 1/2, or a float given for option `flag`."""
     s = s.strip()
     try:
         return int(s)
     except ValueError:
         pass
     if "/" in s:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"{flag} must be a number, got {s!r}") from None
     return float(s)
 
 
@@ -116,9 +119,10 @@ class ExperimentConfig:
         if self.lambda0 is not None or self.lambda1 is not None:
             if self.lambda0 is None or self.lambda1 is None:
                 raise ValueError("lambda0 and lambda1 must be given together")
-            return Weighting.extended(parse_number(self.lambda0), parse_number(self.lambda1),
-                                      parse_number(self.nu))
-        return Weighting(parse_number(self.lam), parse_number(self.nu))
+            return Weighting.extended(parse_number(self.lambda0, "--lambda0"),
+                                      parse_number(self.lambda1, "--lambda1"),
+                                      parse_number(self.nu, "--nu"))
+        return Weighting(parse_number(self.lam, "--lambda"), parse_number(self.nu, "--nu"))
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -202,7 +206,7 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
     if cfg.census_n_max > 0:
         census = build_census(fam, cfg.census_n_max, cap=max(cfg.cap, cfg.census_n_max))
     if cfg.gamma is not None:
-        gamma = float(parse_number(cfg.gamma))
+        gamma = float(parse_number(cfg.gamma, "--gamma"))
         estimate_note = "gamma supplied"
     else:
         table = compute_weight_table(fam, w, cfg.n_max, cap=cfg.cap)
@@ -269,7 +273,7 @@ def _sample_graphs(cfg: ExperimentConfig, w: Weighting, n: int) -> list[Graph]:
         fam = family_from_spec(cfg.family)
         census = build_census(fam, cfg.census_n_max, cap=max(cfg.cap, cfg.census_n_max))
         if cfg.rho is not None:
-            rho = float(parse_number(cfg.rho))
+            rho = float(parse_number(cfg.rho, "--rho"))
         elif lattice_mode(fam) == MODE_FORESTS:
             rho = 1.0 / (math.e * float(w.lambda0))
         else:
@@ -315,7 +319,8 @@ def cmd_pendant(cfg: ExperimentConfig, graph_path: str, h_path: str, root: int) 
         "density": pendant_appearances(g, h) / g.n if g.n else None,
     }
     if cfg.gamma is not None:
-        out["limit_density"] = pendant_limit(h, float(parse_number(cfg.gamma)), cfg.weighting())
+        out["limit_density"] = pendant_limit(h, float(parse_number(cfg.gamma, "--gamma")),
+                                             cfg.weighting())
     _write_text(cfg.out, json.dumps(out, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -17,9 +17,8 @@ on the edge mask, evaluated for all masks at once and looked up in the cached
 array of the order below; edge deletions are closed by a subset-AND pass over
 the lattice.  A minor of the slice's own order is excluded at its edge mask
 under all n! vertex permutations, so the DP canonicalizes nothing.  Forests
-use the component count instead (e = n - kappa), and the family of all
-graphs needs no membership at all; `lattice_mode` decides which of the three
-routes a family takes.
+are read from `_kernels.forest_slice` instead, and the family of all graphs
+needs no membership at all; `lattice_mode` picks a family's route.
 
 The unlabelled census grows by canonical augmentation: each class of order
 n-1 is joined to a new vertex by the nonempty neighbour sets that take the
@@ -71,8 +70,8 @@ BRUTE_FORCE_CAP = 7
 
 def lattice_mode(fam: "GraphFamily") -> int:
     """How the lattice sweeps the family, decided by its predicate, never its
-    name: every mask (MODE_ALL), the forests by e = n - kappa (MODE_FORESTS),
-    or the family's membership array (MODE_MEMBER_ARRAY)."""
+    name: every mask (MODE_ALL), the forest slice alone (MODE_FORESTS), or
+    the family's membership array (MODE_MEMBER_ARRAY)."""
     if fam.predicate is every_graph:
         return _kernels.MODE_ALL
     if fam.predicate is is_forest:
@@ -90,8 +89,11 @@ def member_mask_array(fam: "GraphFamily", n: int) -> np.ndarray | None:
     if cached is not None:
         return cached
     if mode == _kernels.MODE_FORESTS:
-        stats = _kernels.subset_stats(n)
-        arr = (stats.edges + stats.kappa == n).view(np.uint8)
+        if n > _kernels.RECORD_CAP:
+            raise ResourceCapError(f"whole-slice statistics stop at n={_kernels.RECORD_CAP}; "
+                                   "sweep_counts streams larger slices")
+        arr = np.zeros(1 << pair_count(n), dtype=np.uint8)
+        arr[_kernels.forest_slice(n).masks] = 1
     else:
         arr = _minor_closed_member_array(fam, n)
     fam._member_arrays[n] = arr
@@ -184,26 +186,36 @@ def _connected_members(fam: "GraphFamily", n: int) -> np.ndarray:
 
 
 def member_masks(fam: "GraphFamily", n: int, connected: bool | None = None) -> np.ndarray:
-    """Ascending int64 array of the member edge masks at order n; optionally only connected ones."""
+    """Ascending int64 array of the member edge masks at order n (read-only
+    for all the forests); optionally only connected ones."""
     if connected is None and fam.connected_only:
         connected = True
+    if lattice_mode(fam) == _kernels.MODE_FORESTS:
+        rows = _kernels.forest_slice(n)
+        return rows.masks[rows.kappa == 1] if connected else rows.masks
     if connected:
         return np.flatnonzero(_connected_members(fam, n))
     arr = member_mask_array(fam, n)
     return np.arange(1 << pair_count(n)) if arr is None else np.flatnonzero(arr)
 
 
-def mask_cells(w: Weighting, n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge mask's cell (e * (m + 1) + e0) * (n + 1) + kappa, from the
-    lattice (e edges, e0 bridges, counted only if lambda0 != lambda1, kappa
-    components; m = pair_count(n)), and the weight of each occupied cell, one
-    w.cell_weight call per cell, in an object array (0 elsewhere)."""
-    stats = _kernels.subset_stats(n)
-    cells = stats.edges[masks].astype(np.int64) * (pair_count(n) + 1)
-    if not w.is_diagonal:
-        (_, block), = _kernels._blocks(n, True)
-        cells += block.bridges[masks]
-    cells = cells * (n + 1) + stats.kappa[masks]
+def mask_cells(fam: "GraphFamily", w: Weighting, n: int,
+               masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each member edge mask's cell (e * (m + 1) + e0) * (n + 1) + kappa, from
+    the lattice (e edges, e0 bridges, counted only if lambda0 != lambda1, kappa
+    components; m = pair_count(n)), or for a forest e0 = e and kappa = n - e,
+    and the weight of each occupied cell, one w.cell_weight call per cell, in
+    an object array (0 elsewhere)."""
+    if lattice_mode(fam) == _kernels.MODE_FORESTS:
+        e = np.bitwise_count(masks).astype(np.int64)
+        e0, kappa = e, n - e
+    else:
+        stats = _kernels.subset_stats(n)
+        e, kappa, e0 = stats.edges[masks].astype(np.int64), stats.kappa[masks], 0
+        if not w.is_diagonal:
+            (_, block), = _kernels._blocks(n, True)
+            e0 = block.bridges[masks]
+    cells = (e * (pair_count(n) + 1) + e0) * (n + 1) + kappa
     weights = np.zeros(cells.max(initial=-1) + 1, dtype=object)
     for cell in np.flatnonzero(np.bincount(cells)).tolist():
         e, e0 = divmod(cell // (n + 1), pair_count(n) + 1)
@@ -433,7 +445,7 @@ def f_nk_bruteforce(fam: "GraphFamily", w: Weighting, n: int, k: int,
     """
     _check_caps(fam, n, min(cap, BRUTE_FORCE_CAP))
     sel = _connected_members(fam, n) & (np.bitwise_count(_kernels.core_sets(n)) == k)
-    cells, weights = mask_cells(w, n, np.flatnonzero(sel))
+    cells, weights = mask_cells(fam, w, n, np.flatnonzero(sel))
     return _simplify(sum(c * x for c, x in zip(np.bincount(cells).tolist(), weights) if c) or 0)
 
 
@@ -706,20 +718,26 @@ def exact_frag_distribution(fam: "GraphFamily", w: Weighting, n: int,
     """Exact Pr[frag = k] for the weighted random graph on the family's n-slice.
 
     frag is n less the most vertices sharing a component root in the lattice
-    (`_kernels._record(n, extendable=True).roots`); the members are tallied
-    by (cell of mask_cells, frag).  The slice stops at BRUTE_FORCE_CAP.
+    (`_kernels._record(n, extendable=True).roots`, or the forest slice's); the
+    members are tallied by (cell of mask_cells, frag).  The slice stops at
+    BRUTE_FORCE_CAP.
     """
     _check_caps(fam, n, min(cap, BRUTE_FORCE_CAP))
     if n < 1:
         raise ValueError("big/frag split needs at least one vertex")
-    masks = member_masks(fam, n, connected=False)
+    if lattice_mode(fam) == _kernels.MODE_FORESTS:
+        rows = _kernels.forest_slice(n, extendable=True)
+        masks, roots = rows.masks, rows.roots
+    else:
+        masks = member_masks(fam, n, connected=False)
+        roots = (r[masks] for r in _kernels._record(n, extendable=True).roots)
     # each vertex adds 1 to its root's 4-bit counter, which n <= 7 never overflows
     counter = np.zeros(256, dtype=np.uint32)
     counter[1 << np.arange(n)] = 1 << 4 * np.arange(n)
-    sizes = sum(counter[r[masks]] for r in _kernels._record(n, extendable=True).roots)
+    sizes = sum(counter[r] for r in roots)
     nibbles = sizes.view(np.uint8).reshape(-1, 4)
     big = np.maximum(nibbles & 15, nibbles >> 4).max(axis=1)
-    cells, weights = mask_cells(w, n, masks)
+    cells, weights = mask_cells(fam, w, n, masks)
     tally = np.bincount(cells * n + (n - big))
     totals: dict = {}
     for key in np.flatnonzero(tally).tolist():

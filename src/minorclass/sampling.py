@@ -72,7 +72,7 @@ def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int,
     masks = member_masks(fam, n)
     if not masks.size:
         raise EmptySliceError(f"family {fam.name!r} has no members of order {n}")
-    cells, weights = mask_cells(w, n, masks)
+    cells, weights = mask_cells(fam, w, n, masks)
     cum = np.cumsum(weights.astype(float)[cells])
     rng = rng_stream(seed)
     r = rng.random(draws) * cum[-1]

@@ -228,7 +228,14 @@ def test_exit_code_config_error(capsys):
     (["enumerate", "--nmax", "-1"], "--nmax"),
     (["sample", "--draws", "-3"], "--draws"),
     (["census", "--nmax", "-1"], "--nmax"),
-], ids=["thin", "burn-in", "seed", "nmax", "draws", "census-nmax"])
+    (["enumerate", "--lambda", "1/0"], "--lambda"),
+    (["enumerate", "--nu", "3/0"], "--nu"),
+    (["enumerate", "--lambda0", "1/0", "--lambda1", "2"], "--lambda0"),
+    (["sample", "--lambda0", "1/2", "--lambda1", "0/0"], "--lambda1"),
+    (["constants", "--gamma", "1/0", "--census-nmax", "0"], "--gamma"),
+    (["sample", "--method", "boltzmann", "--census-nmax", "3", "--rho", "1/0"], "--rho"),
+], ids=["thin", "burn-in", "seed", "nmax", "draws", "census-nmax", "lambda-1/0", "nu-3/0",
+        "lambda0-1/0", "lambda1-0/0", "gamma-1/0", "rho-1/0"])
 def test_bad_config_values_exit_2_naming_the_flag(argv, flag, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -339,9 +346,9 @@ def test_json_family_named_all_is_swept_by_its_minors(tmp_path, capsys):
 def test_parse_number():
     from fractions import Fraction
 
-    assert parse_number("3") == 3
-    assert parse_number("1/2") == Fraction(1, 2)
-    assert parse_number("0.25") == 0.25
+    assert parse_number("3", "--nu") == 3
+    assert parse_number("1/2", "--nu") == Fraction(1, 2)
+    assert parse_number("0.25", "--nu") == 0.25
 
 
 def test_jsonl_writer_matches_json_dumps(monkeypatch):

@@ -2,7 +2,8 @@
 
 The subset-lattice pass is checked mask by mask against per-graph oracles
 (components, adjacency and bridges of each `Graph`) and at n = 8
-against closed forms.  The tree series is checked against a math.fsum of its
+against closed forms, and the forest slice row by row against the lattice's
+rows with e + kappa = n.  The tree series is checked against a math.fsum of its
 closed-form terms, and bit for bit against `_tree_series_every_chunk`, the
 sum it was before it stopped at underflow.  The Pruefer decoder is checked
 edge for edge against `_prufer_argmax`, the whole-matrix decoder it replaced,
@@ -113,10 +114,57 @@ def test_sweep_with_member_array():
 
 
 def test_forests_at_n8_match_forest_table():
-    w = Weighting(Fraction(1, 2), 3)
-    got = brute_force_tau(builtin_family("forests"), w, 8, cap=8)
-    table = forest_table(w, 8)
-    assert (got.a, got.c, got.b) == (table.a[8], table.c[8], table.b[8])
+    for w in (Weighting(Fraction(1, 2), 3), Weighting.extended(Fraction(1, 2), 2, 3)):
+        got = brute_force_tau(builtin_family("forests"), w, 8, cap=8)
+        table = forest_table(w, 8)
+        assert (got.a, got.c, got.b) == (table.a[8], table.c[8], table.b[8]), w
+
+
+# labelled forests on n = 0..8 vertices, OEIS A001858
+FOREST_COUNTS = [1, 1, 2, 7, 38, 291, 2932, 36961, 561948]
+
+
+def test_forest_slice_sizes_and_trees():
+    for n, count in enumerate(FOREST_COUNTS):
+        rows = K.forest_slice(n)
+        assert rows.masks.size == count, n
+        assert np.count_nonzero(rows.kappa == 1) == (n ** max(n - 2, 0) if n else 0), n
+        assert not rows.masks.flags.writeable
+
+
+@pytest.mark.parametrize("block", [K.BLOCK, 64], ids=["one-block", "blocks-of-64"])
+def test_forest_slice_rows_are_the_lattice_rows_of_the_forests(block, monkeypatch):
+    """At every n <= 7 the forest slice holds, ascending, exactly the masks
+    with e + kappa = n, with the lattice's edges, kappa, mindeg2, roots and
+    bridges there, whether it is extended in one block or in many; the
+    forests' member array is those masks scattered."""
+    monkeypatch.setattr(K, "BLOCK", block)
+    monkeypatch.setattr(K, "_FORESTS", {})
+    forests = builtin_family("forests")
+    for n in range(8):
+        lattice = K._record(n, extendable=True)
+        at = np.flatnonzero(lattice.edges + lattice.kappa == n)
+        rows = K.forest_slice(n, extendable=True)
+        assert np.array_equal(rows.masks, at), n
+        for name in ("edges", "kappa", "mindeg2", "deg0", "deg1"):
+            assert np.array_equal(getattr(rows, name), getattr(lattice, name)[at]), (n, name)
+        assert np.array_equal(rows.roots, lattice.roots[:, at]), n
+        bridges = np.concatenate([blk.bridges for _, blk in K._blocks(n, True)])
+        assert np.array_equal(rows.bridges, bridges[at]), n
+        assert np.array_equal(np.flatnonzero(member_mask_array(forests, n)), at), n
+
+
+@pytest.mark.parametrize("bridges", [False, True], ids=["diagonal", "bridge-split"])
+def test_forest_sweep_equals_the_lattice_sweep(bridges):
+    """The forest slice's counts equal the whole lattice swept with the
+    forests' selector e + kappa = n as a member array."""
+    for n in range(8):
+        stats = K.subset_stats(n)
+        member = (stats.edges + stats.kappa == n).view(np.uint8)
+        want = K.sweep_counts(n, member, K.MODE_MEMBER_ARRAY, want_bridges=bridges)
+        got = K.sweep_counts(n, None, K.MODE_FORESTS, want_bridges=bridges)
+        for name in "acb":
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (n, name)
 
 
 def test_all_graphs_at_n8():
@@ -182,6 +230,8 @@ def _base_member_test(fam, n):
     pytest.param("series-parallel", 6, (4, HALF, 2), 1000, 4, False,
                  id="series-parallel-6-lam0-lam1"),
     pytest.param("planar", 6, (HALF, 2, 2), 1000, 4, False, id="planar-6-lam0-lam1"),
+    # lam1 < lam0 with drop_inside = 1/2: a removal that creates bridges has ratio >= 1
+    pytest.param("all", 7, (4, 2, 1), 1000, 4, False, id="all-7-lam1-below-lam0-above-1"),
     pytest.param("ex-k-disjoint-cycles:1", 8, (HALF, 2, 2), 1000, 2, True,
                  id="predicate-ex-k-disjoint-cycles-8-lam0-lam1"),
     pytest.param(NO_P4, 6, (HALF, 2, 1), 1000, 4, True, id="predicate-no-p4-6-lam0-lam1"),
@@ -211,6 +261,20 @@ def test_mcmc_chain_matches_python_chain(family, n, weights, burn_in, thin, pred
     want = _mcmc_python(fam, w, n, proposals, uniforms, burn_in, thin, draws)
     assert got == [g.mask for g in want]
     assert len(set(got)) > 50
+
+
+def test_split_chain_screens_most_bridge_recounts(monkeypatch):
+    """With lam1 > lam0 the chain stays bridgeless most of the time, so an
+    addition inside a component needs no recount, and a removal inside one
+    is recounted only when its uniform is below drop_inside = 1/2."""
+    calls = []
+    monkeypatch.setattr(K, "bridge_mask", lambda g: calls.append(g) or bridge_mask(g))
+    n, steps = 10, 20_000
+    rng = np.random.default_rng(0)
+    proposals = rng.integers(0, n * (n - 1) // 2, size=steps, dtype=np.int64)
+    K.mcmc_chain(n, proposals, rng.random(steps), 0.5, 2.0, 2.0, K.MODE_ALL, None,
+                 steps - 1000, 1, 1000)
+    assert len(calls) < steps // 2
 
 
 @pytest.mark.parametrize("mode, nu", [(K.MODE_FORESTS, 1.0), (K.MODE_ALL, 0.5)],

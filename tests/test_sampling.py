@@ -102,7 +102,8 @@ def test_cell_weights_equal_per_graph_weights(w):
     float of graphs.weight on its own Graph."""
     cases = [(name, n) for name in BUILTINS for n in range(6)] + [("planar", 6), ("all", 6)]
     for name, n in cases:
-        cells, weights = mask_cells(w, n, member_masks(builtin_family(name), n))
+        fam = builtin_family(name)
+        cells, weights = mask_cells(fam, w, n, member_masks(fam, n))
         assert weights.astype(float)[cells].tolist() == _per_graph_weights(name, w, n), (name, n)
 
 
