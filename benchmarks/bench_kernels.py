@@ -2,9 +2,10 @@
 """Time the hot kernels.
 
 Runs each kernel in one process and prints a timing table (best of three;
-the mcmc, census and closure-check rows run once).  The graphs_to_jsonl rows
-time `jsonl.graphs_to_jsonl` alone, on draws made before the clock starts; the
-CLI-route tree row times the decode and the formatting together.  Every
+the mcmc, census and closure-check rows run once).  The JSONL rows time the
+CLI's routes: the chain row formats edge masks drawn before the clock starts
+(`jsonl.masks_to_jsonl`), and the Boltzmann and tree rows time the draws and
+the formatting together.  Every
 kernel has a single implementation, in numpy or plain Python; the lattice
 rows start from an empty slice cache in every repeat, and the census and
 closure-check rows from built membership arrays and an empty canonical cache.
@@ -156,26 +157,40 @@ def bench_tree_jsonl_route(draws, n):
     return f"{draws} trees on {n} vertices to JSONL lines (CLI route)", "numpy", _time(run)
 
 
-def bench_jsonl_trees(draws, n):
-    from minorclass.jsonl import graphs_to_jsonl
-    from minorclass.sampling import random_tree_sample
+def bench_jsonl_chain(draws, n):
+    """The CLI's MCMC route after the chain: its edge masks (drawn before the
+    clock starts) to JSONL lines (jsonl.masks_to_jsonl), with no Graph built."""
+    from minorclass.families import builtin_family
+    from minorclass.graphs import Weighting
+    from minorclass.jsonl import masks_to_jsonl
+    from minorclass.sampling import mcmc_masks
 
-    graphs = random_tree_sample(n, 0, draws)
-    return f"graphs_to_jsonl {draws} trees on {n} vertices", "numpy", _time(graphs_to_jsonl, graphs)
+    masks = mcmc_masks(builtin_family("forests"), Weighting(1, 1), n, draws, burn_in=20_000,
+                       thin=10, seed=0)
+    label = f"{draws} chain masks n={n} to JSONL lines (CLI route)"
+    return label, "numpy", _time(masks_to_jsonl, n, masks)
 
 
 def bench_jsonl_boltzmann(draws, census_n):
-    from minorclass.jsonl import graphs_to_jsonl
+    """The CLI's Boltzmann route: Poisson count rows grouped in numpy
+    (sampling.boltzmann_groups), one Graph and one line per distinct row,
+    the lines expanded to every draw."""
     from minorclass.enumeration import build_census
     from minorclass.families import builtin_family
     from minorclass.graphs import Weighting
-    from minorclass.sampling import boltzmann_config, boltzmann_poisson_sample
+    from minorclass.jsonl import graphs_to_jsonl
+    from minorclass.sampling import boltzmann_config, boltzmann_groups
 
     census = build_census(builtin_family("forests"), census_n)
-    graphs = boltzmann_poisson_sample(boltzmann_config(census, 1 / math.e, Weighting(1, 1)), 0,
-                                      draws)
-    label = f"graphs_to_jsonl {draws} Boltzmann forests (census n<={census_n})"
-    return label, "numpy", _time(graphs_to_jsonl, graphs)
+    cfg = boltzmann_config(census, 1 / math.e, Weighting(1, 1))
+
+    def run():
+        graphs, inverse = boltzmann_groups(cfg, 0, draws)
+        text = graphs_to_jsonl(graphs)
+        return [text[j] for j in inverse.tolist()]
+
+    label = f"{draws} Boltzmann draws grouped to lines (census n<={census_n}, CLI route)"
+    return label, "numpy", _time(run)
 
 
 def bench_member_array(name, n):
@@ -299,7 +314,7 @@ def main():
         bench_prufer(draws, 300),
         bench_tree_sample(draws, 300),
         bench_tree_jsonl_route(draws, 300),
-        bench_jsonl_trees(draws, 300),
+        bench_jsonl_chain(8 * draws, 10),
         bench_jsonl_boltzmann(50 * draws, 6),
     ] + [bench_member_array(name, n) for n in sorted({6, n_sweep})
          for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1")

@@ -26,9 +26,9 @@ from fractions import Fraction
 from ._kernels import MODE_FORESTS
 from .errors import EmptySliceError, ResourceCapError
 from .families import family_from_spec
-from .graphs import Graph, RootedGraph, Weighting, graph_from_text, pendant_appearances, \
+from .graphs import RootedGraph, Weighting, graph_from_text, pendant_appearances, \
     overlapping_pendant_appearances
-from .jsonl import graph_from_json, graphs_to_jsonl, trees_to_jsonl
+from .jsonl import graph_from_json, graphs_to_jsonl, masks_to_jsonl, trees_to_jsonl
 
 
 def _fmt(x) -> str:
@@ -234,32 +234,20 @@ _JSONL_CHUNK_LINES = 256  # lines per write of the JSONL text
 
 
 def cmd_sample(cfg: ExperimentConfig) -> int:
-    from .sampling import random_tree_bits
+    from .enumeration import build_census, lattice_mode
+    from . import sampling
 
     if cfg.steps is not None and cfg.method != "mcmc":
         raise ValueError(f"--steps applies only to --method mcmc, got --method {cfg.method}")
     w = cfg.weighting()  # checked for every method, though trees take no weights
     n = cfg.n if cfg.n is not None else 6
     if cfg.method == "tree":
-        lines = trees_to_jsonl(n, random_tree_bits(n, cfg.seed, cfg.draws))
-    else:
-        lines = graphs_to_jsonl(_sample_graphs(cfg, w, n))
-    # a chunk of lines at a time: neither the whole text nor its encoding is ever held
-    _write_text(cfg.out, ("\n".join(lines[s:s + _JSONL_CHUNK_LINES]) + "\n"
-                          for s in range(0, len(lines), _JSONL_CHUNK_LINES)))
-    return 0
-
-
-def _sample_graphs(cfg: ExperimentConfig, w: Weighting, n: int) -> list[Graph]:
-    """The draws of sample --method exact, mcmc or boltzmann."""
-    from .enumeration import build_census, lattice_mode
-    from .sampling import boltzmann_config, boltzmann_poisson_sample, exact_sample, \
-        mcmc_sample
-
-    if cfg.method == "exact":
+        lines = trees_to_jsonl(n, sampling.random_tree_bits(n, cfg.seed, cfg.draws))
+    elif cfg.method == "exact":
         fam = family_from_spec(cfg.family)
-        return exact_sample(fam, w, n, cfg.seed, cfg.draws, cap=cfg.cap)
-    if cfg.method == "mcmc":
+        lines = masks_to_jsonl(n, sampling.exact_masks(fam, w, n, cfg.seed, cfg.draws,
+                                                       cap=cfg.cap))
+    elif cfg.method == "mcmc":
         fam = family_from_spec(cfg.family)
         draws = cfg.draws
         if cfg.steps is not None:
@@ -268,8 +256,9 @@ def _sample_graphs(cfg: ExperimentConfig, w: Weighting, n: int) -> list[Graph]:
                 raise ValueError(f"--steps must be >= --burn-in ({cfg.burn_in}), "
                                  f"got {cfg.steps}")
             draws = (cfg.steps - cfg.burn_in) // cfg.thin
-        return mcmc_sample(fam, w, n, draws, burn_in=cfg.burn_in, thin=cfg.thin, seed=cfg.seed)
-    if cfg.method == "boltzmann":
+        lines = masks_to_jsonl(n, sampling.mcmc_masks(fam, w, n, draws, burn_in=cfg.burn_in,
+                                                      thin=cfg.thin, seed=cfg.seed))
+    elif cfg.method == "boltzmann":
         fam = family_from_spec(cfg.family)
         census = build_census(fam, cfg.census_n_max, cap=max(cfg.cap, cfg.census_n_max))
         if cfg.rho is not None:
@@ -278,8 +267,16 @@ def _sample_graphs(cfg: ExperimentConfig, w: Weighting, n: int) -> list[Graph]:
             rho = 1.0 / (math.e * float(w.lambda0))
         else:
             raise ValueError("boltzmann sampling needs --rho for this family")
-        return boltzmann_poisson_sample(boltzmann_config(census, rho, w), cfg.seed, cfg.draws)
-    raise ValueError(f"unknown sampling method {cfg.method!r}")
+        graphs, inverse = sampling.boltzmann_groups(sampling.boltzmann_config(census, rho, w),
+                                                    cfg.seed, cfg.draws)
+        text = graphs_to_jsonl(graphs)
+        lines = [text[j] for j in inverse.tolist()]
+    else:
+        raise ValueError(f"unknown sampling method {cfg.method!r}")
+    # a chunk of lines at a time: neither the whole text nor its encoding is ever held
+    _write_text(cfg.out, ("\n".join(lines[s:s + _JSONL_CHUNK_LINES]) + "\n"
+                          for s in range(0, len(lines), _JSONL_CHUNK_LINES)))
+    return 0
 
 
 def cmd_stats(cfg: ExperimentConfig, infile: str) -> int:

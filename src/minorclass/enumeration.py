@@ -380,7 +380,9 @@ def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
     """Brute-force table up to n_max (all entries enumerated exactly).
 
     The caps are checked for n_max before any slice is enumerated.
-    verbose prints one progress line per slice to standard error only.
+    verbose prints one progress line per slice from n = 6 to standard error
+    only, naming the rows the sweep reads: the forests of the forest slice
+    for a family swept as the forests, else every edge mask.
     """
     import sys
 
@@ -388,8 +390,10 @@ def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
     a, c, b, methods = [], [], [], []
     for n in range(n_max + 1):
         if verbose and n >= 6:
-            print(f"enumerating n={n} ({1 << pair_count(n)} edge masks)...",
-                  file=sys.stderr)
+            rows = (f"{_kernels.forest_slice(n).masks.size} forests"
+                    if lattice_mode(fam) == _kernels.MODE_FORESTS
+                    else f"{1 << pair_count(n)} edge masks")
+            print(f"enumerating n={n} ({rows})...", file=sys.stderr)
         t = brute_force_tau(fam, w, n, cap=cap)
         a.append(t.a)
         c.append(t.c)
@@ -595,7 +599,8 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
     takes the new vertex to v.  Each entry's representative is the canonical
     graph of its class, and the canonicalization that finds it also counts
     its automorphisms.  Per order, the class sizes n!/aut must add up to the
-    connected-member count of the lattice sweep.
+    connected-member count (member_masks, which reads the forest slice for
+    the forests, so no forest census builds the whole lattice at n_max).
     """
     _check_caps(fam, n_max, cap)
     entries = []
@@ -621,7 +626,7 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
             found[canon_mask] = aut
         labelled = sum(math.factorial(n) // aut for aut in found.values())
         # streamed past the whole slices, where only `all`, with no array, is left
-        connected = (int(np.count_nonzero(_connected_members(fam, n)))
+        connected = (member_masks(fam, n, connected=True).size
                      if n <= _kernels.RECORD_CAP else
                      sum(int(np.count_nonzero(b.kappa == 1)) for _, b in _kernels._blocks(n, False)))
         if labelled != connected:

@@ -2,13 +2,16 @@
 json.dumps({"n": ..., "edges": [[u, v], ...]}) with the edges of Graph.edges.
 
 Two routes share one formatter (_jsonl_lines) and one pair table
-(_pair_tables): graphs_to_jsonl for Graphs, and trees_to_jsonl for the edge
-bits of decoded trees, which never become Graphs.
+(_pair_tables): masks_to_jsonl for the edge masks of one order (the exact
+and MCMC draws, and graphs_to_jsonl's Graphs grouped by order), and
+trees_to_jsonl for the edge bits of decoded trees.  Neither builds a Graph.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from collections import defaultdict
 
 import numpy as np
@@ -71,59 +74,59 @@ def _jsonl_lines(n: int, text: np.ndarray, ranks: np.ndarray, ends) -> list[str]
     return out
 
 
-def graphs_to_jsonl(graphs: list[Graph]) -> list[str]:
-    """One JSONL line per graph, in order, each the same text as
-    json.dumps({"n": ..., "edges": [[u, v], ...]}) with the edges of Graph.edges.
+def masks_to_jsonl(n: int, masks: list[int]) -> list[str]:
+    """One JSONL line per edge mask of order n, in order, each the same text
+    as json.dumps({"n": n, "edges": [[u, v], ...]}) with the edges of
+    Graph(n, mask).edges.
 
-    Each distinct (n, mask) is formatted once, at its first draw; a later
-    equal draw, whether it shares the Graph object or not, repeats that line.
-    The distinct graphs are grouped by order n.  A group's tables cover only
-    the pairs set in the OR of its masks (_pair_tables).  Each chunk of a
-    group packs its masks into little-endian bytes, rows rounded up to whole
-    64-bit words, finds their set bits word by word (_set_bits), sorts every
-    draw's set bits by their pair's rank and joins the text (_jsonl_lines).
-    No (draws x pair_count) bit matrix is built.
+    Each distinct mask is formatted once and its line repeated for every
+    equal draw.  The tables cover only the pairs set in the OR of the masks
+    (_pair_tables).  Each chunk of at most _CHUNK_BYTES packs its masks into
+    little-endian bytes, rows rounded up to whole 64-bit words, finds their
+    set bits word by word (_set_bits), sorts every draw's set bits by their
+    pair's rank and joins the text (_jsonl_lines).  No (draws x pair_count)
+    bit matrix is built.
     """
-    lines: list[str] = [""] * len(graphs)
-    first: dict[tuple[int, int], int] = {}
-    source = [first.setdefault((g.n, g.mask), i) for i, g in enumerate(graphs)]
+    index: dict[int, int] = {}
+    inverse = [index.setdefault(s, len(index)) for s in masks]
+    distinct = list(index)
+    del index
+    union = functools.reduce(operator.or_, distinct, 0)
+    if not union:
+        return ['{"n": %d, "edges": []}' % n] * len(masks)
+    width = (pair_count(n) + 63) // 64 * 8  # whole 64-bit words
+    rank, text = _pair_tables(n, _set_bits(union.to_bytes(width, "little")))
+    k = text.size
+    step = max(1, _CHUNK_BYTES // width)
+    lines: list[str] = []
+    for start in range(0, len(distinct), step):
+        chunk = distinct[start:start + step]
+        buf = b"".join([s.to_bytes(width, "little") for s in chunk])
+        rows, cols = np.divmod(_set_bits(buf), width * 8)
+        keys = np.sort(rows * k + rank[cols])
+        ends = np.cumsum(np.bincount(rows, minlength=len(chunk))).tolist()
+        lines += _jsonl_lines(n, text, keys % k, ends)
+    return [lines[j] for j in inverse]
+
+
+def graphs_to_jsonl(graphs: list[Graph]) -> list[str]:
+    """One JSONL line per graph, in order: masks_to_jsonl over the draws of
+    each order n."""
     by_n: defaultdict[int, list[int]] = defaultdict(list)
-    for i in first.values():
-        by_n[graphs[i].n].append(i)
-    del first
+    for i, g in enumerate(graphs):
+        by_n[g.n].append(i)
+    lines: list[str] = [""] * len(graphs)
     for n, idx in by_n.items():
-        union = 0
-        for i in idx:
-            union |= graphs[i].mask
-        if not union:
-            for i in idx:
-                lines[i] = '{"n": %d, "edges": []}' % n
-            continue
-        width = (pair_count(n) + 63) // 64 * 8  # whole 64-bit words
-        rank, text = _pair_tables(n, _set_bits(union.to_bytes(width, "little")))
-        k = text.size
-        step = max(1, _CHUNK_BYTES // width)
-        for start in range(0, len(idx), step):
-            chunk = idx[start:start + step]
-            buf = bytearray(len(chunk) * width)
-            for row, i in enumerate(chunk):
-                buf[row * width:(row + 1) * width] = graphs[i].mask.to_bytes(width, "little")
-            rows, cols = np.divmod(_set_bits(buf), width * 8)
-            keys = np.sort(rows * k + rank[cols])
-            ends = np.cumsum(np.bincount(rows, minlength=len(chunk))).tolist()
-            for i, line in zip(chunk, _jsonl_lines(n, text, keys % k, ends)):
-                lines[i] = line
-    for i, j in enumerate(source):
-        if j != i:
-            lines[i] = lines[j]
+        for i, line in zip(idx, masks_to_jsonl(n, [graphs[i].mask for i in idx])):
+            lines[i] = line
     return lines
 
 
 def trees_to_jsonl(n: int, bits: np.ndarray) -> list[str]:
     """One JSONL line per row of tree edge bits (sampling.random_tree_bits):
-    the text graphs_to_jsonl gives for the trees' Graphs, without building
-    them.  The tables cover the pairs present in any row (_pair_tables), and
-    each batch of rows sorts every row's ranks and joins the text
+    the text masks_to_jsonl gives for the trees' edge masks, without building
+    the masks.  The tables cover the pairs present in any row (_pair_tables),
+    and each batch of rows sorts every row's ranks and joins the text
     (_jsonl_lines)."""
     edges = bits.shape[1]
     if not bits.size:

@@ -59,12 +59,13 @@ def _check_draws(draws: int) -> None:
         raise ValueError(f"draws must be >= 0, got {draws}")
 
 
-def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int,
-                 cap: int = BRUTE_FORCE_CAP) -> list[Graph]:
-    """i.i.d. draws with Pr(G) proportional to its cluster weight, by cumulative
-    inversion over the enumerated members, for every family only up to
-    BRUTE_FORCE_CAP vertices.  draws must be >= 0 (else ValueError).  Each
-    weight is gathered from the member's lattice cell (mask_cells)."""
+def exact_masks(fam, w: Weighting, n: int, seed: int, draws: int,
+                cap: int = BRUTE_FORCE_CAP) -> list[int]:
+    """The edge masks of i.i.d. draws with Pr(G) proportional to its cluster
+    weight, by cumulative inversion over the enumerated members, for every
+    family only up to BRUTE_FORCE_CAP vertices.  draws must be >= 0 (else
+    ValueError).  Each weight is gathered from the member's lattice cell
+    (mask_cells)."""
     _check_draws(draws)
     if n > min(cap, BRUTE_FORCE_CAP):
         raise ResourceCapError(
@@ -77,7 +78,13 @@ def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int,
     rng = rng_stream(seed)
     r = rng.random(draws) * cum[-1]
     idx = np.searchsorted(cum, r, side="right")
-    return [Graph(n, s) for s in masks[idx].tolist()]
+    return masks[idx].tolist()
+
+
+def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int,
+                 cap: int = BRUTE_FORCE_CAP) -> list[Graph]:
+    """The draws of exact_masks as Graphs."""
+    return [Graph(n, s) for s in exact_masks(fam, w, n, seed, draws, cap)]
 
 
 # -- Boltzmann Poisson sampler ---------------------------------------------------
@@ -142,31 +149,39 @@ def counts_to_graph(census: UnlabelledCensus, counts: Sequence[int]) -> Graph:
     return g
 
 
-def boltzmann_poisson_sample(cfg: BoltzmannConfig, seed: int, draws: int) -> list[Graph]:
-    """Draws from the truncated Boltzmann Poisson random graph as labelled graphs.
+def boltzmann_groups(cfg: BoltzmannConfig, seed: int,
+                     draws: int) -> tuple[list[Graph], np.ndarray]:
+    """Draws from the truncated Boltzmann Poisson random graph, grouped by
+    count row: the labelled graph of each distinct row, and each draw's index
+    into them.
 
-    Draws with the same count row share one Graph: few distinct component
-    multisets have any real probability (99 rows in 50,000 forest draws at
-    census n <= 6), so each is materialized once.
+    Few distinct component multisets have any real probability (117 rows in
+    50,000 forest draws at census n <= 6, seed 0), so each is materialized
+    once.  The rows are grouped in one numpy pass: cast to the narrowest
+    dtype that holds the largest count, viewed as one opaque item per row,
+    and passed to np.unique.
     """
     counts = boltzmann_component_counts(cfg, seed, draws)
-    graphs: dict[bytes, Graph] = {}
-    out = []
-    for row in counts:
-        key = row.tobytes()
-        g = graphs.get(key)
-        if g is None:
-            g = graphs[key] = counts_to_graph(cfg.census, row)
-        out.append(g)
-    return out
+    counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))  # frees the int64 rows
+    rows = counts.view(np.dtype((np.void, counts.itemsize * counts.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return [counts_to_graph(cfg.census, counts[i]) for i in first.tolist()], inverse
+
+
+def boltzmann_poisson_sample(cfg: BoltzmannConfig, seed: int, draws: int) -> list[Graph]:
+    """The draws of boltzmann_groups as labelled graphs, in draw order; draws
+    with the same count row share one Graph."""
+    graphs, inverse = boltzmann_groups(cfg, seed, draws)
+    return [graphs[j] for j in inverse.tolist()]
 
 
 # -- MCMC sampler ------------------------------------------------------------------
 
 
-def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
-                thin: int = 10, seed: int = 0) -> list[Graph]:
-    """Metropolis chain over edge toggles targeting the weighted n-slice.
+def mcmc_masks(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
+               thin: int = 10, seed: int = 0) -> list[int]:
+    """The edge masks of a Metropolis chain over edge toggles targeting the
+    weighted n-slice, after burn_in steps and then every thin-th step.
 
     Proposals toggle a uniform vertex pair; moves leaving the family are
     rejected, others accepted with min(1, lambda0^de0 * lambda1^de1 *
@@ -193,7 +208,7 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
                          "connected-member views are not supported")
     m = pair_count(n)
     if m == 0:
-        return [Graph(n, 0)] * draws
+        return [0] * draws
     total = burn_in + draws * thin
     rng = rng_stream(seed)
     proposals = rng.integers(0, m, size=total, dtype=np.int64)
@@ -202,9 +217,14 @@ def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
     if mode == _kernels.MODE_MEMBER_ARRAY:
         member = (member_mask_array(fam, n).tobytes().__getitem__ if n <= BRUTE_FORCE_CAP
                   else lambda s: fam.base_member(Graph(n, s)))
-    masks = _kernels.mcmc_chain(n, proposals, uniforms, float(w.lambda0), float(w.lambda1),
-                                float(w.nu), mode, member, burn_in, thin, draws)
-    return [Graph(n, s) for s in masks]
+    return _kernels.mcmc_chain(n, proposals, uniforms, float(w.lambda0), float(w.lambda1),
+                               float(w.nu), mode, member, burn_in, thin, draws)
+
+
+def mcmc_sample(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
+                thin: int = 10, seed: int = 0) -> list[Graph]:
+    """The draws of mcmc_masks as Graphs."""
+    return [Graph(n, s) for s in mcmc_masks(fam, w, n, draws, burn_in, thin, seed)]
 
 
 def transition_matrix(fam, w: Weighting, n: int) -> tuple[list[int], list[list[Fraction]]]:

@@ -378,6 +378,59 @@ def test_jsonl_writer_matches_json_dumps(monkeypatch):
     assert graphs_to_jsonl([]) == []
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 11, 12, 16])
+def test_mask_writer_matches_json_dumps(n, monkeypatch):
+    """Random, repeated, empty and full masks of one order, whose widths put
+    the top pair on both sides of a 64-bit word (11, 12), in chunks of many
+    masks and of one mask."""
+    rng = random.Random(n)
+    m = n * (n - 1) // 2
+    full = (1 << m) - 1
+    masks = [0, full, 0] + [rng.getrandbits(m) for _ in range(40)] + [1 << m >> 1, full, 0]
+    masks += masks[3:12]
+    want = [json.dumps({"n": n, "edges": Graph(n, s).edges}) for s in masks]
+    assert jsonl.masks_to_jsonl(n, masks) == want
+    monkeypatch.setattr(jsonl, "_CHUNK_BYTES", 1)
+    assert jsonl.masks_to_jsonl(n, masks) == want
+    assert jsonl.masks_to_jsonl(n, [0, 0]) == [json.dumps({"n": n, "edges": []})] * 2
+    assert jsonl.masks_to_jsonl(n, []) == []
+
+
+@pytest.mark.parametrize("argv", [["--draws", "0"], ["--draws", "1"],
+                                  ["--nu", "1000", "--draws", "30"]])
+def test_boltzmann_output_is_one_line_per_count_row(argv, capsys):
+    """sample --method boltzmann prints json.dumps of counts_to_graph over
+    each draw's count row, with no draws, one, and counts of 256 and more."""
+    from minorclass.enumeration import build_census
+    from minorclass.families import builtin_family
+    from minorclass.sampling import boltzmann_component_counts, boltzmann_config, \
+        counts_to_graph
+
+    code, out = run_cli(["sample", "--method", "boltzmann", "--family", "forests",
+                         "--census-nmax", "4", "--seed", "3", *argv], capsys)
+    assert code == 0
+    census = build_census(builtin_family("forests"), 4)
+    w = ExperimentConfig(nu=argv[1] if argv[0] == "--nu" else "1").weighting()
+    cfg = boltzmann_config(census, 1 / math.e, w)
+    rows = boltzmann_component_counts(cfg, 3, int(argv[-1]))
+    assert out.splitlines() == [json.dumps({"n": g.n, "edges": g.edges})
+                                for g in (counts_to_graph(census, r) for r in rows)]
+    assert argv[0] != "--nu" or rows.max() >= 256
+
+
+@pytest.mark.parametrize("family, argv, rows", [
+    ("forests", ["--nmax", "7"], ["2932 forests", "36961 forests"]),
+    ("trees", ["--nmax", "8", "--cap", "8"], ["2932 forests", "36961 forests", "561948 forests"]),
+    ("all", ["--nmax", "7"], ["32768 edge masks", "2097152 edge masks"]),
+])
+def test_enumerate_progress_names_the_rows_it_reads(family, argv, rows, capsys):
+    """The progress line counts the forest slice's rows for a family swept
+    as the forests, and every edge mask otherwise."""
+    assert main(["enumerate", "--family", family, *argv]) == 0
+    err = capsys.readouterr().err
+    assert err == "".join(f"enumerating n={n} ({r})...\n" for n, r in enumerate(rows, 6))
+
+
 @pytest.mark.parametrize("n, draws", [(1, 5), (2, 5), (3, 200), (41, 60), (300, 40), (2000, 10),
                                       (5, 0)])
 def test_tree_output_matches_json_dumps_of_the_sampled_graphs(n, draws, monkeypatch, capsys):

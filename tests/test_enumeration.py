@@ -394,6 +394,19 @@ def test_census_past_the_last_connected_class():
     assert [(en.v, en.e, en.aut) for en in census.entries] == [(1, 0, 1)]
 
 
+@pytest.mark.parametrize("name", ("forests", "trees"))
+def test_forest_census_never_builds_the_lattice_at_its_top_order(name, monkeypatch):
+    """The forest census checks its class sizes against the forest slice
+    (member_masks), so it builds no whole slice above n_max - 1, where
+    _canonical_deletion reads the vertex-deleted masks."""
+    from minorclass import _kernels
+
+    monkeypatch.setattr(_kernels, "_RECORDS", {})
+    census = build_census(builtin_family(name), 7)
+    assert max(_kernels._RECORDS) == 6
+    assert [len(census.of_order(v)) for v in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]
+
+
 def test_census_of_forests_stops_at_the_array_cap():
     with pytest.raises(ResourceCapError):
         build_census(FORESTS, 8, cap=8)

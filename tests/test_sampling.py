@@ -148,6 +148,22 @@ def test_boltzmann_sample_is_counts_to_graph_per_row():
     assert graphs == [counts_to_graph(census, row) for row in rows]
 
 
+@pytest.mark.parametrize("nu, draws", [(1, 0), (1, 1), (1, 3000), (1000, 40)])
+def test_boltzmann_groups_hold_one_graph_per_distinct_row(nu, draws):
+    """The numpy grouping equals a dict over the rows' bytes: one graph per
+    distinct count row, shared by its draws, with no draws, one, many, and
+    counts of 256 and more (grouped as uint16 rows)."""
+    census = build_census(FORESTS, 6)
+    cfg = boltzmann_config(census, 1 / math.e, Weighting(1, nu))
+    rows = boltzmann_component_counts(cfg, seed=7, draws=draws)
+    distinct, inverse = sampling.boltzmann_groups(cfg, seed=7, draws=draws)
+    assert [distinct[j] for j in inverse.tolist()] == [counts_to_graph(census, r) for r in rows]
+    assert len(distinct) == len({r.tobytes() for r in rows})
+    graphs = boltzmann_poisson_sample(cfg, seed=7, draws=draws)
+    assert len({id(g) for g in graphs}) == len(distinct)
+    assert nu == 1 or rows.max() >= 256
+
+
 def test_boltzmann_truncation_note():
     census = build_census(FORESTS, 6)
     cfg = boltzmann_config(census, 1 / math.e, W11)
@@ -174,6 +190,19 @@ def test_boltzmann_graphs_and_stats():
     hist = stats.comp_count_histogram(k1_hex)
     mean = sum(k * c for k, c in hist.items()) / stats.draws
     assert mean == pytest.approx(1 / math.e, abs=0.02)
+
+
+def test_graph_samplers_are_the_graphs_of_the_mask_route():
+    """exact_sample and mcmc_sample wrap exact_masks and mcmc_masks."""
+    split = Weighting.extended(Fraction(1, 2), 2, 3)
+    sp = builtin_family("series-parallel")
+    for fam, w, n in ((FORESTS, W11, 6), (ALL, split, 5), (sp, W11, 6), (FORESTS, W11, 1)):
+        masks = sampling.exact_masks(fam, w, n, 3, 500)
+        assert exact_sample(fam, w, n, 3, 500) == [Graph(n, s) for s in masks]
+    for fam, w, n in ((FORESTS, W11, 10), (FORESTS, W11, 16), (sp, split, 6), (ALL, W11, 1)):
+        masks = sampling.mcmc_masks(fam, w, n, 300, burn_in=500, thin=3, seed=2)
+        assert mcmc_sample(fam, w, n, 300, burn_in=500, thin=3, seed=2) == \
+            [Graph(n, s) for s in masks]
 
 
 def test_mcmc_edge_density_gnp():
