@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from minorclass.families import (  # noqa: E402
     verify_decomposable,
     verify_trimmable,
 )
+from minorclass.graphs import Weighting  # noqa: E402
 
 
 def _time(fn, *args, repeat=3):
@@ -231,6 +233,25 @@ def bench_census(name, n):
     return f"build_census n<={n} {name} ({misses} canonicalizations)", "python", t
 
 
+def bench_census_consumers(n, w, label):
+    """census_series_eval plus boltzmann_config over one built census: both
+    weigh every class through UnlabelledCensus.mus, which counts the
+    bridges of each class off the diagonal."""
+    from minorclass.asymptotics import census_series_eval
+    from minorclass.enumeration import build_census
+    from minorclass.families import builtin_family
+    from minorclass.sampling import boltzmann_config
+
+    census = build_census(builtin_family("all"), n)
+
+    def run():
+        census_series_eval(census, 0.05, w)
+        boltzmann_config(census, 0.05, w)
+
+    label = f"census_series_eval + boltzmann_config n<={n} all {label} ({census.v.size} classes)"
+    return label, "python", _time(run)
+
+
 def bench_verify(verify, name, n):
     fam = _warm_family(name, n)
     return f"{verify.__name__} n<={n} {name}", "numpy", _time(verify, fam, n, repeat=1)
@@ -320,6 +341,8 @@ def main():
          for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1")
     ] + [bench_census(name, n)
          for name, n in dict.fromkeys((("all", n_sweep), ("planar", n_sweep), ("all", 7)))
+    ] + [bench_census_consumers(7, w, label) for w, label in (
+        (Weighting(1, 1), "diagonal"), (Weighting.extended(Fraction(1, 2), 2, 3), "(1/2, 2, 3)"))
     ] + [bench_planar_dichotomy(), bench_planar_networkx(100)
     ] + [bench_verify(verify, "planar", n_sweep)
          for verify in (verify_bridge_addable, verify_decomposable, verify_trimmable)]

@@ -62,8 +62,6 @@ from .asymptotics import (
     constants_from_gamma,
     forest_limit_pack,
     frag_size_distribution,
-    mu_of_graph,
-    mu_value,
     pendant_limit,
     planar_constants,
     solve_alpha,

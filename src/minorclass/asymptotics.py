@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .enumeration import UnlabelledCensus, census_labelled_total, egf_lift
-from .graphs import Graph, RootedGraph, Weighting, bridge_partition, weight
+from .graphs import Graph, RootedGraph, Weighting, bridge_partition
 
 
 @dataclass(frozen=True)
@@ -98,25 +98,6 @@ def solve_alpha(gamma: float, lam: float, tol: float = 1e-9) -> float:
     return alpha
 
 
-# -- Boltzmann means -----------------------------------------------------------
-
-
-def mu_value(v: int, e: int, aut: int, rho, w: Weighting, kappa: int = 1):
-    """Boltzmann mean rho^v * lam^e * nu^kappa / aut for a connected class member."""
-    if not w.is_diagonal:
-        raise ValueError("per-(v,e) mu needs the diagonal weighting; use mu_of_graph")
-    return rho ** v * w.cell_weight(e, 0, kappa) / aut
-
-
-def mu_of_graph(g: Graph, rho, w: Weighting, aut: int | None = None):
-    """mu for an explicit representative (works for the bridge-split weighting too)."""
-    if aut is None:
-        from .canon import automorphism_count
-
-        aut = automorphism_count(g)
-    return rho ** g.n * weight(g, w) / aut
-
-
 # -- tree series ----------------------------------------------------------------
 
 
@@ -187,31 +168,37 @@ class CensusSeriesValues:
     exp_sum: SeriesEvaluation           # exp of connected_sum (truncated F)
 
 
+def census_tail_bound(census: UnlabelledCensus, rho, w: Weighting, rooted: bool = False):
+    """Bound on the mu-mass the census drops past n_max (rooted: on its
+    vertex moment, the sum of v(H) mu(H)), from the tail of the tree series
+    that dominates it.  Certified only for a nonempty census of the trees
+    (census.of_trees) with lambda0 * e * rho <= 1; else None."""
+    lam = float(w.lambda0)
+    if not (census.of_trees and census.v.size and lam * math.e * float(rho) <= 1 + 1e-12):
+        return None
+    return tree_tail_bound(census.n_max, lam, float(rho), float(w.nu), rooted)
+
+
 def census_series_eval(census: UnlabelledCensus, rho, w: Weighting) -> CensusSeriesValues:
-    """Sum mu over the census entries; certified tails only for a census of
-    the trees (census.of_trees), which the tree series dominates.
-    """
+    """Sum mu over the census classes, with the tails of census_tail_bound."""
     total = 0.0
     moment = 0.0
-    for en in census.entries:
-        mu = float(mu_of_graph(en.rep, rho, w, aut=en.aut))
+    for v, mu in zip(census.v.tolist(), census.mus(rho, w)):
         total += mu
-        moment += en.v * mu / float(rho)
-    tail = None
-    moment_tail = None
-    if census.of_trees and census.entries:
-        lam, nu = float(w.lambda0), float(w.nu)
-        if lam * math.e * float(rho) <= 1 + 1e-12:
-            tail = tree_tail_bound(census.n_max, lam, float(rho), nu, rooted=False)
-            # v(H) mu(H)/rho over trees of order n sums to the rooted-series term / rho... bounded
-            # by the rooted tail divided by rho
-            moment_tail = tree_tail_bound(census.n_max, lam, float(rho), nu, rooted=True) / float(rho)
-    c_eval = SeriesEvaluation(total, len(census.entries), tail)
-    m_eval = SeriesEvaluation(moment, len(census.entries), moment_tail)
+        moment += v * mu / float(rho)
+    tail = census_tail_bound(census, rho, w)
+    # the trees of order v hold v^(v-1) rooted labelled trees, so summed over them
+    # v(H) mu(H) is the v-th term of the rooted series: its tail over rho bounds the
+    # dropped part of sum v(H) mu(H) / rho
+    rooted = census_tail_bound(census, rho, w, rooted=True)
+    moment_tail = None if rooted is None else rooted / float(rho)
+    terms = census.v.size
+    c_eval = SeriesEvaluation(total, terms, tail)
+    m_eval = SeriesEvaluation(moment, terms, moment_tail)
     exp_tail = None
     if tail is not None:
         exp_tail = math.exp(total) * (math.exp(tail) - 1)
-    return CensusSeriesValues(c_eval, m_eval, SeriesEvaluation(math.exp(total), len(census.entries), exp_tail))
+    return CensusSeriesValues(c_eval, m_eval, SeriesEvaluation(math.exp(total), terms, exp_tail))
 
 
 # -- forest closed forms -------------------------------------------------------------
@@ -349,7 +336,7 @@ def frag_size_distribution(census_f: UnlabelledCensus, rho, w: Weighting,
     is 1/F (empty fragment = connected graph).
     """
     n_max = census_f.n_max
-    c = [census_labelled_total(census_f, w, j) for j in range(n_max + 1)]
+    c = census_labelled_total(census_f, w)
     f_counts = egf_lift(c, n_max)
     partial = sum(float(rho) ** k * float(f_counts[k]) / math.factorial(k)
                   for k in range(n_max + 1))

@@ -177,6 +177,7 @@ def cmd_enumerate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_census(cfg: ExperimentConfig) -> int:
+    from .canon import code_of
     from .enumeration import build_census
 
     fam = family_from_spec(cfg.family)
@@ -184,8 +185,8 @@ def cmd_census(cfg: ExperimentConfig) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["code", "v", "e", "kappa", "aut"])
-    for en in census.entries:
-        writer.writerow([en.code.hex, en.v, en.e, en.kappa, en.aut])
+    for v, m, aut in census.entries:
+        writer.writerow([code_of(v, m).hex, v, m.bit_count(), 1, aut])
     _write_text(cfg.out, buf.getvalue())
     return 0
 

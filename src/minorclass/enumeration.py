@@ -23,9 +23,11 @@ needs no membership at all; `lattice_mode` picks a family's route.
 The unlabelled census grows by canonical augmentation: each class of order
 n-1 is joined to a new vertex by the nonempty neighbour sets that take the
 lowest-indexed members of each of its twin classes, each result is looked up
-in the n-slice membership array, and a member is canonicalized only when its
-new vertex has the largest (degree, neighbour-degree sum) among its non-cut
-vertices (McKay's canonical deletion), never every labelled member.
+in the n-slice membership array (in the forest masks for the forests), and a
+member is canonicalized only when its new vertex has the largest (degree,
+neighbour-degree sum) among its non-cut vertices (McKay's canonical
+deletion), never every labelled member.  Each class is kept as its order,
+canonical mask and automorphism count, weighed by `UnlabelledCensus.weights`.
 """
 
 from __future__ import annotations
@@ -40,17 +42,16 @@ import numpy as np
 
 from . import _kernels
 from .canon import (
-    CanonicalCode,
     _canon_data,
     _twin_classes,
     automorphism_count,
     canonicalize,
-    code_of,
 )
 from .errors import ResourceCapError
 from .graphs import (
     Graph,
     Weighting,
+    bridge_mask,
     component_masks,
     every_graph,
     induced_subgraph,
@@ -518,32 +519,40 @@ def factorial_growth_check(table: WeightTable, eta) -> GrowthReport:
 # -- unlabelled census --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusEntry:
-    code: CanonicalCode
-    v: int
-    e: int
-    kappa: int
-    aut: int
-    rep: Graph
-    labelled: int  # labelled graphs in the class, equals v!/aut
-
-
-@dataclass
+@dataclass(eq=False)  # numpy arrays have no single truth value
 class UnlabelledCensus:
-    """The connected classes of a family up to n_max; of_trees is True when
-    they are exactly the trees, i.e. the family is swept as the forests."""
+    """The connected classes of a family up to n_max, one row per class in
+    (order, canonical mask) order, in three int64 arrays: the order v, the
+    canonical edge mask and the automorphism count aut.  of_trees is True
+    when the classes are exactly the trees, i.e. the family is swept as the
+    forests."""
 
     family: str
     n_max: int
-    entries: list
+    v: np.ndarray
+    masks: np.ndarray
+    aut: np.ndarray
     of_trees: bool = False
 
-    def by_code(self) -> dict:
-        return {en.code.hex: en for en in self.entries}
+    @property
+    def entries(self) -> list[tuple[int, int, int]]:
+        """The (v, mask, aut) row of each class, as Python ints."""
+        return list(zip(self.v.tolist(), self.masks.tolist(), self.aut.tolist()))
 
-    def of_order(self, v: int) -> list:
-        return [en for en in self.entries if en.v == v]
+    def weights(self, w: Weighting) -> list:
+        """Each class's cluster weight w.cell_weight(e0, e - e0, 1), one
+        cell_weight call per occupied (e, e0) cell.  On the diagonal e0 = e;
+        otherwise e0 is the bridge count of the class."""
+        e = [m.bit_count() for m in self.masks.tolist()]
+        e0 = e if w.is_diagonal else [bridge_mask(Graph(v, m)).bit_count()
+                                      for v, m, _ in self.entries]
+        cells = list(zip(e, e0))
+        weight_of = {c: w.cell_weight(c[1], c[0] - c[1], 1) for c in set(cells)}
+        return [weight_of[c] for c in cells]
+
+    def mus(self, rho, w: Weighting) -> list[float]:
+        """Each class's Boltzmann mean mu(H) = rho^v(H) * weight / aut(H), as a float."""
+        return [float(rho ** v * wt / aut) for (v, _, aut), wt in zip(self.entries, self.weights(w))]
 
 
 def _canonical_deletion(n: int, masks: np.ndarray) -> np.ndarray:
@@ -576,7 +585,7 @@ def _canonical_deletion(n: int, masks: np.ndarray) -> np.ndarray:
 
 
 def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> UnlabelledCensus:
-    """Inventory of the connected members up to n_max, one entry per isomorphism class.
+    """Inventory of the connected members up to n_max, one row per isomorphism class.
 
     Built by canonical augmentation (McKay 1998, "Isomorph-free exhaustive
     generation").  Every connected graph on n >= 2 vertices has a vertex whose
@@ -587,8 +596,9 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
     (`canon._twin_classes`) is an automorphism of it, so only the sets N that
     take the lowest-indexed members of each twin class are joined; every
     other set rebuilds an isomorphic child.  In the lattice layout the child's
-    mask is N << pair_count(n-1) | rep, so its membership is one lookup in the
-    n-slice membership array.
+    mask is N << pair_count(n-1) | rep, so its membership is one lookup: in
+    the n-slice membership array, or for the forests a binary search of the
+    ascending forest masks (`_kernels.forest_slice`), which reach n = 8.
 
     A member child is canonicalized only when its new vertex has the largest
     invariant (degree, sum of neighbour degrees) among its non-cut vertices
@@ -596,17 +606,17 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
     G, delete a non-cut vertex v of largest invariant; G - v is isomorphic to
     a parent, the twin pruning maps v's neighbour set to a joined set by an
     automorphism of that parent, and the isomorphism from that child to G
-    takes the new vertex to v.  Each entry's representative is the canonical
-    graph of its class, and the canonicalization that finds it also counts
-    its automorphisms.  Per order, the class sizes n!/aut must add up to the
+    takes the new vertex to v.  Each class is stored as its canonical edge
+    mask, and the canonicalization that finds it also counts its
+    automorphisms.  Per order, the class sizes n!/aut must add up to the
     connected-member count (member_masks, which reads the forest slice for
     the forests, so no forest census builds the whole lattice at n_max).
     """
     _check_caps(fam, n_max, cap)
-    entries = []
+    mode = lattice_mode(fam)
+    rows = []
     reps = [0]  # canonical masks of the (n-1)-vertex classes; the empty graph below n = 1
     for n in range(1, n_max + 1):
-        member = member_mask_array(fam, n)
         nbrs = np.arange(1 if n > 1 else 0, 1 << (n - 1), dtype=np.int64)
         children = []
         for rep in reps:
@@ -618,37 +628,39 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
                     keep = keep[(keep >> w & 1) <= (keep >> p & 1)]
             children.append(keep << pair_count(n - 1) | rep)
         ext = np.concatenate(children) if children else nbrs[:0]  # no class, no child
-        if member is not None:
-            ext = ext[member[ext] != 0]
+        if mode == _kernels.MODE_FORESTS:
+            forests = _kernels.forest_slice(n).masks
+            ext = ext[forests[np.searchsorted(forests, ext).clip(max=forests.size - 1)] == ext]
+        elif mode == _kernels.MODE_MEMBER_ARRAY:
+            ext = ext[member_mask_array(fam, n)[ext] != 0]
         found: dict[int, int] = {}
         for mask in ext[_canonical_deletion(n, ext)].tolist():
             canon_mask, aut = _canon_data(n, mask)
             found[canon_mask] = aut
         labelled = sum(math.factorial(n) // aut for aut in found.values())
-        # streamed past the whole slices, where only `all`, with no array, is left
-        connected = (member_masks(fam, n, connected=True).size
-                     if n <= _kernels.RECORD_CAP else
-                     sum(int(np.count_nonzero(b.kappa == 1)) for _, b in _kernels._blocks(n, False)))
+        # `all` past the whole slices has no member array: its sweep is streamed
+        connected = (sum(int(np.count_nonzero(b.kappa == 1)) for _, b in _kernels._blocks(n, False))
+                     if mode == _kernels.MODE_ALL and n > _kernels.RECORD_CAP else
+                     member_masks(fam, n, connected=True).size)
         if labelled != connected:
             raise AssertionError(f"census at n={n}: the classes hold {labelled} labelled "
                                  f"graphs, the sweep counts {connected} connected members")
         reps = sorted(found)
-        entries += [CensusEntry(code_of(n, m), n, m.bit_count(), 1, found[m], Graph(n, m),
-                                math.factorial(n) // found[m]) for m in reps]
-    return UnlabelledCensus(fam.name, n_max, entries,
-                            of_trees=lattice_mode(fam) == _kernels.MODE_FORESTS)
+        rows += [(n, m, found[m]) for m in reps]
+    v, masks, aut = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return UnlabelledCensus(fam.name, n_max, v, masks, aut, of_trees=mode == _kernels.MODE_FORESTS)
 
 
-def census_labelled_total(census: UnlabelledCensus, w: Weighting, n: int):
-    """Sum n!/aut * weight over census entries of order n (equals tau(C_n))."""
-    total = 0
-    for en in census.of_order(n):
-        wt = weight(en.rep, w)
+def census_labelled_total(census: UnlabelledCensus, w: Weighting) -> list:
+    """tau(C_n) for every n <= n_max: the sum of n!/aut * weight over the
+    classes of order n (index 0 is 0)."""
+    totals = [0] * (census.n_max + 1)
+    for (v, _, aut), wt in zip(census.entries, census.weights(w)):
         if isinstance(wt, (int, Fraction)):
-            total = total + Fraction(math.factorial(n), en.aut) * _as_exact(wt)
+            totals[v] = totals[v] + Fraction(math.factorial(v), aut) * _as_exact(wt)
         else:
-            total = total + math.factorial(n) / en.aut * wt
-    return _simplify(total)
+            totals[v] = totals[v] + math.factorial(v) / aut * wt
+    return [_simplify(t) for t in totals]
 
 
 # -- falling-factorial moment identity ------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded with the package, not by the first draw)
 
 from . import _kernels
-from .canon import canonicalize
+from .canon import canonicalize, code_of
 from .enumeration import (
     BRUTE_FORCE_CAP,
     UnlabelledCensus,
@@ -111,41 +111,39 @@ class BoltzmannConfig:
 
 def boltzmann_config(census: UnlabelledCensus, rho: float, w: Weighting,
                      radius_estimate: float | None = None) -> BoltzmannConfig:
-    from .asymptotics import mu_of_graph, tree_tail_bound
+    from .asymptotics import census_tail_bound
 
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be a finite positive number")
-    if not census.entries:  # before the tail bound, which has no zero-term form
+    if not census.v.size:
         raise EmptySliceError("empty census")
     if radius_estimate is not None and rho > radius_estimate:
         warnings.warn("rho exceeds the estimated radius of convergence; "
                       "the truncated Boltzmann law may be badly biased")
-    mus = [float(mu_of_graph(en.rep, rho, w, aut=en.aut)) for en in census.entries]
+    mus = census.mus(rho, w)
     if not all(math.isfinite(m) for m in mus):
         raise ValueError("non-finite Boltzmann mean; rho or the weights are too large")
-    note = None
-    if census.of_trees and float(w.lambda0) * math.e * rho <= 1 + 1e-12:
-        note = tree_tail_bound(census.n_max, float(w.lambda0), rho, float(w.nu), rooted=False)
-    return BoltzmannConfig(rho, w, census, mus, note)
+    return BoltzmannConfig(rho, w, census, mus, census_tail_bound(census, rho, w))
 
 
 def boltzmann_component_counts(cfg: BoltzmannConfig, seed: int, draws: int) -> np.ndarray:
-    """(draws, entries) independent Poisson counts, one column per census entry.
+    """(draws, classes) independent Poisson counts, one column per census class.
 
     draws must be >= 0 (else ValueError)."""
     _check_draws(draws)
-    if not cfg.census.entries:
+    if not cfg.census.v.size:
         raise EmptySliceError("empty census")
     rng = rng_stream(seed)
     return rng.poisson(lam=np.asarray(cfg.mus), size=(draws, len(cfg.mus)))
 
 
 def counts_to_graph(census: UnlabelledCensus, counts: Sequence[int]) -> Graph:
-    """Materialize a component multiset as a labelled graph (entries in census order)."""
+    """Materialize a component multiset as a labelled graph: counts[i] copies
+    of the canonical graph of class i, in census order."""
     g = Graph(0, 0)
-    for en, c in zip(census.entries, counts):
+    for (v, m, _), c in zip(census.entries, counts):
         for _ in range(int(c)):
-            g = disjoint_union(g, en.rep)
+            g = disjoint_union(g, Graph(v, m))
     return g
 
 
@@ -379,8 +377,8 @@ def collect_stats(samples: Sequence[Graph], rooted: Sequence[RootedGraph] = (),
                 key = canonicalize(r.graph).hex
                 pend_sums[key] += pendant_appearances(g, r) / g.n
     if census is not None:
-        for en in census.entries:
-            comp_counts.setdefault(en.code.hex, {})
+        for v, m, _ in census.entries:
+            comp_counts.setdefault(code_of(v, m).hex, {})
     return SampleStats(
         draws=len(samples),
         kappa_hist=kappa_hist,

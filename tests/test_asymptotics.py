@@ -1,7 +1,9 @@
 """Root solvers, series evaluations and limiting constants."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minorclass.asymptotics import (
@@ -10,8 +12,6 @@ from minorclass.asymptotics import (
     constants_from_gamma,
     forest_limit_pack,
     frag_size_distribution,
-    mu_of_graph,
-    mu_value,
     pendant_limit,
     planar_constants,
     solve_alpha,
@@ -19,6 +19,7 @@ from minorclass.asymptotics import (
     tree_series_eval,
     tree_tail_bound,
 )
+from minorclass.canon import automorphism_count
 from minorclass.enumeration import build_census
 from minorclass.families import builtin_family, load_family
 from minorclass.graphs import (
@@ -26,9 +27,9 @@ from minorclass.graphs import (
     RootedGraph,
     Weighting,
     complete_graph,
-    cycle_graph,
     graph_to_text,
     path_graph,
+    weight,
 )
 from minorclass.sampling import boltzmann_config
 
@@ -63,14 +64,30 @@ def test_forward_backward_residuals():
 
 
 def test_mu_examples():
-    assert abs(mu_value(1, 0, 1, 1 / math.e, Weighting(1, 1)) - 1 / math.e) <= 1e-12
-    got = mu_value(2, 1, 2, 1 / math.e, Weighting(2, 3))
+    census = build_census(builtin_family("all"), 3)  # K1, K2, the path P3, the triangle
+    assert census.entries[3] == (3, 7, 6)
+    assert abs(census.mus(1 / math.e, Weighting(1, 1))[0] - 1 / math.e) <= 1e-12
+    got = census.mus(1 / math.e, Weighting(2, 3))[1]
     assert abs(got - 3 * math.exp(-2)) <= 1e-9
     rho0 = 1 / PLANAR_GAMMA
-    mu_c3 = mu_value(3, 3, 6, rho0, Weighting(1, 1))
+    mu_c3 = census.mus(rho0, Weighting(1, 1))[3]
     assert abs(mu_c3 - 8.3e-6) <= 5e-8
-    # graph route agrees
-    assert abs(mu_of_graph(cycle_graph(3), rho0, Weighting(1, 1)) - mu_c3) <= 1e-15
+    assert mu_c3 == rho0 ** 3 / 6
+
+
+@pytest.mark.parametrize("rho, w", [
+    (0.03, Weighting(0.7, 1.3)),
+    (Fraction(1, 7), Weighting(Fraction(2, 3), 3)),
+    (Fraction(1, 20), Weighting.extended(Fraction(1, 2), 2, 3)),
+    (0.05, Weighting.extended(0.3, 2.5, 1.5)),
+], ids=["float", "rational", "split", "split-float"])
+def test_census_mus_equal_the_per_graph_formula(rho, w):
+    """Each class's mu is bit for bit rho^v * weight(G) / aut(G), computed
+    from the class's canonical graph G by the per-graph route."""
+    census = build_census(builtin_family("all"), 6)
+    want = [float(rho ** g.n * weight(g, w) / automorphism_count(g))
+            for g in (Graph(v, m) for v, m, _ in census.entries)]
+    assert census.mus(rho, w) == want
 
 
 def test_tree_series_identities():
@@ -136,7 +153,7 @@ def test_census_tree_tail_comes_from_the_family_not_its_name(tmp_path):
     rho, w = 1 / math.e, Weighting(1, 1)
     impostor = build_census(load_family(tmp_path / "fam.json"), 5)
     assert len(impostor.entries) == 24 and not impostor.of_trees
-    assert sum(en.e >= en.v for en in impostor.entries) == 16  # classes with a cycle
+    assert sum(m.bit_count() >= v for v, m, _ in impostor.entries) == 16  # classes with a cycle
     assert boltzmann_config(impostor, rho, w).truncated_mass_note is None
     assert census_series_eval(impostor, rho, w).connected_sum.tail_bound is None
     tail = tree_tail_bound(5, 1.0, rho, 1.0, rooted=False)
@@ -151,7 +168,7 @@ def test_census_series_empty_and_single():
     from minorclass.enumeration import UnlabelledCensus
 
     w = Weighting(1, 1)
-    empty = UnlabelledCensus("custom", 0, [])
+    empty = UnlabelledCensus("custom", 0, *np.zeros((3, 0), dtype=np.int64))
     series = census_series_eval(empty, 0.3, w)
     assert series.connected_sum.value == 0.0
     census = build_census(builtin_family("forests"), 1)  # K1 only

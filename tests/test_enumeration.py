@@ -39,6 +39,7 @@ from minorclass.graphs import (
     complete_graph,
     copies,
     cycle_graph,
+    is_connected,
     pair_count,
     path_graph,
     two_core,
@@ -276,24 +277,26 @@ def test_factorial_growth():
 
 def test_census_forests_n3():
     census = build_census(FORESTS, 3)
-    assert [(en.v, en.e, en.aut) for en in census.entries] == [(1, 0, 1), (2, 1, 2), (3, 2, 2)]
-    assert census_labelled_total(census, W11, 3) == 3 == brute_force_tau(FORESTS, W11, 3).c
+    assert [(v, m.bit_count(), aut) for v, m, aut in census.entries] == [(1, 0, 1), (2, 1, 2), (3, 2, 2)]
+    assert census_labelled_total(census, W11)[3] == 3 == brute_force_tau(FORESTS, W11, 3).c
 
 
 def test_census_planar_n3_has_triangle():
     census = build_census(builtin_family("planar"), 3)
-    auts = sorted((en.v, en.e, en.aut) for en in census.entries)
+    auts = sorted((v, m.bit_count(), aut) for v, m, aut in census.entries)
     assert (3, 3, 6) in auts  # the triangle
     w = Weighting(2, 3)
+    totals = census_labelled_total(census, w)
     for n in (1, 2, 3):
-        assert census_labelled_total(census, w, n) == brute_force_tau(builtin_family("planar"), w, n).c
+        assert totals[n] == brute_force_tau(builtin_family("planar"), w, n).c
 
 
 def test_census_consistency_larger():
     census = build_census(FORESTS, 6)
     assert len(census.entries) == 14  # unlabelled trees with at most 6 vertices
+    totals = census_labelled_total(census, W11)
     for n in range(1, 7):
-        assert census_labelled_total(census, W11, n) == brute_force_tau(FORESTS, W11, n).c
+        assert totals[n] == brute_force_tau(FORESTS, W11, n).c
 
 
 BUILTINS = ("all", "forests", "planar", "series-parallel", "ex-k-disjoint-cycles:1")
@@ -306,6 +309,11 @@ def _census_family(name):
     if name == "no-2c3":
         return excluded_minor_family(name, (copies(cycle_graph(3), 2),))
     return builtin_family(name)
+
+
+def _classes(census):
+    """(code, v, e, aut) of each census class, in census order."""
+    return [(code_of(v, m).code, v, m.bit_count(), aut) for v, m, aut in census.entries]
 
 
 def _census_by_canonicalizing_every_member(fam, n_max):
@@ -323,12 +331,12 @@ def _census_by_canonicalizing_every_member(fam, n_max):
 def test_census_by_augmentation_matches_every_member_canonicalized(name):
     fam = _census_family(name)
     census = build_census(fam, 6)
-    got = [(en.code.code, en.v, en.e, en.aut) for en in census.entries]
-    assert got == _census_by_canonicalizing_every_member(fam, 6)
-    for en in census.entries:
-        # the representative is the canonical graph of its class
-        assert canonicalize(en.rep) == en.code and en.rep.mask == int.from_bytes(en.code.code[1:], "big")
-        assert en.labelled * en.aut == math.factorial(en.v) and en.kappa == 1
+    assert _classes(census) == _census_by_canonicalizing_every_member(fam, 6)
+    for v, m, aut in census.entries:
+        # the stored mask is the canonical graph of its class, which is connected
+        code = code_of(v, m)
+        assert canonicalize(Graph(v, m)) == code and m == int.from_bytes(code.code[1:], "big")
+        assert math.factorial(v) // aut * aut == math.factorial(v) and is_connected(Graph(v, m))
 
 
 def test_census_canonicalizes_only_twin_pruned_children():
@@ -342,8 +350,7 @@ def test_census_canonicalizes_only_twin_pruned_children():
     _canon_data.cache_clear()
     census = build_census(fam, 6)
     assert _canon_data.cache_info().misses <= 180
-    got = [(en.code.code, en.v, en.e, en.aut) for en in census.entries]
-    assert got == _census_by_canonicalizing_every_member(fam, 6)
+    assert _classes(census) == _census_by_canonicalizing_every_member(fam, 6)
 
 
 def _census_by_every_twin_pruned_child(fam, n_max):
@@ -375,15 +382,14 @@ def _census_by_every_twin_pruned_child(fam, n_max):
 def test_census_matches_the_unfiltered_augmentation_at_n7(name):
     fam = _census_family(name)
     census = build_census(fam, 7)
-    got = [(en.code.code, en.v, en.e, en.aut) for en in census.entries]
-    assert got == _census_by_every_twin_pruned_child(fam, 7)
+    assert _classes(census) == _census_by_every_twin_pruned_child(fam, 7)
 
 
 @pytest.mark.parametrize("name", BUILTINS + ("trees",))
 def test_census_class_sizes_add_up_to_connected_count_at_n7(name):
     fam = builtin_family(name)
     census = build_census(fam, 7)
-    total = sum(math.factorial(7) // en.aut for en in census.of_order(7))
+    total = sum(math.factorial(7) // aut for v, _, aut in census.entries if v == 7)
     assert total == brute_force_tau(fam, W11, 7).c
 
 
@@ -391,7 +397,7 @@ def test_census_past_the_last_connected_class():
     """Without edges the only connected member is K1, and the orders above
     it, which have no parent to join, are empty."""
     census = build_census(excluded_minor_family("edgeless", (complete_graph(2),)), 4)
-    assert [(en.v, en.e, en.aut) for en in census.entries] == [(1, 0, 1)]
+    assert census.entries == [(1, 0, 1)]
 
 
 @pytest.mark.parametrize("name", ("forests", "trees"))
@@ -404,14 +410,37 @@ def test_forest_census_never_builds_the_lattice_at_its_top_order(name, monkeypat
     monkeypatch.setattr(_kernels, "_RECORDS", {})
     census = build_census(builtin_family(name), 7)
     assert max(_kernels._RECORDS) == 6
-    assert [len(census.of_order(v)) for v in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]
+    assert np.bincount(census.v).tolist() == [0, 1, 1, 1, 2, 3, 6, 11]
 
 
-def test_census_of_forests_stops_at_the_array_cap():
-    with pytest.raises(ResourceCapError):
-        build_census(FORESTS, 8, cap=8)
+def test_census_of_planar_stops_at_the_array_cap():
     with pytest.raises(ResourceCapError):
         build_census(builtin_family("planar"), 8, cap=8)
+
+
+@pytest.mark.parametrize("name", ("forests", "trees"))
+def test_census_of_forests_reaches_n8(name):
+    """The forest census looks its children up in the forest slice, which
+    reaches n = 8: the 23 trees on 8 vertices hold all 8^6 labelled ones,
+    and the rows below are the n <= 7 census."""
+    census = build_census(builtin_family(name), 8, cap=8)
+    assert np.bincount(census.v).tolist() == [0, 1, 1, 1, 2, 3, 6, 11, 23]
+    assert sum(math.factorial(8) // aut for v, _, aut in census.entries if v == 8) == 8 ** 6
+    assert census.entries[:25] == build_census(builtin_family(name), 7).entries
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("trees",))
+def test_census_totals_under_split_weights(name):
+    """tau(C_n) from the census classes, each weighed by its bridges, equals
+    the lattice sweep: exactly for rational weights, and to rounding for
+    floats, whose sums run in another order."""
+    fam = builtin_family(name)
+    census = build_census(fam, 6)
+    exact = Weighting.extended(Fraction(1, 2), 2, 3)
+    floats = Weighting.extended(0.3, 2.5, 1.5)
+    assert census_labelled_total(census, exact) == [brute_force_tau(fam, exact, n).c for n in range(7)]
+    assert census_labelled_total(census, floats) == pytest.approx(
+        [brute_force_tau(fam, floats, n).c for n in range(7)], rel=1e-12)
 
 
 def test_falling_moment_identity():

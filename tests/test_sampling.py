@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from minorclass import sampling
+from minorclass.canon import code_of
 from minorclass.enumeration import (
     brute_force_tau,
     build_census,
@@ -186,7 +187,8 @@ def test_boltzmann_graphs_and_stats():
     cfg = boltzmann_config(census, 1 / math.e, W11)
     graphs = boltzmann_poisson_sample(cfg, seed=9, draws=20000)
     stats = collect_stats(graphs, census=census)
-    k1_hex = census.entries[0].code.hex
+    v, m, _ = census.entries[0]
+    k1_hex = code_of(v, m).hex
     hist = stats.comp_count_histogram(k1_hex)
     mean = sum(k * c for k, c in hist.items()) / stats.draws
     assert mean == pytest.approx(1 / math.e, abs=0.02)
