@@ -523,17 +523,25 @@ def tree_series_sum(N: int, lam: float, x: float, nu: float, rooted: bool) -> fl
     the sum over n <= N of nu * n^(n-2) * lam^(n-1) * x^n / n!, with n^(n-1)
     in place of n^(n-2) for rooted trees.
 
-    The terms are summed in chunks of 65,536, and with lam * e * x <= 1 the
-    sum stops after the first chunk whose last term is 0.0: the log-terms
+    The terms are summed in chunks of 65,536, the first of them in five
+    pieces of 4,096, 4,096, 8,192, 16,384 and 32,768 terms.  These are
+    numpy's pairwise halves of 65,536 terms, so the running total after the
+    fifth piece has the bits of one np.sum over them.  With lam * e * x <= 1
+    the sum stops after the first chunk whose last term is 0.0: the log-terms
     satisfy lt(n+1) - lt(n) = log(lam x) + (n-2) log(1 + 1/n) < log(lam x e)
     <= 0 ((n-1) in place of (n-2) when rooted), so every later term is 0.0
-    too and every later chunk would add exactly 0.0."""
+    too and every later chunk would add exactly 0.0.  A sum whose terms
+    underflow early thus holds 4,096 terms at a time, not 65,536.  With
+    N < 65,536 the N terms are one chunk."""
     log_lam, log_x, log_nu = math.log(lam), math.log(x), math.log(nu)
     decreasing = lam * math.e * x <= 1.0
     total = 0.0
-    chunk = 65536
-    for start in range(1, N + 1, chunk):
-        n = np.arange(start, min(start + chunk, N + 1), dtype=np.float64)
+    if N >= 65536:
+        starts = [1, 4097, 8193, 16385, 32769, *range(65537, N + 1, 65536)]
+    else:
+        starts = [1] if N > 0 else []
+    for start, stop in zip(starts, starts[1:] + [N + 1]):
+        n = np.arange(start, stop, dtype=np.float64)
         log_n = np.log(n)
         lt = log_nu + (n - 1.0) * log_lam + n * log_x + (n - 2.0) * log_n - _log_factorial(n)
         if rooted:

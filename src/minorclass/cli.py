@@ -386,85 +386,105 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output path (default stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand and its help line, in the order `minorclass --help` lists them
+COMMANDS = {
+    "enumerate": "exact weighted counts a_n, c_n, b_n as CSV",
+    "census": "unlabelled connected-member census as CSV",
+    "constants": "asymptotic constants as JSON",
+    "sample": "draw graphs; one JSON graph per output line",
+    "stats": "histograms of a JSONL sample file as CSV",
+    "pendant": "pendant appearance counts of H in G",
+    "families-check": "bounded-scale closure-property verification",
+    "verify": "run acceptance criteria (default: all)",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Every subcommand is registered, so usage and the
+    command list never change; given `command`, only that subcommand gets its
+    arguments, which is all that parsing a command line naming it needs."""
     ap = argparse.ArgumentParser(prog="minorclass",
                                  description="weighted random graphs from minor-closed classes")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="exact weighted counts a_n, c_n, b_n as CSV")
-    p.add_argument("--family")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--nu")
-    p.add_argument("--lambda0")
-    p.add_argument("--lambda1")
-    p.add_argument("--nmax", dest="n_max", type=int)
-    p.add_argument("--cap", type=int)
-    _add_common(p)
+    def add(name: str) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=COMMANDS[name])
+        return p if command in (None, name) else None
 
-    p = sub.add_parser("census", help="unlabelled connected-member census as CSV")
-    p.add_argument("--family")
-    p.add_argument("--nmax", dest="census_n_max", type=int)
-    p.add_argument("--cap", type=int)
-    _add_common(p)
+    if (p := add("enumerate")) is not None:
+        p.add_argument("--family")
+        p.add_argument("--lambda", dest="lam")
+        p.add_argument("--nu")
+        p.add_argument("--lambda0")
+        p.add_argument("--lambda1")
+        p.add_argument("--nmax", dest="n_max", type=int)
+        p.add_argument("--cap", type=int)
+        _add_common(p)
 
-    p = sub.add_parser("constants", help="asymptotic constants as JSON")
-    p.add_argument("--family")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--nu")
-    p.add_argument("--gamma")
-    p.add_argument("--nmax", dest="n_max", type=int)
-    p.add_argument("--census-nmax", dest="census_n_max", type=int)
-    p.add_argument("--cap", type=int)
-    _add_common(p)
+    if (p := add("census")) is not None:
+        p.add_argument("--family")
+        p.add_argument("--nmax", dest="census_n_max", type=int)
+        p.add_argument("--cap", type=int)
+        _add_common(p)
 
-    p = sub.add_parser("sample", help="draw graphs; one JSON graph per output line")
-    p.add_argument("--family")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--nu")
-    p.add_argument("--lambda0")
-    p.add_argument("--lambda1")
-    p.add_argument("--n", type=int)
-    p.add_argument("--method", choices=["exact", "boltzmann", "mcmc", "tree"])
-    p.add_argument("--draws", type=int)
-    p.add_argument("--steps", type=int,
-                   help="total mcmc steps, burn-in included (overrides --draws; mcmc only)")
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--thin", type=int)
-    p.add_argument("--rho")
-    p.add_argument("--census-nmax", dest="census_n_max", type=int)
-    p.add_argument("--cap", type=int)
-    _add_common(p)
+    if (p := add("constants")) is not None:
+        p.add_argument("--family")
+        p.add_argument("--lambda", dest="lam")
+        p.add_argument("--nu")
+        p.add_argument("--gamma")
+        p.add_argument("--nmax", dest="n_max", type=int)
+        p.add_argument("--census-nmax", dest="census_n_max", type=int)
+        p.add_argument("--cap", type=int)
+        _add_common(p)
 
-    p = sub.add_parser("stats", help="histograms of a JSONL sample file as CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
+    if (p := add("sample")) is not None:
+        p.add_argument("--family")
+        p.add_argument("--lambda", dest="lam")
+        p.add_argument("--nu")
+        p.add_argument("--lambda0")
+        p.add_argument("--lambda1")
+        p.add_argument("--n", type=int)
+        p.add_argument("--method", choices=["exact", "boltzmann", "mcmc", "tree"])
+        p.add_argument("--draws", type=int)
+        p.add_argument("--steps", type=int,
+                       help="total mcmc steps, burn-in included (overrides --draws; mcmc only)")
+        p.add_argument("--burn-in", dest="burn_in", type=int)
+        p.add_argument("--thin", type=int)
+        p.add_argument("--rho")
+        p.add_argument("--census-nmax", dest="census_n_max", type=int)
+        p.add_argument("--cap", type=int)
+        _add_common(p)
 
-    p = sub.add_parser("pendant", help="pendant appearance counts of H in G")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--h", dest="h_graph", required=True)
-    p.add_argument("--root", type=int, default=1)
-    p.add_argument("--gamma")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--nu")
-    _add_common(p)
+    if (p := add("stats")) is not None:
+        p.add_argument("--in", dest="infile", required=True)
+        _add_common(p)
 
-    p = sub.add_parser("families-check", help="bounded-scale closure-property verification")
-    p.add_argument("--family")
-    p.add_argument("--nmax", dest="n_max", type=int)
-    p.add_argument("--kmax", dest="k_max", type=int, default=4)
-    p.add_argument("--minor-budget", dest="minor_budget", type=int)
-    _add_common(p)
+    if (p := add("pendant")) is not None:
+        p.add_argument("--graph", required=True)
+        p.add_argument("--h", dest="h_graph", required=True)
+        p.add_argument("--root", type=int, default=1)
+        p.add_argument("--gamma")
+        p.add_argument("--lambda", dest="lam")
+        p.add_argument("--nu")
+        _add_common(p)
 
-    p = sub.add_parser("verify", help="run acceptance criteria (default: all)")
-    p.add_argument("suites", nargs="*", help="criterion names, or empty for all")
-    _add_common(p)
+    if (p := add("families-check")) is not None:
+        p.add_argument("--family")
+        p.add_argument("--nmax", dest="n_max", type=int)
+        p.add_argument("--kmax", dest="k_max", type=int, default=4)
+        p.add_argument("--minor-budget", dest="minor_budget", type=int)
+        _add_common(p)
+
+    if (p := add("verify")) is not None:
+        p.add_argument("suites", nargs="*", help="criterion names, or empty for all")
+        _add_common(p)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         cfg = _merge_config(args)
         cfg.validate(args.command)

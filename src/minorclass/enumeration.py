@@ -13,12 +13,15 @@ Membership arrays for excluded-minor families come from a one-step-minor
 dynamic program with no per-graph search: a graph is a member iff it is not
 isomorphic to a listed minor and every graph one deletion or contraction
 below it is a member.  Contractions and vertex deletions are OR-linear maps
-on the edge mask, evaluated for all masks at once and looked up in the cached
-array of the order below; edge deletions are closed by a subset-AND pass over
-the lattice.  A minor of the slice's own order is excluded at its edge mask
-under all n! vertex permutations, so the DP canonicalizes nothing.  Forests
-are read from `_kernels.forest_slice` instead, and the family of all graphs
-needs no membership at all; `lattice_mode` picks a family's route.
+on the edge mask, looked up in the cached array of the order below: each
+contraction only over the half of the masks that hold its edge, each vertex
+deletion only over the masks where that vertex is isolated (with a
+neighbour u, G - v is a subgraph of G/uv up to isomorphism).  Edge deletions
+are closed by a subset-AND pass over the lattice.  A minor of the slice's own
+order is excluded at its edge mask under all n! vertex permutations, so the
+DP canonicalizes nothing.  Forests are read from `_kernels.forest_slice`
+instead, and the family of all graphs needs no membership at all;
+`lattice_mode` picks a family's route.
 
 The unlabelled census grows by canonical augmentation: each class of order
 n-1 is joined to a new vertex by the nonempty neighbour sets that take the
@@ -35,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -115,31 +119,35 @@ def _check_caps(fam: "GraphFamily", n: int, cap: int):
         )
 
 
-def _one_step_maps(n: int) -> list[tuple[list[int], int]]:
-    """The one-step minor maps from n to n-1 vertices, as OR-linear maps on edge masks.
-
-    Each map is (image of every edge bit as an (n-1)-vertex mask, edge bit that
-    must be present or -1): first the contraction of every pair, merging the
-    larger vertex into the smaller, then the deletion of every vertex.
-    """
-    ps = pairs(n)
-    relabel = [({w: u if w == v else w - (w > v) for w in range(1, n + 1)}, b)
-               for b, (u, v) in enumerate(ps)]
-    relabel += [({w: w - (w > v) for w in range(1, n + 1) if w != v}, -1)
-                for v in range(1, n + 1)]
-    return [([1 << pair_bit(phi[x], phi[y]) if x in phi and y in phi and b != need else 0
-              for b, (x, y) in enumerate(ps)], need)
-            for phi, need in relabel]
+def _or_images(images: list[int]) -> np.ndarray:
+    """An OR-linear map on masks, given the image of each bit, evaluated at
+    every mask over those bits in mask order: the OR of a subset table of the
+    low half of the bits with one of the high half."""
+    tables = []
+    for part in (images[:len(images) // 2], images[len(images) // 2:]):
+        table = np.zeros(1, dtype=np.intp)
+        for img in part:
+            table = np.concatenate([table, table | img])
+        tables.append(table)
+    low, high = tables
+    return np.bitwise_or.outer(high, low).ravel()
 
 
 def _minor_closed_member_array(fam: "GraphFamily", n: int) -> np.ndarray:
     """One-step-minor DP.  G is in Ex(M) iff G is isomorphic to no listed minor
     and every graph one step below it is a member: each single-edge deletion,
-    each edge contraction and each vertex deletion.  Contractions and vertex
-    deletions land in the cached (n-1)-vertex array; the edge deletions are
-    closed by one subset-AND pass over the lattice.  The graphs isomorphic to
-    a listed minor H with n vertices are H's images under the n! vertex
-    permutations (at most 5,040 at the array cap).
+    each edge contraction and each vertex deletion.
+
+    The contraction of pair b is looked up in the cached (n-1)-vertex array
+    only for the 2^(m-1) masks that hold b, the half-block
+    ok.reshape(-1, 2, 1 << b)[:, 1, :].  The deletion of vertex v is looked
+    up only for the 2^pair_count(n-1) masks where v is isolated: for a
+    neighbour u of v, G - v is isomorphic to a subgraph of G/uv, and the
+    (n-1)-array is closed under isomorphism and edge deletion, so G/uv
+    answers for G - v.  The edge deletions are closed by one subset-AND pass
+    over the lattice.  The graphs isomorphic to a listed minor H with n
+    vertices are H's images under the n! vertex permutations (at most 5,040
+    at the array cap).
     """
     _check_caps(fam, n, n)  # the lattice and array caps; callers check their own cap
     if fam.predicate is not None and not fam.excluded_minors:
@@ -147,18 +155,17 @@ def _minor_closed_member_array(fam: "GraphFamily", n: int) -> np.ndarray:
     m = pair_count(n)
     ok = np.ones(1 << m, dtype=bool)
     if n:
-        prev = member_mask_array(fam, n - 1)
-        # the upper half answers "member" for masks a contraction does not apply to
-        applies = np.concatenate([prev != 0, np.ones(len(prev), dtype=bool)])
-        absent = np.uint32(len(prev))
-        for images, need in _one_step_maps(n):
-            image = np.zeros(1, dtype=np.uint32)
-            for b, img in enumerate(images):
-                if b == need:
-                    image = np.concatenate([image | absent, image])
-                else:
-                    image = np.concatenate([image, image | np.uint32(img)])
-            ok &= applies[image]
+        prev = member_mask_array(fam, n - 1) != 0
+        ps = pairs(n)
+        for b, (u, v) in enumerate(ps):
+            phi = {w: u if w == v else w - (w > v) for w in range(1, n + 1)}  # v merged into u
+            held = ok.reshape(-1, 2, 1 << b)[:, 1, :]
+            held &= prev[_or_images([1 << pair_bit(phi[x], phi[y])
+                                     for c, (x, y) in enumerate(ps) if c != b])].reshape(held.shape)
+        for v in range(1, n + 1):
+            # where G - v has mask p, G has p's edges relabelled past v
+            isolated = _or_images([1 << pair_bit(x + (x >= v), y + (y >= v)) for x, y in pairs(n - 1)])
+            ok[isolated] &= prev
     same_order = [h for h in fam.excluded_minors if h.n == n]
     if same_order:
         # every labelling of a same-order minor: its edges under all n! permutations
@@ -539,13 +546,18 @@ class UnlabelledCensus:
         """The (v, mask, aut) row of each class, as Python ints."""
         return list(zip(self.v.tolist(), self.masks.tolist(), self.aut.tolist()))
 
+    @cached_property
+    def _bridges(self) -> list[int]:
+        """Each class's bridge count, counted on first use and kept."""
+        return [bridge_mask(Graph(v, m)).bit_count() for v, m, _ in self.entries]
+
     def weights(self, w: Weighting) -> list:
         """Each class's cluster weight w.cell_weight(e0, e - e0, 1), one
         cell_weight call per occupied (e, e0) cell.  On the diagonal e0 = e;
-        otherwise e0 is the bridge count of the class."""
+        otherwise e0 is the bridge count of the class, counted once per
+        census."""
         e = [m.bit_count() for m in self.masks.tolist()]
-        e0 = e if w.is_diagonal else [bridge_mask(Graph(v, m)).bit_count()
-                                      for v, m, _ in self.entries]
+        e0 = e if w.is_diagonal else self._bridges
         cells = list(zip(e, e0))
         weight_of = {c: w.cell_weight(c[1], c[0] - c[1], 1) for c in set(cells)}
         return [weight_of[c] for c in cells]

@@ -1,5 +1,6 @@
 """The command-line interface: outputs, determinism and exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -545,3 +546,48 @@ def test_membership_and_census_do_not_load_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "planar", "--lambda", "1/2", "--nu", "2", "--lambda0", "1",
+     "--lambda1", "3", "--nmax", "5", "--cap", "6", "--config", "c.json", "--seed", "3",
+     "--out", "o.csv"],
+    ["census", "--family", "planar", "--nmax", "4", "--cap", "7"],
+    ["constants", "--gamma", "27", "--lambda", "2", "--nmax", "5", "--census-nmax", "0"],
+    ["sample", "--method", "mcmc", "--n", "5", "--draws", "4", "--steps", "100",
+     "--burn-in", "10", "--thin", "2", "--rho", "0.1", "--census-nmax", "3"],
+    ["stats", "--in", "s.jsonl"],
+    ["pendant", "--graph", "g.txt", "--h", "h.txt", "--root", "2", "--gamma", "3"],
+    ["families-check", "--family", "planar", "--kmax", "3", "--minor-budget", "9"],
+    ["verify", "cayley-trees", "tree-series"],
+], ids=lambda argv: argv[0])
+def test_parser_of_one_command_parses_and_helps_like_the_full_parser(argv, capsys):
+    """The parser main builds for a named command gives the same Namespace
+    and the same --help text as the parser with every command's arguments,
+    and registers every command, with arguments only on the named one."""
+    full, one = cli.build_parser(), cli.build_parser(argv[0])
+    assert one.parse_args(argv) == full.parse_args(argv)
+    helps = []
+    for ap in (full, one):
+        with pytest.raises(SystemExit) as exc:
+            ap.parse_args([argv[0], "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and f"usage: minorclass {argv[0]}" in helps[0]
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert capsys.readouterr().out == helps[0]
+    subcommands, = (a for a in one._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subcommands.choices) == list(cli.COMMANDS)
+    for name, sub in subcommands.choices.items():
+        assert (len(sub._actions) > 1) == (name == argv[0])  # -h alone on the others
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bogus"], [], ["--bogus", "stats", "--in", "x"]])
+def test_command_lines_naming_no_command_use_the_full_parser(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    want = (exc.value.code, capsys.readouterr())
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr()) == want

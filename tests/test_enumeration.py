@@ -443,6 +443,28 @@ def test_census_totals_under_split_weights(name):
         [brute_force_tau(fam, floats, n).c for n in range(7)], rel=1e-12)
 
 
+def test_census_counts_bridges_once_and_only_off_the_diagonal(monkeypatch):
+    """A diagonal weighting counts no bridges; the first split weighting
+    counts each class's once, and later calls reuse them unchanged."""
+    import minorclass.enumeration as en
+
+    census = build_census(builtin_family("planar"), 5)
+    counted, count = [], en.bridge_mask
+
+    def counting(g):
+        counted.append(g.n)
+        return count(g)
+
+    monkeypatch.setattr(en, "bridge_mask", counting)
+    diagonal = census.weights(Weighting(Fraction(1, 2), 3))
+    assert counted == []
+    split = [census.weights(Weighting.extended(Fraction(1, 2), 2, 3)) for _ in range(2)]
+    assert counted == census.v.tolist()
+    assert split[0] == split[1] and diagonal != split[0]
+    census.weights(Weighting.extended(0.3, 2.5, 1.5))
+    assert len(counted) == census.v.size
+
+
 def test_falling_moment_identity():
     k1 = Graph(1, 0)
     k2 = Graph.from_edges(2, [(1, 2)])

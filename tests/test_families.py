@@ -504,6 +504,47 @@ def test_member_array_marks_every_labelling_of_a_same_order_minor(h):
     assert marked == math.factorial(h.n) // _automorphisms_by_permutation(h)
 
 
+# The first 16 hex digits of the sha256 of member_mask_array(fam, n).tobytes()
+# for n = 0..7, as the DP that looked every contraction and vertex deletion up
+# over all 2^C(n,2) masks built them.
+_MEMBER_ARRAY_SHA256 = {
+    "planar": ["4bf5122f344554c5", "4bf5122f344554c5", "9dcf97a184f32623", "04abc8821a06e5a3",
+               "7c8975e1e60a5c83", "60ade0285dd6246b", "c0871f07d3a814a9", "bee7cbe4cc6b6ce8"],
+    "series-parallel": ["4bf5122f344554c5", "4bf5122f344554c5", "9dcf97a184f32623",
+                        "04abc8821a06e5a3", "4a22bb45b68e2388", "efc8d6685f3ccc3e",
+                        "dc8fc801e030814a", "aaf19176642d3a58"],
+    "ex-k-disjoint-cycles:1": ["4bf5122f344554c5", "4bf5122f344554c5", "9dcf97a184f32623",
+                               "04abc8821a06e5a3", "7c8975e1e60a5c83", "5a648d8015900d89",
+                               "817af30f327d93d6", "e971fb5f013f2ea2"],
+    "ex-k-disjoint-cycles:2": ["4bf5122f344554c5", "4bf5122f344554c5", "9dcf97a184f32623",
+                               "04abc8821a06e5a3", "7c8975e1e60a5c83", "5a648d8015900d89",
+                               "bfa5a24faa8ddf57", "6d75695d93deb1bf"],
+    "K3+K1": ["4bf5122f344554c5", "4bf5122f344554c5", "9dcf97a184f32623", "04abc8821a06e5a3",
+              "75474ff06300b7cb", "0be4cae5f38df309", "4c40d4e2e3f29d25", "1596a75ddb370cc6"],
+    "C4+K1": ["4bf5122f344554c5", "4bf5122f344554c5", "9dcf97a184f32623", "04abc8821a06e5a3",
+              "7c8975e1e60a5c83", "fbd577686c9d2286", "457a21ce853baa2f", "821ab4985218a7a2"],
+    "K1": ["4bf5122f344554c5", "6e340b9cffb37a98", "96a296d224f285c6", "af5570f5a1810b7a",
+           "f5a5fd42d16a2030", "5f70bf18a0860070", "c35020473aed1b46", "5647f05ec1895894"],
+    "2K1": ["4bf5122f344554c5", "4bf5122f344554c5", "96a296d224f285c6", "af5570f5a1810b7a",
+            "f5a5fd42d16a2030", "5f70bf18a0860070", "c35020473aed1b46", "5647f05ec1895894"],
+}
+
+
+@pytest.mark.parametrize("name", list(_MEMBER_ARRAY_SHA256))
+def test_member_arrays_keep_their_digests(name):
+    """Every mask of every array up to the cap, not a sample: built-ins with
+    2-connected excluded minors, and minors with isolated vertices, which only
+    the deletion of an isolated vertex reaches."""
+    import hashlib
+
+    minors = {"K3+K1": (disjoint_union(cycle_graph(3), empty_graph(1)),),
+              "C4+K1": (disjoint_union(cycle_graph(4), empty_graph(1)),),
+              "K1": (empty_graph(1),), "2K1": (empty_graph(2),)}
+    fam = excluded_minor_family(name, minors[name]) if name in minors else builtin_family(name)
+    got = [hashlib.sha256(member_mask_array(fam, n).tobytes()).hexdigest()[:16] for n in range(8)]
+    assert got == _MEMBER_ARRAY_SHA256[name]
+
+
 def test_memo_only_for_minor_search():
     """memoize_membership is derived from the predicate and cannot be set."""
     from minorclass.families import GraphFamily

@@ -363,7 +363,9 @@ def _tree_series_every_chunk(N, lam, x, nu, rooted):
 def test_tree_series_stop_is_exact(monkeypatch, lam, at_radius):
     """Stopping after the first chunk whose last term underflowed gives the
     same bits as summing every chunk.  At the radius no term underflows, so
-    every chunk runs; at x = 1/(22 lam) the first chunk is the last."""
+    every chunk runs: from N = 65,536 on, the first 65,536 terms in five
+    chunks, then one per 65,536 more; at x = 1/(22 lam) the first chunk is
+    the last."""
     x = 1 / (math.e * lam) if at_radius else 1 / (22 * lam)
     chunks = []
     log_factorial = K._log_factorial
@@ -377,7 +379,8 @@ def test_tree_series_stop_is_exact(monkeypatch, lam, at_radius):
                                            (1, 2, 65535, 65536, 65537, 200_000)):
         chunks.clear()
         got = K.tree_series_sum(N, lam, x, nu, rooted)
-        assert len(chunks) == (-(-N // 65536) if at_radius else 1)
+        every = 1 if N < 65536 else 5 + -(-(N - 65536) // 65536)
+        assert len(chunks) == (every if at_radius else 1)
         assert got == _tree_series_every_chunk(N, lam, x, nu, rooted)
 
 
