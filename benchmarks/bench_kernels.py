@@ -100,7 +100,9 @@ def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0, array=Fal
     """The chain from the edgeless graph; families other than forests and all
     test membership by base_member, which asks their predicate directly, or
     with array=True by a lookup in their membership array (built before the
-    clock starts), as mcmc_sample does up to n = 7."""
+    clock starts), as mcmc_sample does up to n = 7.  The forests run the
+    forest loop; the others the simple loop with nu = 1 and lam0 = lam1,
+    else the component loop."""
     from minorclass.enumeration import lattice_mode, member_mask_array
     from minorclass.families import builtin_family
     from minorclass.graphs import Graph
@@ -121,7 +123,8 @@ def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0, array=Fal
         K.mcmc_chain(n, proposals, uniforms, lam0, lam1, nu, mode, member,
                      steps - draws * 10, 10, draws)
 
-    weights = f"nu={nu:g}" if lam0 == lam1 else f"lam0={lam0:g}, lam1={lam1:g}, nu={nu:g}"
+    weights = (f"lam={lam0:g}, nu={nu:g}" if lam0 == lam1
+               else f"lam0={lam0:g}, lam1={lam1:g}, nu={nu:g}")
     label = f"mcmc_chain {steps} steps (n={n} {family}, {weights}{', array' if array else ''})"
     return label, "python", _time(run, repeat=1)
 
@@ -324,9 +327,12 @@ def main():
         bench_mcmc(steps, 7),
         bench_mcmc(steps, 16),
         bench_mcmc(steps, 60),
+        # the forest loop reading uniforms: half the additions fail lam0 = 1/2
+        bench_mcmc(steps, 10, lam0=0.5, lam1=0.5),
         bench_mcmc(steps, 10, "all", 0.5),
-        # member-array mode without labels, the benchmark's mcmc-sp-6 chain
+        # the simple loop on a membership array, the benchmark's mcmc-sp-6 chain
         bench_mcmc(steps, 6, "series-parallel", array=True),
+        bench_mcmc(steps, 6, "series-parallel", lam0=0.5, lam1=0.5, array=True),
         # recounts the bridges (graphs.bridge_mask) on every toggle inside a component
         bench_mcmc(20_000, 10, "all", nu=2.0, lam0=0.5, lam1=2.0),
         bench_mcmc(5000, 300),  # setup-bound: the per-pair table of 44,850 pairs

@@ -15,9 +15,10 @@ Kernels:
                         extending the forests one vertex below, never the whole lattice
   * sweep_counts      - aggregate member counts by (edges, bridges, components); the
                         forests are read from forest_slice
-  * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n), the
-                        one chain for every family and weighting; membership is one
-                        test on an edge mask, asked only about additions
+  * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n), one
+                        kernel for every family and weighting in three loops (simple,
+                        forest, component); the simple and forest loops read each
+                        block's fixed acceptance as codes decided in numpy
   * tree_series_sum   - partial sums of the weighted (rooted) tree series, stopped
                         once its terms have underflowed to 0.0
   * prufer_decode     - batch decode of uniform parent sequences into trees
@@ -100,7 +101,8 @@ _FORESTS: dict[int, SliceStats] = {}
 def _record(n: int, extendable: bool = False) -> SliceStats:
     """The whole n-slice (n <= RECORD_CAP), built from the (n-1)-slice and cached.
 
-    The vertex-set arrays are kept only once the next slice is asked for.
+    The vertex-set arrays are kept only once the next slice is asked for;
+    a cached slice without them gains them, its other arrays reused.
     """
     rec = _RECORDS.get(n)
     if rec is None or (extendable and rec.roots is None):
@@ -109,7 +111,8 @@ def _record(n: int, extendable: bool = False) -> SliceStats:
             rec = SliceStats(zero, zero, np.ones(1, dtype=np.uint8), zero, zero,
                              np.zeros((0, 1), dtype=np.uint8), bridges=zero)
         else:
-            rec = _extend(_record(n - 1, extendable=True), n, 0, 1 << (n - 1), extendable)
+            rec = _extend(_record(n - 1, extendable=True), n, 0, 1 << (n - 1), extendable,
+                          stats=rec)
         for arr in (rec.kappa, rec.edges, rec.mindeg2):
             arr.flags.writeable = False
         _RECORDS[n] = rec
@@ -139,11 +142,13 @@ def core_sets(n: int) -> np.ndarray:
 
 
 def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = False,
-            bridges: bool = False) -> SliceStats:
+            bridges: bool = False, stats: SliceStats | None = None) -> SliceStats:
     """The masks of the n-slice whose vertex n has the neighbour sets first,
     ..., first + count - 1 (count a power of two dividing first), from the
     (n-1)-slice `low`, which must be extendable.  The rows are ordered by
     neighbour set, then by row of `low`; the bridges need `low` whole.
+    `stats`, if given, holds these rows' kappa, edges and mindeg2 already,
+    and they are reused, not computed.
 
     Adding vertex n with neighbours N merges the components N touches:
     kappa = kappa_low + 1 - (components touched).  An edge u-n is a bridge
@@ -163,9 +168,12 @@ def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = 
         r = low.roots[u]
         once, twice = np.concatenate([once, once | r]), np.concatenate([twice, twice | (once & r)])
     degree = np.bitwise_count(nbrs)
-    kappa = low.kappa + np.uint8(1) - np.bitwise_count(once)
-    mindeg2 = ((low.deg0 == 0) & ((low.deg1 & ~nbrs) == 0) & (degree >= 2)).view(np.uint8)
-    out = SliceStats(kappa.reshape(-1), (low.edges + degree).reshape(-1), mindeg2.reshape(-1))
+    if stats is None:
+        kappa = low.kappa + np.uint8(1) - np.bitwise_count(once)
+        mindeg2 = ((low.deg0 == 0) & ((low.deg1 & ~nbrs) == 0) & (degree >= 2)).view(np.uint8)
+        out = SliceStats(kappa.reshape(-1), (low.edges + degree).reshape(-1), mindeg2.reshape(-1))
+    else:
+        out = SliceStats(stats.kappa, stats.edges, stats.mindeg2)
     bit = np.uint8(1 << (n - 1))
     if extendable:
         zero = np.uint8(0)
@@ -316,6 +324,28 @@ def _blockwise(a: np.ndarray):
         a[s:s + CHAIN_BLOCK].tolist() for s in range(0, len(a), CHAIN_BLOCK))
 
 
+def _codes(proposals: np.ndarray, uniforms: np.ndarray, lo: float, hi: float, m: int):
+    """The proposals as Python ints, CHAIN_BLOCK at a time, with each step's
+    fixed acceptance folded in: b where the uniform passes both move ratios
+    (x < lo), ~b where it passes only the larger (x < hi), m where neither.
+    With lo >= 1 no uniform is read."""
+    def block(s: int) -> list[int]:
+        b = proposals[s:s + CHAIN_BLOCK]
+        if lo < 1.0:
+            x = uniforms[s:s + CHAIN_BLOCK]
+            b = np.where(x < lo, b, np.where(x < hi, ~b, m))
+        return b.tolist()
+
+    return itertools.chain.from_iterable(map(block, range(0, len(proposals), CHAIN_BLOCK)))
+
+
+def _runs(steps, burn_in: int, thin: int, draws: int):
+    """The step stream cut into the runs after each of which a draw is kept:
+    burn_in + thin steps, then thin steps per further draw."""
+    counts = itertools.chain((burn_in + thin,), itertools.repeat(thin, draws - 1)) if draws else ()
+    return (itertools.islice(steps, k) for k in counts)
+
+
 def _first_whole(adj: list[int], a: int, b: int) -> int:
     """Grow the vertex sets a and b one search layer at a time, in turn (a
     first), through the per-vertex neighbour bitmasks adj, and return the
@@ -343,50 +373,66 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
 
     The target is lam0^(bridges) * lam1^(other edges) * nu^kappa over the
     members of a family closed under edge deletion, as every minor-closed
-    family is: a toggle is accepted with min(1, ratio of the two weights) if
-    the new graph is a member.  `member` is a test on one edge mask, or None
-    when every graph the mode allows is a member (MODE_ALL, MODE_FORESTS).
-    Removals never leave such a family, so the test is asked only about
-    additions: once the Metropolis test accepts one, except that with
-    lam0 != lam1 an addition inside a component is tested before its bridge
-    recount, which a non-member would waste.  Such an addition loses bridges
-    and never gains any, so with lam1 <= lam0 its ratio is at most lam1, and
-    a uniform >= lam1 rejects it before either.  Every forest edge is a
-    bridge, so forest mode weighs edges by lam0 alone.
+    family is: step i toggles edge bit proposals[i], and the toggle is kept
+    if the new graph is a member and uniforms[i] < the ratio of the two
+    weights (always, if the ratio is >= 1).  Draw j is the mask after
+    burn_in + (j + 1) * thin steps.  `member` is a test on one edge mask, or
+    None when every graph the mode allows is a member (MODE_ALL,
+    MODE_FORESTS).  Removals never leave such a family, so the test is asked
+    only about additions.  The edge mask is a Python int, so n is unbounded.
 
-    The edge mask is a Python int, so n is unbounded.  Where a decision reads
-    the components (forest mode, nu != 1 or lam0 != lam1), the chain keeps
-    per-vertex adjacency bitmasks, which make each toggle local, a label per
-    vertex, lab[w], and the vertex bitmask of each label's component,
-    comp[label].  Invariant: comp[lab[w]] is the vertex set of w's component
-    in the current graph, and distinct components have distinct labels.
-    Every other chain weighs each toggle by lam^(+-1) alone, and keeps
-    neither labels nor adjacency: a loop of its own reads the mask and the
-    membership test, nothing else.
+    Three loops each run only the work their steps depend on:
+      * simple (nu == 1, lam0 == lam1, not forest mode): a toggle is weighed
+        by lam^(+-1) alone, so new = mask ^ (1 << b) is kept if new < mask
+        (a removal) or member(new); no labels, no adjacency.
+      * forest (MODE_FORESTS): every forest edge is a bridge, so a removal
+        splits (drop_split) and an addition merges (add_merge) or closes a
+        cycle (rejected).  Presence is read from the adjacency, so a
+        rejected step builds no edge bit.
+      * component (otherwise): a split and a removal inside a component have
+        different ratios, and with lam0 != lam1 so do a merge and an
+        addition inside one.
 
-    So adding u-v closes a cycle iff lab[u] == lab[v] (forest mode rejects
-    it), with no search.  An accepted merge relabels the smaller component.
-    Removing an edge from a forest always splits, and an accepted removal
+    Fixed acceptance.  In the simple and forest loops a step's ratio is set
+    by its kind, addition or removal, and one of the two ratios is >= 1:
+    their exact product is 1, and both round below 1 only when lam0 and nu
+    are equal or adjacent floats.  So each block of CHAIN_BLOCK steps
+    decides x < min(ratio) in numpy (_codes): a code b >= 0 lets either kind
+    through, ~b only the kind with the larger ratio, and m neither.  Only the
+    forest loop meets m (the simple loop's ratios are lam and 1/lam, and the
+    larger is >= 1 after rounding too); its pair m is a self-loop, never
+    present and always closing a cycle.  These loops never turn a uniform
+    into a Python float.
+
+    The forest and component loops keep per-vertex adjacency bitmasks, a
+    label per vertex, lab[w], and the vertex bitmask of each label's
+    component, comp[label].  Invariant: comp[lab[w]] is the vertex set of
+    w's component, and distinct components have distinct labels.  So adding
+    u-v closes a cycle iff lab[u] == lab[v], with no search, and an accepted
+    merge relabels the smaller component.  An accepted removal from a forest
     grows u's side and v's side one search layer at a time, in turn; the
-    first side that stops growing is whole, and it takes a free label.  So
-    the search costs about twice the layers of the shallower side, not all
-    of u's side.  Otherwise the search from u that decides the ratio already
-    stops at v or returns u's whole side, and a split gives a free label to
-    the smaller of the two sides.  Labels are internal: which side takes the
-    new one changes no mask.
+    first side that stops growing is whole and takes a free label, so the
+    search costs about twice the layers of the shallower side.  In the
+    component loop the search from u that decides the ratio already stops
+    at v or returns u's whole side, and a split gives a free label to the
+    smaller side.  Labels are internal: which side takes the new one changes
+    no mask.
 
-    With lam0 != lam1 the chain also keeps the bridge count: a merge adds one
-    bridge and a split removes one, and a toggle inside a component recounts
-    them (graphs.bridge_mask).  If that toggle loses k bridges (k < 0 when it
-    gains some), its ratio is lam1^(+-1) * (lam1/lam0)^k.  Two screens skip
-    the recount where its outcome is known: an addition to a bridgeless graph
-    keeps it bridgeless, and a removal inside a component only gains bridges,
-    so with lam1 > lam0 its ratio is at most drop_inside, and a uniform >=
-    drop_inside rejects it unrecounted.
+    With lam0 != lam1 the component loop also keeps the bridge count: a
+    merge adds one bridge and a split removes one, and a toggle inside a
+    component recounts them (graphs.bridge_mask).  If it loses k bridges
+    (k < 0 when it gains some), its ratio is lam1^(+-1) * (lam1/lam0)^k.
+    An addition inside a component is tested for membership before the
+    recount, which a non-member would waste.  It loses bridges and never
+    gains any, so with lam1 <= lam0 its ratio is at most lam1, and a uniform
+    >= lam1 rejects it before either; an addition to a bridgeless graph
+    keeps it bridgeless.  A removal inside a component only gains bridges,
+    so with lam1 > lam0 a uniform >= drop_inside rejects it unrecounted.
     """
     total = burn_in + draws * thin
     if thin < 1 or burn_in < 0 or len(proposals) < total or len(uniforms) < total:
         raise ValueError("proposal stream too short for requested draws")
+    proposals, uniforms = proposals[:total], uniforms[:total]
     lam0, lam1, nu = float(lam0), float(lam1), float(nu)
     # the acceptance ratio of each toggle kind: a merge or a split toggles a
     # bridge (lam0); a toggle inside a component toggles another edge (lam1),
@@ -394,29 +440,31 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
     add_merge, add_inside, drop_split, drop_inside = (
         lam ** de * nu ** dk
         for lam, de, dk in ((lam0, 1, -1), (lam1, 1, 0), (lam0, -1, 1), (lam1, -1, 0)))
-    forests = mode == MODE_FORESTS
-    split = lam0 != lam1 and not forests  # toggles inside a component change the bridges
-    steps = enumerate(zip(_blockwise(proposals[:total]), _blockwise(uniforms[:total])))
+    # the forest and simple loops' fixed acceptance: a code ~b lets through
+    # only the kind with the larger ratio, a removal if drop_wins
+    lo, hi = sorted((add_merge, drop_split))
+    drop_wins = drop_split > add_merge
+    m = n * (n - 1) // 2
+    runs = _runs(_codes(proposals, uniforms, lo, hi, m), burn_in, thin, draws)
     mask = 0
     out = []
-    keep = burn_in + thin - 1  # step index after which the next draw is kept
-    if not (forests or nu != 1.0 or split):  # no ratio reads the components
-        for t, (b, x) in steps:
-            bit = 1 << b
-            if mask & bit:
-                if drop_split >= 1.0 or x < drop_split:
-                    mask ^= bit
-            elif (add_merge >= 1.0 or x < add_merge) and (member is None or member(mask ^ bit)):
-                mask ^= bit
-            if t == keep:
-                out.append(mask)
-                keep += thin
+    forests = mode == MODE_FORESTS
+    split = lam0 != lam1  # toggles inside a component change the bridges
+    if member is None:
+        member = lambda s: True  # noqa: E731
+    if not (forests or nu != 1.0 or split):
+        for run in runs:
+            for b in run:
+                if b >= 0:
+                    nm = mask ^ (1 << b)
+                    if nm < mask or member(nm):
+                        mask = nm
+                else:  # only a removal (drop_wins) or only an addition may pass
+                    nm = mask ^ (1 << ~b)
+                    if nm < mask if drop_wins else nm > mask and member(nm):
+                        mask = nm
+            out.append(mask)
         return out
-    per_bridge = lam1 / lam0
-    # with split, an addition inside a component with x >= inside_cut, or a
-    # removal inside one with x >= drop_cut, is rejected unrecounted
-    inside_cut = add_inside if per_bridge <= 1.0 else math.inf
-    drop_cut = drop_inside if per_bridge > 1.0 else math.inf
     vbit = [1 << w for w in range(n)]
     # (u, v, 1 << u, 1 << v) of each edge bit, in bit order; the edge bit
     # itself is shifted per step, since a table of m of them takes O(m^2) bytes
@@ -425,6 +473,50 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
     lab = list(range(n))
     comp = vbit[:]
     free: list[int] = []  # the labels no component has
+    if forests:
+        toggles.append((0, 0, 1, 1))  # pair m, the self-loop at vertex 0
+        for run in runs:
+            for b in run:
+                if b < 0:
+                    b = ~b
+                    u, v, ub, vb = toggles[b]
+                    if bool(adj[u] & vb) != drop_wins:  # the kind the uniform rejects
+                        continue
+                else:
+                    u, v, ub, vb = toggles[b]
+                if adj[u] & vb:  # a removal splits
+                    mask ^= 1 << b
+                    adj[u] ^= vb
+                    adj[v] ^= ub
+                    moved = _first_whole(adj, ub, vb)
+                    comp[lab[u]] ^= moved
+                    label = free.pop()
+                    comp[label] = moved
+                    while moved:
+                        low = moved & -moved
+                        lab[low.bit_length() - 1] = label
+                        moved ^= low
+                elif lab[u] != lab[v]:  # a merge: the smaller side takes the larger one's label
+                    mask ^= 1 << b
+                    adj[u] |= vb
+                    adj[v] |= ub
+                    big, small = lab[u], lab[v]
+                    if comp[big].bit_count() < comp[small].bit_count():
+                        big, small = small, big
+                    moved = comp[small]
+                    comp[big] |= moved
+                    free.append(small)
+                    while moved:
+                        low = moved & -moved
+                        lab[low.bit_length() - 1] = big
+                        moved ^= low
+            out.append(mask)
+        return out
+    per_bridge = lam1 / lam0
+    # with split, an addition inside a component with x >= inside_cut, or a
+    # removal inside one with x >= drop_cut, is rejected unrecounted
+    inside_cut = add_inside if per_bridge <= 1.0 else math.inf
+    drop_cut = drop_inside if per_bridge > 1.0 else math.inf
     bridges = 0  # kept when split
 
     def relabel(vs: int, label: int):
@@ -433,67 +525,62 @@ def mcmc_chain(n: int, proposals: np.ndarray, uniforms: np.ndarray, lam0: float,
             lab[low.bit_length() - 1] = label
             vs ^= low
 
-    for t, (b, x) in steps:
-        bit = 1 << b
-        u, v, ub, vb = toggles[b]
-        if mask & bit:
-            adj[u] ^= vb
-            adj[v] ^= ub
-            side, r = 0, drop_split  # side: u's side, once searched
-            if not forests:
-                side = reach(adj, ub, vb)
+    for run in _runs(zip(_blockwise(proposals), _blockwise(uniforms)), burn_in, thin, draws):
+        for b, x in run:
+            bit = 1 << b
+            u, v, ub, vb = toggles[b]
+            if mask & bit:
+                adj[u] ^= vb
+                adj[v] ^= ub
+                side = reach(adj, ub, vb)  # u's side, once searched
+                r = drop_split
                 if side & vb:
                     r = drop_inside
                     if split and x < drop_cut:
                         now = bridge_mask(Graph(n, mask ^ bit)).bit_count()
                         r *= per_bridge ** (bridges - now)
-            if r >= 1.0 or x < r:
-                mask ^= bit
-                if not side & vb:  # a split
-                    old = lab[u]
-                    if forests:
-                        moved = _first_whole(adj, ub, vb)
-                    else:
+                if r >= 1.0 or x < r:
+                    mask ^= bit
+                    if not side & vb:  # a split
+                        old = lab[u]
                         rest = comp[old] ^ side
                         moved = side if side.bit_count() <= rest.bit_count() else rest
-                    comp[old] ^= moved
-                    label = free.pop()
-                    comp[label] = moved
-                    relabel(moved, label)
-                    bridges -= 1
-                elif split:
-                    bridges = now
-            else:
-                adj[u] |= vb
-                adj[v] |= ub
-        elif lab[u] == lab[v]:  # u-v closes a cycle
-            # with split, the test is asked before the bridge recount
-            if not forests and (x < inside_cut if split else (add_inside >= 1.0 or x < add_inside)) \
-                    and (member is None or member(mask ^ bit)):
-                if split:
-                    now = bridge_mask(Graph(n, mask ^ bit)).bit_count() if bridges else 0
-                    r = add_inside * per_bridge ** (bridges - now)
-                if not split or r >= 1.0 or x < r:
-                    mask ^= bit
+                        comp[old] ^= moved
+                        label = free.pop()
+                        comp[label] = moved
+                        relabel(moved, label)
+                        bridges -= 1
+                    elif split:
+                        bridges = now
+                else:
                     adj[u] |= vb
                     adj[v] |= ub
+            elif lab[u] == lab[v]:  # u-v closes a cycle
+                # with split, the test is asked before the bridge recount
+                if (x < inside_cut if split else (add_inside >= 1.0 or x < add_inside)) \
+                        and member(mask ^ bit):
                     if split:
-                        bridges = now
-        elif (add_merge >= 1.0 or x < add_merge) and (member is None or member(mask ^ bit)):
-            mask ^= bit
-            adj[u] |= vb
-            adj[v] |= ub
-            # the smaller component takes the larger one's label
-            big, small = lab[u], lab[v]
-            if comp[big].bit_count() < comp[small].bit_count():
-                big, small = small, big
-            comp[big] |= comp[small]
-            relabel(comp[small], big)
-            free.append(small)
-            bridges += 1
-        if t == keep:
-            out.append(mask)
-            keep += thin
+                        now = bridge_mask(Graph(n, mask ^ bit)).bit_count() if bridges else 0
+                        r = add_inside * per_bridge ** (bridges - now)
+                    if not split or r >= 1.0 or x < r:
+                        mask ^= bit
+                        adj[u] |= vb
+                        adj[v] |= ub
+                        if split:
+                            bridges = now
+            elif (add_merge >= 1.0 or x < add_merge) and member(mask ^ bit):
+                mask ^= bit
+                adj[u] |= vb
+                adj[v] |= ub
+                # the smaller component takes the larger one's label
+                big, small = lab[u], lab[v]
+                if comp[big].bit_count() < comp[small].bit_count():
+                    big, small = small, big
+                comp[big] |= comp[small]
+                relabel(comp[small], big)
+                free.append(small)
+                bridges += 1
+        out.append(mask)
     return out
 
 

@@ -132,6 +132,21 @@ def test_forest_slice_sizes_and_trees():
         assert not rows.masks.flags.writeable
 
 
+def test_cached_slice_gains_vertex_sets_without_a_rebuild(monkeypatch):
+    """A slice cached without its vertex-set arrays keeps its kappa, edges
+    and mindeg2 arrays when they are asked for, and gains the vertex-set
+    arrays that a cold extendable build has."""
+    monkeypatch.setattr(K, "_RECORDS", {})
+    stats = K.subset_stats(6)
+    rec = K._record(6, extendable=True)
+    for name in ("kappa", "edges", "mindeg2"):
+        assert getattr(rec, name) is getattr(stats, name), name
+    del K._RECORDS[6]
+    cold = K._record(6, extendable=True)
+    for name in ("kappa", "edges", "mindeg2", "deg0", "deg1", "roots"):
+        assert np.array_equal(getattr(rec, name), getattr(cold, name)), name
+
+
 @pytest.mark.parametrize("block", [K.BLOCK, 64], ids=["one-block", "blocks-of-64"])
 def test_forest_slice_rows_are_the_lattice_rows_of_the_forests(block, monkeypatch):
     """At every n <= 7 the forest slice holds, ascending, exactly the masks
@@ -235,6 +250,13 @@ def _base_member_test(fam, n):
     pytest.param("ex-k-disjoint-cycles:1", 8, (HALF, 2, 2), 1000, 2, True,
                  id="predicate-ex-k-disjoint-cycles-8-lam0-lam1"),
     pytest.param(NO_P4, 6, (HALF, 2, 1), 1000, 4, True, id="predicate-no-p4-6-lam0-lam1"),
+    # the simple loop, where a uniform that fails lam^(+-1) lets only the other kind through
+    pytest.param("all", 6, (HALF, HALF, 1), 1000, 4, False, id="all-6-simple-lam-half"),
+    pytest.param("all", 6, (2, 2, 1), 1000, 4, False, id="all-6-simple-lam-2"),
+    pytest.param("series-parallel", 6, (HALF, HALF, 1), 1000, 4, False,
+                 id="series-parallel-6-simple-lam-half"),
+    # the forest loop with both ratios 1: it reads no uniform
+    pytest.param("forests", 9, (2, 2, 2), 1000, 4, False, id="forests-9-lam0-equals-nu"),
 ])
 def test_mcmc_chain_matches_python_chain(family, n, weights, burn_in, thin, predicate):
     """Draw for draw on one stream, the incremental chain equals the generic
@@ -316,6 +338,32 @@ def test_mcmc_chain_memory_does_not_grow_with_steps(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.2 * peaks[0]
+
+
+@pytest.mark.parametrize("mode, weights", [
+    (K.MODE_ALL, (1.0, 1.0, 1.0)),
+    (K.MODE_FORESTS, (0.5, 0.5, 1.0)),
+    (K.MODE_ALL, (1.0, 1.0, 2.0)),
+], ids=["simple", "forest", "component"])
+def test_mcmc_chain_without_draws_returns_no_masks(mode, weights):
+    proposals = np.zeros(10, dtype=np.int64)
+    assert K.mcmc_chain(4, proposals, np.zeros(10), *weights, mode, None, 10, 3, 0) == []
+
+
+def test_forest_chain_rejects_uniforms_above_both_rounded_ratios():
+    """At lam0 = nu = 49 both forest ratios round to 1 - 2^-53, not 1, so a
+    uniform of 1 - 2^-53 rejects every toggle, and one below it none that
+    keeps a forest."""
+    n, steps = 8, 2000
+    rng = np.random.default_rng(5)
+    proposals = rng.integers(0, n * (n - 1) // 2, size=steps, dtype=np.int64)
+    top = np.full(steps, np.nextafter(1.0, 0.0))
+    assert 49.0 * 49.0 ** -1 < 1.0
+    got = K.mcmc_chain(n, proposals, top, 49.0, 49.0, 49.0, K.MODE_FORESTS, None, 0, 1, steps)
+    assert got == [0] * steps
+    got = K.mcmc_chain(n, proposals, top - 1e-15, 49.0, 49.0, 49.0, K.MODE_FORESTS, None, 0, 1,
+                       steps)
+    assert got == K.mcmc_chain(n, proposals, top, 1.0, 1.0, 1.0, K.MODE_FORESTS, None, 0, 1, steps)
 
 
 def test_mcmc_chain_rejects_short_streams():
