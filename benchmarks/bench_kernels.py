@@ -2,7 +2,7 @@
 """Time the hot kernels.
 
 Runs each kernel in one process and prints a timing table (best of three;
-the mcmc, census and closure-check rows run once).  The JSONL rows time the
+the census and closure-check rows run once).  The JSONL rows time the
 CLI's routes: the chain row formats edge masks drawn before the clock starts
 (`jsonl.masks_to_jsonl`), and the Boltzmann and tree rows time the draws and
 the formatting together.  Every
@@ -126,7 +126,7 @@ def bench_mcmc(steps, n, family="forests", nu=1.0, lam0=1.0, lam1=1.0, array=Fal
     weights = (f"lam={lam0:g}, nu={nu:g}" if lam0 == lam1
                else f"lam0={lam0:g}, lam1={lam1:g}, nu={nu:g}")
     label = f"mcmc_chain {steps} steps (n={n} {family}, {weights}{', array' if array else ''})"
-    return label, "python", _time(run, repeat=1)
+    return label, "python", _time(run)
 
 
 def bench_tree_series(terms, x, where):

@@ -1,8 +1,11 @@
 """Command-line front door.
 
-Subcommands: enumerate, census, constants, sample, stats, pendant,
-families-check, verify.  Exit codes: 0 success, 2 configuration error,
-3 resource cap exceeded, 4 verification failure.
+The command table, COMMANDS, is the one place where the subcommands and
+their flags are declared: each command's help line, its flags in --help
+order and its handler.  The parser, the flag names of error messages and the
+dispatch all read it; a flag for every command is one entry there.  Exit
+codes: 0 success, 2 configuration error, 3 resource cap exceeded,
+4 verification failure.
 
 Every command is a deterministic function of its configuration and seed;
 floating-point output uses 12 significant digits, exact values print as
@@ -20,8 +23,9 @@ import json
 import locale  # noqa: F401  (argparse's gettext would import it inside main, at parser build)
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._kernels import MODE_FORESTS
 from .errors import EmptySliceError, ResourceCapError
@@ -56,12 +60,9 @@ def parse_number(s: str, flag: str):
     return float(s)
 
 
-# smallest allowed value of each integer option, and the flags whose names
-# differ from the field's
+# smallest allowed value of each integer option
 _INT_MINIMUM = {"n": 0, "n_max": 0, "cap": 0, "census_n_max": 0, "draws": 0, "steps": 0,
                 "burn_in": 0, "thin": 1, "seed": 0, "minor_budget": 0}
-_FLAGS = {"n_max": "--nmax", "census_n_max": "--census-nmax", "burn_in": "--burn-in",
-          "minor_budget": "--minor-budget"}
 
 
 @dataclasses.dataclass
@@ -89,13 +90,14 @@ class ExperimentConfig:
     out: str | None = None
 
     def validate(self, command: str = "") -> None:
-        """Raise ValueError, naming the flag, for an integer option out of range."""
+        """Raise ValueError, naming the flag, for an integer option out of range.
+        The flag is the command's own for the field, else the field's usual one."""
+        own = COMMANDS[command].options if command in COMMANDS else ()
         for name, low in _INT_MINIMUM.items():
             value = getattr(self, name)
             if value is None and name in ("n", "steps"):
                 continue
-            flag = "--nmax" if command == "census" and name == "census_n_max" \
-                else _FLAGS.get(name, "--" + name)
+            flag = next((f for f, kw in own if kw.get("dest") == name), _OPTIONS[name][0])
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{flag} must be an integer, got {value!r}")
             if value < low:
@@ -149,7 +151,7 @@ def _write_text(path: str | None, text: str | Iterator[str]):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_enumerate(cfg: ExperimentConfig) -> int:
+def cmd_enumerate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .enumeration import compute_weight_table, forest_table, lattice_mode
 
     fam = family_from_spec(cfg.family)
@@ -176,7 +178,7 @@ def cmd_enumerate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_census(cfg: ExperimentConfig) -> int:
+def cmd_census(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .canon import code_of
     from .enumeration import build_census
 
@@ -191,7 +193,7 @@ def cmd_census(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_constants(cfg: ExperimentConfig) -> int:
+def cmd_constants(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .asymptotics import constants_from_gamma, forest_limit_pack, planar_constants
     from .enumeration import build_census, compute_weight_table, lattice_mode
 
@@ -234,7 +236,7 @@ def cmd_constants(cfg: ExperimentConfig) -> int:
 _JSONL_CHUNK_LINES = 256  # lines per write of the JSONL text
 
 
-def cmd_sample(cfg: ExperimentConfig) -> int:
+def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .enumeration import build_census, lattice_mode
     from . import sampling
 
@@ -280,10 +282,10 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_stats(cfg: ExperimentConfig, infile: str) -> int:
+def cmd_stats(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .sampling import collect_stats
 
-    with open(infile) as fh:
+    with open(args.infile) as fh:
         samples = [graph_from_json(line) for line in fh if line.strip()]
     stats = collect_stats(samples)
     buf = io.StringIO()
@@ -304,13 +306,13 @@ def cmd_stats(cfg: ExperimentConfig, infile: str) -> int:
     return 0
 
 
-def cmd_pendant(cfg: ExperimentConfig, graph_path: str, h_path: str, root: int) -> int:
+def cmd_pendant(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .asymptotics import pendant_limit
 
-    with open(graph_path) as fh:
+    with open(args.graph) as fh:
         g = graph_from_text(fh.read())
-    with open(h_path) as fh:
-        h = RootedGraph(graph_from_text(fh.read()), root)
+    with open(args.h_graph) as fh:
+        h = RootedGraph(graph_from_text(fh.read()), args.root)
     out = {
         "f_H": pendant_appearances(g, h),
         "f_H_overlapping": overlapping_pendant_appearances(g, h),
@@ -323,7 +325,7 @@ def cmd_pendant(cfg: ExperimentConfig, graph_path: str, h_path: str, root: int) 
     return 0
 
 
-def cmd_families_check(cfg: ExperimentConfig, k_max: int) -> int:
+def cmd_families_check(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .families import dichotomy_scan, verify_bridge_addable, verify_decomposable, \
         verify_trimmable
 
@@ -342,7 +344,7 @@ def cmd_families_check(cfg: ExperimentConfig, k_max: int) -> int:
             "counterexample": repr(rep.counterexample) if rep.counterexample else None,
             "details": rep.details,
         }
-    scan = dichotomy_scan(fam, min(n_max, 4), k_max)
+    scan = dichotomy_scan(fam, min(n_max, 4), args.k_max)
     out["dichotomy"] = [
         {"graph": repr(en.rep), "class": en.classification, "k": en.limited_k}
         for en in scan
@@ -358,10 +360,10 @@ def cmd_families_check(cfg: ExperimentConfig, k_max: int) -> int:
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig, suites: list[str]) -> int:
+def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .acceptance import run_criteria
 
-    results = run_criteria(suites if suites else None)
+    results = run_criteria(args.suites or None)
     lines = []
     for r in results:
         brief = ", ".join(
@@ -377,25 +379,76 @@ def cmd_verify(cfg: ExperimentConfig, suites: list[str]) -> int:
     return 0 if report["passed"] else 4
 
 
-# -- argument wiring -------------------------------------------------------------
+# -- the command table ----------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file with ExperimentConfig fields")
-    p.add_argument("--seed", type=int, help="64-bit RNG seed")
-    p.add_argument("--out", help="output path (default stdout)")
+# the flag and add_argument keywords of each ExperimentConfig field
+_OPTIONS = {
+    "family": ("--family", {}),
+    "lam": ("--lambda", {}),
+    "nu": ("--nu", {}),
+    "lambda0": ("--lambda0", {}),
+    "lambda1": ("--lambda1", {}),
+    "n": ("--n", {"type": int}),
+    "n_max": ("--nmax", {"type": int}),
+    "cap": ("--cap", {"type": int}),
+    "census_n_max": ("--census-nmax", {"type": int}),
+    "rho": ("--rho", {}),
+    "gamma": ("--gamma", {}),
+    "method": ("--method", {"choices": ["exact", "boltzmann", "mcmc", "tree"]}),
+    "draws": ("--draws", {"type": int}),
+    "steps": ("--steps", {"type": int, "help": "total mcmc steps, burn-in included "
+                                               "(overrides --draws; mcmc only)"}),
+    "burn_in": ("--burn-in", {"type": int}),
+    "thin": ("--thin", {"type": int}),
+    "seed": ("--seed", {"type": int, "help": "64-bit RNG seed"}),
+    "minor_budget": ("--minor-budget", {"type": int}),
+    "out": ("--out", {"help": "output path (default stdout)"}),
+}
 
 
-# each subcommand and its help line, in the order `minorclass --help` lists them
+class Command(NamedTuple):
+    """A subcommand: its help line, its (flag, add_argument keywords) in
+    --help order, and its handler, which returns the exit code."""
+
+    help: str
+    options: tuple[tuple[str, dict], ...]
+    run: Callable[[ExperimentConfig, argparse.Namespace], int]
+
+
+def _command(help: str, run, *options) -> Command:
+    """`options` names config fields, for their flags in _OPTIONS, or gives
+    (flag, keywords) of an argument of this command alone; --config, --seed
+    and --out follow on every command."""
+    options += (("--config", {"help": "JSON config file with ExperimentConfig fields"}),
+                "seed", "out")
+    return Command(help, tuple((_OPTIONS[o][0], {"dest": o, **_OPTIONS[o][1]})
+                               if isinstance(o, str) else o for o in options), run)
+
+
+# each subcommand, in the order `minorclass --help` lists them
 COMMANDS = {
-    "enumerate": "exact weighted counts a_n, c_n, b_n as CSV",
-    "census": "unlabelled connected-member census as CSV",
-    "constants": "asymptotic constants as JSON",
-    "sample": "draw graphs; one JSON graph per output line",
-    "stats": "histograms of a JSONL sample file as CSV",
-    "pendant": "pendant appearance counts of H in G",
-    "families-check": "bounded-scale closure-property verification",
-    "verify": "run acceptance criteria (default: all)",
+    "enumerate": _command("exact weighted counts a_n, c_n, b_n as CSV", cmd_enumerate,
+                          "family", "lam", "nu", "lambda0", "lambda1", "n_max", "cap"),
+    "census": _command("unlabelled connected-member census as CSV", cmd_census,
+                       "family", ("--nmax", {"dest": "census_n_max", "type": int}), "cap"),
+    "constants": _command("asymptotic constants as JSON", cmd_constants,
+                          "family", "lam", "nu", "gamma", "n_max", "census_n_max", "cap"),
+    "sample": _command("draw graphs; one JSON graph per output line", cmd_sample,
+                       "family", "lam", "nu", "lambda0", "lambda1", "n", "method", "draws",
+                       "steps", "burn_in", "thin", "rho", "census_n_max", "cap"),
+    "stats": _command("histograms of a JSONL sample file as CSV", cmd_stats,
+                      ("--in", {"dest": "infile", "required": True})),
+    "pendant": _command("pendant appearance counts of H in G", cmd_pendant,
+                        ("--graph", {"required": True}),
+                        ("--h", {"dest": "h_graph", "required": True}),
+                        ("--root", {"type": int, "default": 1}), "gamma", "lam", "nu"),
+    "families-check": _command("bounded-scale closure-property verification",
+                               cmd_families_check, "family", "n_max",
+                               ("--kmax", {"dest": "k_max", "type": int, "default": 4}),
+                               "minor_budget"),
+    "verify": _command("run acceptance criteria (default: all)", cmd_verify,
+                       ("suites", {"nargs": "*", "help": "criterion names, or empty for all"})),
 }
 
 
@@ -406,79 +459,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="minorclass",
                                  description="weighted random graphs from minor-closed classes")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name: str) -> argparse.ArgumentParser | None:
-        p = sub.add_parser(name, help=COMMANDS[name])
-        return p if command in (None, name) else None
-
-    if (p := add("enumerate")) is not None:
-        p.add_argument("--family")
-        p.add_argument("--lambda", dest="lam")
-        p.add_argument("--nu")
-        p.add_argument("--lambda0")
-        p.add_argument("--lambda1")
-        p.add_argument("--nmax", dest="n_max", type=int)
-        p.add_argument("--cap", type=int)
-        _add_common(p)
-
-    if (p := add("census")) is not None:
-        p.add_argument("--family")
-        p.add_argument("--nmax", dest="census_n_max", type=int)
-        p.add_argument("--cap", type=int)
-        _add_common(p)
-
-    if (p := add("constants")) is not None:
-        p.add_argument("--family")
-        p.add_argument("--lambda", dest="lam")
-        p.add_argument("--nu")
-        p.add_argument("--gamma")
-        p.add_argument("--nmax", dest="n_max", type=int)
-        p.add_argument("--census-nmax", dest="census_n_max", type=int)
-        p.add_argument("--cap", type=int)
-        _add_common(p)
-
-    if (p := add("sample")) is not None:
-        p.add_argument("--family")
-        p.add_argument("--lambda", dest="lam")
-        p.add_argument("--nu")
-        p.add_argument("--lambda0")
-        p.add_argument("--lambda1")
-        p.add_argument("--n", type=int)
-        p.add_argument("--method", choices=["exact", "boltzmann", "mcmc", "tree"])
-        p.add_argument("--draws", type=int)
-        p.add_argument("--steps", type=int,
-                       help="total mcmc steps, burn-in included (overrides --draws; mcmc only)")
-        p.add_argument("--burn-in", dest="burn_in", type=int)
-        p.add_argument("--thin", type=int)
-        p.add_argument("--rho")
-        p.add_argument("--census-nmax", dest="census_n_max", type=int)
-        p.add_argument("--cap", type=int)
-        _add_common(p)
-
-    if (p := add("stats")) is not None:
-        p.add_argument("--in", dest="infile", required=True)
-        _add_common(p)
-
-    if (p := add("pendant")) is not None:
-        p.add_argument("--graph", required=True)
-        p.add_argument("--h", dest="h_graph", required=True)
-        p.add_argument("--root", type=int, default=1)
-        p.add_argument("--gamma")
-        p.add_argument("--lambda", dest="lam")
-        p.add_argument("--nu")
-        _add_common(p)
-
-    if (p := add("families-check")) is not None:
-        p.add_argument("--family")
-        p.add_argument("--nmax", dest="n_max", type=int)
-        p.add_argument("--kmax", dest="k_max", type=int, default=4)
-        p.add_argument("--minor-budget", dest="minor_budget", type=int)
-        _add_common(p)
-
-    if (p := add("verify")) is not None:
-        p.add_argument("suites", nargs="*", help="criterion names, or empty for all")
-        _add_common(p)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if command in (None, name):
+            for flag, kw in cmd.options:
+                p.add_argument(flag, **kw)
     return ap
 
 
@@ -488,23 +473,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         cfg.validate(args.command)
-        if args.command == "enumerate":
-            return cmd_enumerate(cfg)
-        if args.command == "census":
-            return cmd_census(cfg)
-        if args.command == "constants":
-            return cmd_constants(cfg)
-        if args.command == "sample":
-            return cmd_sample(cfg)
-        if args.command == "stats":
-            return cmd_stats(cfg, args.infile)
-        if args.command == "pendant":
-            return cmd_pendant(cfg, args.graph, args.h_graph, args.root)
-        if args.command == "families-check":
-            return cmd_families_check(cfg, args.k_max)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suites)
-        raise ValueError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command].run(cfg, args)
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3

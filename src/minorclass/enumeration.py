@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -289,8 +289,9 @@ def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int,
 def egf_lift(c: Sequence, n_max: int | None = None) -> list:
     """Lift a connected weight sequence to the all-graph sequence via A' = C'A.
 
-    Uses the coefficient recurrence n*a_n = sum_k k*binom(n,k)*c_k*a_{n-k};
-    exact (integer or Fraction arithmetic).  c[0] must be 0.
+    Uses the coefficient recurrence a_n = sum_k binom(n-1,k-1)*c_k*a_{n-k},
+    which is n*a_n = sum_k k*binom(n,k)*c_k*a_{n-k} divided by n; with no
+    division it is exact for integers and Fractions alike.  c[0] must be 0.
     """
     if n_max is None:
         n_max = len(c) - 1
@@ -298,21 +299,10 @@ def egf_lift(c: Sequence, n_max: int | None = None) -> list:
         raise ValueError("connected sequence shorter than requested range")
     if c[0] != 0:
         raise ValueError("c_0 must be 0")
-    ints = all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1) for x in c)
     a: list = [1]
-    if ints:
-        cc = [int(x) for x in c]
-        for n in range(1, n_max + 1):
-            s = sum(k * math.comb(n, k) * cc[k] * a[n - k] for k in range(1, n + 1))
-            q, r = divmod(s, n)
-            if r:
-                raise ArithmeticError("integer lift produced a non-integer term")
-            a.append(q)
-    else:
-        cf = [_as_exact(x) if isinstance(x, (int, Fraction)) else x for x in c]
-        for n in range(1, n_max + 1):
-            s = sum(k * math.comb(n, k) * cf[k] * a[n - k] for k in range(1, n + 1))
-            a.append(_simplify(s / n if not isinstance(s, Fraction) else Fraction(s, n)))
+    for n in range(1, n_max + 1):
+        a.append(_simplify(sum(math.comb(n - 1, k - 1) * c[k] * a[n - k]
+                               for k in range(1, n + 1))))
     return a
 
 
@@ -339,7 +329,6 @@ class WeightTable:
     a: list
     c: list
     b: list
-    methods: list = field(default_factory=list)
 
     @property
     def n_max(self) -> int:
@@ -395,7 +384,7 @@ def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
     import sys
 
     _check_caps(fam, n_max, cap)
-    a, c, b, methods = [], [], [], []
+    a, c, b = [], [], []
     for n in range(n_max + 1):
         if verbose and n >= 6:
             rows = (f"{_kernels.forest_slice(n).masks.size} forests"
@@ -406,8 +395,7 @@ def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
         a.append(t.a)
         c.append(t.c)
         b.append(t.b)
-        methods.append("brute-force")
-    return WeightTable(fam.name, w, a, c, b, methods)
+    return WeightTable(fam.name, w, a, c, b)
 
 
 def forest_table(w: Weighting, n_max: int) -> WeightTable:
@@ -415,8 +403,7 @@ def forest_table(w: Weighting, n_max: int) -> WeightTable:
     c = cayley_tree_weights(w, n_max)
     a = egf_lift(c, n_max)
     b = [0] * (n_max + 1)
-    methods = ["closed-form+egf-lift"] * (n_max + 1)
-    return WeightTable("forests", w, a, c, b, methods)
+    return WeightTable("forests", w, a, c, b)
 
 
 # -- core-size decomposition -----------------------------------------------------
@@ -748,7 +735,8 @@ def exact_frag_distribution(fam: "GraphFamily", w: Weighting, n: int,
 
     frag is n less the most vertices sharing a component root in the lattice
     (`_kernels._record(n, extendable=True).roots`, or the forest slice's); the
-    members are tallied by (cell of mask_cells, frag).  The slice stops at
+    members are tallied by (cell of mask_cells, frag); a connected-only
+    family's members are its connected ones.  The slice stops at
     BRUTE_FORCE_CAP.
     """
     _check_caps(fam, n, min(cap, BRUTE_FORCE_CAP))
@@ -756,9 +744,10 @@ def exact_frag_distribution(fam: "GraphFamily", w: Weighting, n: int,
         raise ValueError("big/frag split needs at least one vertex")
     if lattice_mode(fam) == _kernels.MODE_FORESTS:
         rows = _kernels.forest_slice(n, extendable=True)
-        masks, roots = rows.masks, rows.roots
+        keep = rows.kappa == 1 if fam.connected_only else slice(None)  # trees: connected rows only
+        masks, roots = rows.masks[keep], rows.roots[:, keep]
     else:
-        masks = member_masks(fam, n, connected=False)
+        masks = member_masks(fam, n)
         roots = (r[masks] for r in _kernels._record(n, extendable=True).roots)
     # each vertex adds 1 to its root's 4-bit counter, which n <= 7 never overflows
     counter = np.zeros(256, dtype=np.uint32)

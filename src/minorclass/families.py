@@ -529,9 +529,12 @@ def verify_trimmable(fam: GraphFamily, n_max: int = 6) -> VerificationReport:
         if member is None:
             continue
         core = core_sets(n)
+        # the masks grouped by core vertex set, each group ascending
+        order = np.argsort(core, kind="stable")
+        bounds = [0, *np.cumsum(np.bincount(core, minlength=1 << n)).tolist()]
         core_member = np.empty(len(member), dtype=bool)
         for vset in range(1 << n):
-            at = np.flatnonzero(core == vset)
+            at = order[bounds[vset]:bounds[vset + 1]]
             img = _induced_images(at, n, vset)
             core_member[at] = member_mask_array(fam, vset.bit_count())[img] != 0
         fail = np.flatnonzero(core_member != (member != 0))

@@ -493,7 +493,7 @@ def _frag_distribution_per_graph(fam, w, n):
     big/frag split and one weight each (the reference for the lattice cells)."""
     totals = {}
     denom = 0
-    for mask in member_masks(fam, n, connected=False).tolist():
+    for mask in member_masks(fam, n).tolist():
         g = Graph(n, mask)
         wt = Fraction(weight(g, w)) if w.is_rational else weight(g, w)
         frag = big_frag_split(g)[1].graph.n
@@ -520,6 +520,15 @@ def test_float_frag_distribution_near_per_graph_loop(name):
         got, want = exact_frag_distribution(fam, w, n), _frag_distribution_per_graph(fam, w, n)
         assert got.keys() == want.keys()
         assert all(abs(got[k] - want[k]) <= 1e-12 * want[k] for k in want), n
+
+
+def test_frag_distribution_of_trees_is_connected():
+    """Every tree is connected, so the trees' frag is 0 with probability 1."""
+    trees = builtin_family("trees")
+    for w in (W11, Weighting(2, 3), Weighting.extended(Fraction(1, 2), 2, 3)):
+        for n in range(1, 8):
+            assert exact_frag_distribution(trees, w, n) == {0: 1}, (w, n)
+            assert exact_frag_mean(trees, w, n) == 0
 
 
 def test_frag_distribution_needs_a_vertex():
