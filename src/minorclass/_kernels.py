@@ -11,8 +11,9 @@ inputs.
 Kernels:
   * subset_stats      - component count, edge count and min-degree flag for every edge mask
   * core_sets         - 2-core vertex set of every edge mask, by one peel of the whole slice
-  * forest_slice      - the forests' masks and statistics alone, each slice built by
-                        extending the forests one vertex below, never the whole lattice
+  * forest_slice      - the forests' masks and statistics alone, never the whole lattice:
+                        each slice keeps the rows of the forests one vertex below that
+                        stay forests, picked from their root bits, then extends just those
   * sweep_counts      - aggregate member counts by (edges, bridges, components); the
                         forests are read from forest_slice
   * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n), one
@@ -142,13 +143,17 @@ def core_sets(n: int) -> np.ndarray:
 
 
 def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = False,
-            bridges: bool = False, stats: SliceStats | None = None) -> SliceStats:
+            bridges: bool = False, stats: SliceStats | None = None,
+            forests: bool = False) -> SliceStats:
     """The masks of the n-slice whose vertex n has the neighbour sets first,
     ..., first + count - 1 (count a power of two dividing first), from the
     (n-1)-slice `low`, which must be extendable.  The rows are ordered by
     neighbour set, then by row of `low`; the bridges need `low` whole.
     `stats`, if given, holds these rows' kappa, edges and mindeg2 already,
-    and they are reused, not computed.
+    and they are reused, not computed.  With `forests`, `low` holds forests
+    and only the rows that stay forests are built: those whose neighbour set
+    touches no component twice, since e + kappa = n + |N| - (components
+    touched).  Their masks are built too.
 
     Adding vertex n with neighbours N merges the components N touches:
     kappa = kappa_low + 1 - (components touched).  An edge u-n is a bridge
@@ -167,13 +172,25 @@ def _extend(low: SliceStats, n: int, first: int, count: int, extendable: bool = 
     for u in range(count.bit_length() - 1):
         r = low.roots[u]
         once, twice = np.concatenate([once, once | r]), np.concatenate([twice, twice | (once & r)])
+    masks = None
+    if forests:  # from here on every array is one row per kept (neighbour set, low row) pair
+        keep = np.flatnonzero(twice == 0)
+        pick, at = np.divmod(keep, low.kappa.size)
+        nbrs, once = nbrs[pick, 0], once.reshape(-1)[keep]
+        masks = (pick + first) << (n - 1) * (n - 2) // 2 | low.masks[at]
+        vsets = (low.deg0[at], low.deg1[at], low.roots[:, at]) if extendable else ()
+        low = SliceStats(low.kappa[at], low.edges[at], None, *vsets)
     degree = np.bitwise_count(nbrs)
     if stats is None:
         kappa = low.kappa + np.uint8(1) - np.bitwise_count(once)
-        mindeg2 = ((low.deg0 == 0) & ((low.deg1 & ~nbrs) == 0) & (degree >= 2)).view(np.uint8)
+        if forests:  # a forest on n >= 1 vertices has a vertex of degree <= 1
+            mindeg2 = np.zeros_like(kappa)
+        else:
+            mindeg2 = ((low.deg0 == 0) & ((low.deg1 & ~nbrs) == 0) & (degree >= 2)).view(np.uint8)
         out = SliceStats(kappa.reshape(-1), (low.edges + degree).reshape(-1), mindeg2.reshape(-1))
     else:
         out = SliceStats(stats.kappa, stats.edges, stats.mindeg2)
+    out.masks = masks
     bit = np.uint8(1 << (n - 1))
     if extendable:
         zero = np.uint8(0)
@@ -198,9 +215,10 @@ def forest_slice(n: int, extendable: bool = False) -> SliceStats:
     Every edge of a forest is a bridge, so bridges is edges.
 
     A forest minus vertex n is a forest on n - 1 vertices, so the n-forests
-    are the (n-1)-forests extended by every neighbour set of vertex n whose
-    row keeps e + kappa = n.  The neighbour set is each row's high bits and
-    the outer axis of _extend, so the masks come out ascending.  The
+    are the (n-1)-forests extended by the neighbour sets of vertex n that
+    touch no component twice.  _extend picks those rows from the root bits
+    first and then builds only them.  The neighbour set is each row's high
+    bits and the outer axis of _extend, so the masks come out ascending.  The
     extension runs in blocks of neighbour sets of at most BLOCK rows (four
     at n = 8), so a block's temporaries stay bounded.
     """
@@ -213,15 +231,10 @@ def forest_slice(n: int, extendable: bool = False) -> SliceStats:
         else:
             low = forest_slice(n - 1, extendable=True)
             count = min(1 << (n - 1), 1 << max(0, (BLOCK // low.kappa.size).bit_length() - 1))
-            parts = []
-            for first in range(0, 1 << (n - 1), count):
-                blk = _extend(low, n, first, count, extendable)
-                nbrs = np.arange(first, first + count, dtype=np.int64)[:, None]
-                blk.masks = (nbrs << (n - 1) * (n - 2) // 2 | low.masks).reshape(-1)
-                keep = blk.edges + blk.kappa == n
-                parts.append({k: v[..., keep] for k, v in vars(blk).items() if v is not None})
-            rec = SliceStats(**{k: np.concatenate([p[k] for p in parts], axis=-1)
-                                for k in parts[0]})
+            parts = [_extend(low, n, first, count, extendable, forests=True)
+                     for first in range(0, 1 << (n - 1), count)]
+            rec = SliceStats(**{k: np.concatenate([getattr(p, k) for p in parts], axis=-1)
+                                for k, v in vars(parts[0]).items() if v is not None})
         rec.bridges = rec.edges
         for arr in (rec.kappa, rec.edges, rec.mindeg2, rec.masks):
             arr.flags.writeable = False

@@ -90,20 +90,30 @@ class ExperimentConfig:
     out: str | None = None
 
     def validate(self, command: str = "") -> None:
-        """Raise ValueError, naming the flag, for an integer option out of range.
-        The flag is the command's own for the field, else the field's usual one."""
+        """Raise ValueError, naming the flag, for a string option that is not a
+        string (a config file can give any JSON value) or an integer option
+        out of range.  The flag is the command's own for the field, else the
+        field's usual one."""
         own = COMMANDS[command].options if command in COMMANDS else ()
+
+        def flag(name: str) -> str:
+            return next((f for f, kw in own if kw.get("dest") == name), _flag(name))
+
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type.startswith("str") and not (
+                    isinstance(value, str) or value is None and field.type.endswith("None")):
+                raise ValueError(f"{flag(field.name)} must be a string, got {value!r}")
         for name, low in _INT_MINIMUM.items():
             value = getattr(self, name)
             if value is None and name in ("n", "steps"):
                 continue
-            flag = next((f for f, kw in own if kw.get("dest") == name), _OPTIONS[name][0])
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{flag} must be an integer, got {value!r}")
+                raise ValueError(f"{flag(name)} must be an integer, got {value!r}")
             if value < low:
-                raise ValueError(f"{flag} must be >= {low}, got {value}")
+                raise ValueError(f"{flag(name)} must be >= {low}, got {value}")
         if self.seed >= 1 << 64:
-            raise ValueError(f"--seed must be below 2^64, got {self.seed}")
+            raise ValueError(f"{_flag('seed')} must be below 2^64, got {self.seed}")
 
     def render(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -111,6 +121,8 @@ class ExperimentConfig:
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"{_CONFIG[0]} must hold a JSON object, got {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         bad = set(data) - known
         if bad:
@@ -121,10 +133,10 @@ class ExperimentConfig:
         if self.lambda0 is not None or self.lambda1 is not None:
             if self.lambda0 is None or self.lambda1 is None:
                 raise ValueError("lambda0 and lambda1 must be given together")
-            return Weighting.extended(parse_number(self.lambda0, "--lambda0"),
-                                      parse_number(self.lambda1, "--lambda1"),
-                                      parse_number(self.nu, "--nu"))
-        return Weighting(parse_number(self.lam, "--lambda"), parse_number(self.nu, "--nu"))
+            return Weighting.extended(parse_number(self.lambda0, _flag("lambda0")),
+                                      parse_number(self.lambda1, _flag("lambda1")),
+                                      parse_number(self.nu, _flag("nu")))
+        return Weighting(parse_number(self.lam, _flag("lam")), parse_number(self.nu, _flag("nu")))
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -209,7 +221,7 @@ def cmd_constants(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if cfg.census_n_max > 0:
         census = build_census(fam, cfg.census_n_max, cap=max(cfg.cap, cfg.census_n_max))
     if cfg.gamma is not None:
-        gamma = float(parse_number(cfg.gamma, "--gamma"))
+        gamma = float(parse_number(cfg.gamma, _flag("gamma")))
         estimate_note = "gamma supplied"
     else:
         table = compute_weight_table(fam, w, cfg.n_max, cap=cfg.cap)
@@ -241,7 +253,8 @@ def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from . import sampling
 
     if cfg.steps is not None and cfg.method != "mcmc":
-        raise ValueError(f"--steps applies only to --method mcmc, got --method {cfg.method}")
+        raise ValueError(f"{_flag('steps')} applies only to {_flag('method')} mcmc, "
+                         f"got {_flag('method')} {cfg.method}")
     w = cfg.weighting()  # checked for every method, though trees take no weights
     n = cfg.n if cfg.n is not None else 6
     if cfg.method == "tree":
@@ -256,8 +269,8 @@ def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         if cfg.steps is not None:
             # a total step budget implies the draw count at the given thinning
             if cfg.steps < cfg.burn_in:
-                raise ValueError(f"--steps must be >= --burn-in ({cfg.burn_in}), "
-                                 f"got {cfg.steps}")
+                raise ValueError(f"{_flag('steps')} must be >= {_flag('burn_in')} "
+                                 f"({cfg.burn_in}), got {cfg.steps}")
             draws = (cfg.steps - cfg.burn_in) // cfg.thin
         lines = masks_to_jsonl(n, sampling.mcmc_masks(fam, w, n, draws, burn_in=cfg.burn_in,
                                                       thin=cfg.thin, seed=cfg.seed))
@@ -265,7 +278,7 @@ def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         fam = family_from_spec(cfg.family)
         census = build_census(fam, cfg.census_n_max, cap=max(cfg.cap, cfg.census_n_max))
         if cfg.rho is not None:
-            rho = float(parse_number(cfg.rho, "--rho"))
+            rho = float(parse_number(cfg.rho, _flag("rho")))
         elif lattice_mode(fam) == MODE_FORESTS:
             rho = 1.0 / (math.e * float(w.lambda0))
         else:
@@ -319,7 +332,7 @@ def cmd_pendant(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "density": pendant_appearances(g, h) / g.n if g.n else None,
     }
     if cfg.gamma is not None:
-        out["limit_density"] = pendant_limit(h, float(parse_number(cfg.gamma, "--gamma")),
+        out["limit_density"] = pendant_limit(h, float(parse_number(cfg.gamma, _flag("gamma"))),
                                              cfg.weighting())
     _write_text(cfg.out, json.dumps(out, indent=2, sort_keys=True) + "\n")
     return 0
@@ -405,6 +418,13 @@ _OPTIONS = {
     "minor_budget": ("--minor-budget", {"type": int}),
     "out": ("--out", {"help": "output path (default stdout)"}),
 }
+# the flag and keywords of the config file every command takes
+_CONFIG = ("--config", {"help": "JSON config file with ExperimentConfig fields"})
+
+
+def _flag(field: str) -> str:
+    """The flag of ExperimentConfig field `field`, as the table gives it."""
+    return _OPTIONS[field][0]
 
 
 class Command(NamedTuple):
@@ -420,8 +440,7 @@ def _command(help: str, run, *options) -> Command:
     """`options` names config fields, for their flags in _OPTIONS, or gives
     (flag, keywords) of an argument of this command alone; --config, --seed
     and --out follow on every command."""
-    options += (("--config", {"help": "JSON config file with ExperimentConfig fields"}),
-                "seed", "out")
+    options += (_CONFIG, "seed", "out")
     return Command(help, tuple((_OPTIONS[o][0], {"dest": o, **_OPTIONS[o][1]})
                                if isinstance(o, str) else o for o in options), run)
 

@@ -245,6 +245,68 @@ def test_bad_config_values_exit_2_naming_the_flag(argv, flag, capsys):
     assert f"configuration error: {flag} must be" in captured.err
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"lam": 2}, "--lambda must be a string, got 2"),
+    ({"family": 3}, "--family must be a string, got 3"),
+    ([1], "--config must hold a JSON object, got list"),
+], ids=["number-lambda", "number-family", "list"])
+def test_wrongly_typed_config_exits_2_naming_the_flag(data, message, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    code = main(["enumerate", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
+def _pendant(cfg, tmp_path):
+    g, h = tmp_path / "g.txt", tmp_path / "h.txt"
+    g.write_text(graph_to_text(path_graph(3)))
+    h.write_text(graph_to_text(path_graph(2)))
+    return cli.cmd_pendant(cfg, argparse.Namespace(graph=g, h_graph=h, root=1))
+
+
+def _weighting(cfg, tmp_path):
+    return cfg.weighting()
+
+
+def _validate(cfg, tmp_path):
+    return cfg.validate()
+
+
+def _constants(cfg, tmp_path):
+    return cli.cmd_constants(cfg, argparse.Namespace())
+
+
+def _sample(cfg, tmp_path):
+    return cli.cmd_sample(cfg, argparse.Namespace())
+
+
+@pytest.mark.parametrize("fields, cfg, run", [
+    (("lambda0",), ExperimentConfig(lambda0="1/0", lambda1="2"), _weighting),
+    (("lambda1",), ExperimentConfig(lambda0="2", lambda1="1/0"), _weighting),
+    (("lam",), ExperimentConfig(lam="1/0"), _weighting),
+    (("nu",), ExperimentConfig(nu="1/0"), _weighting),
+    (("gamma",), ExperimentConfig(gamma="1/0", census_n_max=0), _constants),
+    (("gamma",), ExperimentConfig(gamma="1/0"), _pendant),
+    (("rho",), ExperimentConfig(method="boltzmann", census_n_max=3, rho="1/0"), _sample),
+    (("steps", "method"), ExperimentConfig(method="exact", steps=70), _sample),
+    (("steps", "burn_in"), ExperimentConfig(method="mcmc", steps=70), _sample),
+    (("seed",), ExperimentConfig(seed=1 << 64), _validate),
+], ids=["lambda0", "lambda1", "lambda", "nu", "constants-gamma", "pendant-gamma", "rho",
+        "steps-method", "steps-burn-in", "seed"])
+def test_messages_name_the_flags_of_the_command_table(fields, cfg, run, monkeypatch, tmp_path):
+    """A message naming a flag reads it from the table: renaming the flag
+    there renames it in the message."""
+    for field in fields:
+        monkeypatch.setitem(cli._OPTIONS, field, ("--renamed-" + field, {}))
+    with pytest.raises(ValueError) as err:
+        run(cfg, tmp_path)
+    for field in fields:
+        assert cli._OPTIONS[field][0] in str(err.value), field
+
+
 @pytest.mark.parametrize("rho", [[], ["--rho", "0.3"]], ids=["radius", "inside"])
 def test_boltzmann_on_an_empty_census_exits_2(rho, capsys):
     code = main(["sample", "--method", "boltzmann", "--family", "forests",

@@ -15,6 +15,7 @@ base_member, against each other.
 """
 
 import functools
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -167,6 +168,51 @@ def test_forest_slice_rows_are_the_lattice_rows_of_the_forests(block, monkeypatc
         bridges = np.concatenate([blk.bridges for _, blk in K._blocks(n, True)])
         assert np.array_equal(rows.bridges, bridges[at]), n
         assert np.array_equal(np.flatnonzero(member_mask_array(forests, n)), at), n
+
+
+# The first 16 hex digits of the sha256 of each forest_slice(n) array's bytes
+# for n = 0..8, as extending the (n-1)-forests by every neighbour set and then
+# keeping the rows with e + kappa = n built them.  deg0, deg1 and roots stop at
+# n = 7, the last slice that is extended.
+_FOREST_SLICE_SHA256 = {
+    "kappa": ["6e340b9cffb37a98", "4bf5122f344554c5", "25dfd29c09617dcc", "283becf96213b836",
+              "7c42ee8b99f13c41", "619d209b6d958c22", "cd0c18cd526f053a", "2ec1eec6e7fd344b",
+              "8363e471e0396614"],
+    "edges": ["6e340b9cffb37a98", "6e340b9cffb37a98", "b413f47d13ee2fe6", "8520db704eae2db8",
+              "17f87f104d94e1c4", "f2c08c8933666270", "514fc37ffcd4acc3", "26c105496b09b29f",
+              "40c20262a612fde7"],
+    "mindeg2": ["4bf5122f344554c5", "6e340b9cffb37a98", "96a296d224f285c6", "837885c8f8091aea",
+                "762b023699a0e48a", "0bea1c7299faac8e", "2e9780ed07493daf", "6070ced80332e143",
+                "f54ee0ce27d43201"],
+    "masks": ["af5570f5a1810b7a", "af5570f5a1810b7a", "9d34149fbd1fe777", "81845a01dafa45c9",
+              "498c80aa51fb3aab", "cc2618ea092fad0a", "2448bec73f7ce17a", "3bee5c9d280b7ddf",
+              "7d02af722a4d7e88"],
+    "deg0": ["6e340b9cffb37a98", "4bf5122f344554c5", "9b4fb24edd6d1d88", "4131a9e9e27d90eb",
+             "a26ca7d57ec0438a", "94c327427c1bfda9", "ebb353afde318e4b", "b16015dcced616a2"],
+    "deg1": ["6e340b9cffb37a98", "6e340b9cffb37a98", "583c7dfb7b3055d9", "07ae7491bd41185b",
+             "6b171703ae391489", "dde3b4dca9838adf", "0253f1d23e124491", "d7974dff5e41e8b1"],
+    "roots": ["e3b0c44298fc1c14", "4bf5122f344554c5", "3608e2246c93a653", "3e2155e7df144e22",
+              "7b6623f3f0be424f", "1d6f85443e1a4898", "c739f51bb1a9f411", "8f4a4271d56dc4b2"],
+}
+
+
+def test_forest_slices_keep_their_digests(monkeypatch):
+    """Every array of every forest slice up to the cap, built to be extended
+    and not; no lattice reaches n = 8 to compare with.  A slice that is not
+    extended has no vertex-set arrays past n = 0, and its bridges are its edges."""
+    def digests(rec):
+        return {name: hashlib.sha256(getattr(rec, name).tobytes()).hexdigest()[:16]
+                for name in _FOREST_SLICE_SHA256 if getattr(rec, name) is not None}
+
+    monkeypatch.setattr(K, "_FORESTS", {})
+    for n in range(K.LATTICE_CAP + 1):
+        want = {name: pins[n] for name, pins in _FOREST_SLICE_SHA256.items() if n < len(pins)}
+        plain = K.forest_slice(n)
+        assert plain.bridges is plain.edges, n
+        assert digests(plain) == (want if n == 0 else {name: want[name] for name in
+                                                       ("kappa", "edges", "mindeg2", "masks")}), n
+        if n < K.LATTICE_CAP:
+            assert digests(K.forest_slice(n, extendable=True)) == want, n
 
 
 @pytest.mark.parametrize("bridges", [False, True], ids=["diagonal", "bridge-split"])
