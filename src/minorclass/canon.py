@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import ResourceCapError
 from .graphs import Graph, pair_bit, pair_count
 
-DEFAULT_VERTEX_CAP = 9
+VERTEX_CAP = 9  # canonicalize and automorphism_count stop past this many vertices
 
 
 @dataclass(frozen=True)
@@ -175,18 +175,18 @@ def code_of(n: int, canon_mask: int) -> CanonicalCode:
     return CanonicalCode(bytes([n]) + canon_mask.to_bytes(nbytes, "big"))
 
 
-def canonicalize(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> CanonicalCode:
+def canonicalize(g: Graph) -> CanonicalCode:
     """Canonical code of g; equal codes iff isomorphic graphs."""
-    if g.n > cap:
-        raise ResourceCapError(f"canonicalize: {g.n} vertices exceeds cap {cap}")
+    if g.n > VERTEX_CAP:
+        raise ResourceCapError(f"canonicalize: {g.n} vertices exceeds cap {VERTEX_CAP}")
     canon_mask, _ = _canon_data(g.n, g.mask)
     return code_of(g.n, canon_mask)
 
 
-def automorphism_count(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
+def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group, by exhaustive colour-respecting search."""
-    if g.n > cap:
-        raise ResourceCapError(f"automorphism_count: {g.n} vertices exceeds cap {cap}")
+    if g.n > VERTEX_CAP:
+        raise ResourceCapError(f"automorphism_count: {g.n} vertices exceeds cap {VERTEX_CAP}")
     _, aut = _canon_data(g.n, g.mask)
     return aut
 

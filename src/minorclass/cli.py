@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._kernels import MODE_FORESTS
+from ._kernels import MODE_FORESTS, RECORD_CAP
 from .errors import EmptySliceError, ResourceCapError
 from .families import family_from_spec
 from .graphs import RootedGraph, Weighting, graph_from_text, pendant_appearances, \
@@ -61,7 +61,7 @@ def parse_number(s: str, flag: str):
 
 
 # smallest allowed value of each integer option
-_INT_MINIMUM = {"n": 0, "n_max": 0, "cap": 0, "census_n_max": 0, "draws": 0, "steps": 0,
+_INT_MINIMUM = {"n": 0, "n_max": 0, "census_n_max": 0, "draws": 0, "steps": 0,
                 "burn_in": 0, "thin": 1, "seed": 0, "minor_budget": 0}
 
 
@@ -76,7 +76,6 @@ class ExperimentConfig:
     lambda1: str | None = None
     n: int | None = None
     n_max: int = 6
-    cap: int = 7
     census_n_max: int = 6
     rho: str | None = None
     gamma: str | None = None
@@ -168,12 +167,13 @@ def cmd_enumerate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
     fam = family_from_spec(cfg.family)
     w = cfg.weighting()
-    if cfg.n_max > cfg.cap and lattice_mode(fam) == MODE_FORESTS:
+    if cfg.n_max > RECORD_CAP and lattice_mode(fam) == MODE_FORESTS:
+        # past the whole slices, the closed form lifted by the exponential formula
         table = forest_table(w, cfg.n_max)
         if fam.connected_only:  # trees: every member is connected
             table.a = table.c
     else:
-        table = compute_weight_table(fam, w, cfg.n_max, cap=cfg.cap, verbose=True)
+        table = compute_weight_table(fam, w, cfg.n_max, verbose=True)
     ratios = table.ratios("a")
     growth = table.growth_estimates("a")
     buf = io.StringIO()
@@ -195,7 +195,7 @@ def cmd_census(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .enumeration import build_census
 
     fam = family_from_spec(cfg.family)
-    census = build_census(fam, cfg.census_n_max, cap=max(cfg.cap, cfg.census_n_max))
+    census = build_census(fam, cfg.census_n_max)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["code", "v", "e", "kappa", "aut"])
@@ -219,12 +219,12 @@ def cmd_constants(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     fam = family_from_spec(cfg.family)
     census = None
     if cfg.census_n_max > 0:
-        census = build_census(fam, cfg.census_n_max, cap=max(cfg.cap, cfg.census_n_max))
+        census = build_census(fam, cfg.census_n_max)
     if cfg.gamma is not None:
         gamma = float(parse_number(cfg.gamma, _flag("gamma")))
         estimate_note = "gamma supplied"
     else:
-        table = compute_weight_table(fam, w, cfg.n_max, cap=cfg.cap)
+        table = compute_weight_table(fam, w, cfg.n_max)
         ratios = table.ratios("a")
         last = ratios[table.n_max]
         if last is None:
@@ -261,8 +261,7 @@ def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         lines = trees_to_jsonl(n, sampling.random_tree_bits(n, cfg.seed, cfg.draws))
     elif cfg.method == "exact":
         fam = family_from_spec(cfg.family)
-        lines = masks_to_jsonl(n, sampling.exact_masks(fam, w, n, cfg.seed, cfg.draws,
-                                                       cap=cfg.cap))
+        lines = masks_to_jsonl(n, sampling.exact_masks(fam, w, n, cfg.seed, cfg.draws))
     elif cfg.method == "mcmc":
         fam = family_from_spec(cfg.family)
         draws = cfg.draws
@@ -276,7 +275,7 @@ def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                                                       thin=cfg.thin, seed=cfg.seed))
     elif cfg.method == "boltzmann":
         fam = family_from_spec(cfg.family)
-        census = build_census(fam, cfg.census_n_max, cap=max(cfg.cap, cfg.census_n_max))
+        census = build_census(fam, cfg.census_n_max)
         if cfg.rho is not None:
             rho = float(parse_number(cfg.rho, _flag("rho")))
         elif lattice_mode(fam) == MODE_FORESTS:
@@ -362,13 +361,7 @@ def cmd_families_check(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         {"graph": repr(en.rep), "class": en.classification, "k": en.limited_k}
         for en in scan
     ]
-    declared = {
-        "bridge_addable": fam.flags.bridge_addable,
-        "decomposable": fam.flags.decomposable,
-        "addable": fam.flags.addable,
-        "trimmable": fam.flags.trimmable,
-    }
-    out["declared_flags"] = declared
+    out["declared_flags"] = dataclasses.asdict(fam.flags)
     _write_text(cfg.out, json.dumps(out, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -404,7 +397,6 @@ _OPTIONS = {
     "lambda1": ("--lambda1", {}),
     "n": ("--n", {"type": int}),
     "n_max": ("--nmax", {"type": int}),
-    "cap": ("--cap", {"type": int}),
     "census_n_max": ("--census-nmax", {"type": int}),
     "rho": ("--rho", {}),
     "gamma": ("--gamma", {}),
@@ -448,14 +440,14 @@ def _command(help: str, run, *options) -> Command:
 # each subcommand, in the order `minorclass --help` lists them
 COMMANDS = {
     "enumerate": _command("exact weighted counts a_n, c_n, b_n as CSV", cmd_enumerate,
-                          "family", "lam", "nu", "lambda0", "lambda1", "n_max", "cap"),
+                          "family", "lam", "nu", "lambda0", "lambda1", "n_max"),
     "census": _command("unlabelled connected-member census as CSV", cmd_census,
-                       "family", ("--nmax", {"dest": "census_n_max", "type": int}), "cap"),
+                       "family", ("--nmax", {"dest": "census_n_max", "type": int})),
     "constants": _command("asymptotic constants as JSON", cmd_constants,
-                          "family", "lam", "nu", "gamma", "n_max", "census_n_max", "cap"),
+                          "family", "lam", "nu", "gamma", "n_max", "census_n_max"),
     "sample": _command("draw graphs; one JSON graph per output line", cmd_sample,
                        "family", "lam", "nu", "lambda0", "lambda1", "n", "method", "draws",
-                       "steps", "burn_in", "thin", "rho", "census_n_max", "cap"),
+                       "steps", "burn_in", "thin", "rho", "census_n_max"),
     "stats": _command("histograms of a JSONL sample file as CSV", cmd_stats,
                       ("--in", {"dest": "infile", "required": True})),
     "pendant": _command("pendant appearance counts of H in G", cmd_pendant,

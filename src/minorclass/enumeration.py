@@ -70,8 +70,6 @@ from .graphs import (
 if TYPE_CHECKING:  # pragma: no cover
     from .families import GraphFamily
 
-BRUTE_FORCE_CAP = 7
-
 
 def lattice_mode(fam: "GraphFamily") -> int:
     """How the lattice sweeps the family, decided by its predicate, never its
@@ -105,17 +103,15 @@ def member_mask_array(fam: "GraphFamily", n: int) -> np.ndarray | None:
     return arr
 
 
-def _check_caps(fam: "GraphFamily", n: int, cap: int):
-    """Raise ResourceCapError when the slice n is past the given cap, the
-    lattice cap, or (for families swept by membership array) the array cap."""
-    if n > cap:
-        raise ResourceCapError(f"brute force at n={n} needs an explicit cap >= {n}")
+def _check_caps(fam: "GraphFamily", n: int):
+    """Raise ResourceCapError when the slice n is past the lattice cap or,
+    for a family swept by membership array, past the array cap."""
     if n > _kernels.LATTICE_CAP:
         raise ResourceCapError(f"brute force is limited to n <= {_kernels.LATTICE_CAP}")
-    if n > BRUTE_FORCE_CAP and lattice_mode(fam) == _kernels.MODE_MEMBER_ARRAY:
+    if n > _kernels.RECORD_CAP and lattice_mode(fam) == _kernels.MODE_MEMBER_ARRAY:
         raise ResourceCapError(
-            f"membership arrays for minor-tested families stop at n={BRUTE_FORCE_CAP}; "
-            "only forests and all support the n=8 override"
+            f"membership arrays for minor-tested families stop at n={_kernels.RECORD_CAP}; "
+            "only forests and all are swept past it"
         )
 
 
@@ -149,7 +145,7 @@ def _minor_closed_member_array(fam: "GraphFamily", n: int) -> np.ndarray:
     vertices are H's images under the n! vertex permutations (at most 5,040
     at the array cap).
     """
-    _check_caps(fam, n, n)  # the lattice and array caps; callers check their own cap
+    _check_caps(fam, n)
     if fam.predicate is not None and not fam.excluded_minors:
         raise ValueError(f"family {fam.name!r} has no excluded minors to build its array from")
     m = pair_count(n)
@@ -195,7 +191,8 @@ def _connected_members(fam: "GraphFamily", n: int) -> np.ndarray:
 
 def member_masks(fam: "GraphFamily", n: int, connected: bool | None = None) -> np.ndarray:
     """Ascending int64 array of the member edge masks at order n (read-only
-    for all the forests); optionally only connected ones."""
+    for all the forests); optionally only connected ones.  Past RECORD_CAP
+    only the forests are listed, else ResourceCapError."""
     if connected is None and fam.connected_only:
         connected = True
     if lattice_mode(fam) == _kernels.MODE_FORESTS:
@@ -204,7 +201,11 @@ def member_masks(fam: "GraphFamily", n: int, connected: bool | None = None) -> n
     if connected:
         return np.flatnonzero(_connected_members(fam, n))
     arr = member_mask_array(fam, n)
-    return np.arange(1 << pair_count(n)) if arr is None else np.flatnonzero(arr)
+    if arr is not None:
+        return np.flatnonzero(arr)
+    if n > _kernels.RECORD_CAP:
+        raise ResourceCapError(f"listing every graph stops at n={_kernels.RECORD_CAP}")
+    return np.arange(1 << pair_count(n))
 
 
 def mask_cells(fam: "GraphFamily", w: Weighting, n: int,
@@ -254,16 +255,17 @@ class TauTriple(NamedTuple):
     b: object
 
 
-def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int,
-                    cap: int = BRUTE_FORCE_CAP) -> TauTriple:
+def brute_force_tau(fam: "GraphFamily", w: Weighting, n: int) -> TauTriple:
     """Exact (tau(A_n), tau(C_n), tau(B_n)) by exhaustive enumeration.
 
-    Default cap is 7 (2^21 graphs); pass cap=8 explicitly to allow n=8.
+    The lattice stops at n = 8, where all 2^28 masks are streamed in blocks
+    and the forests are read from their slice; a family swept by membership
+    array stops at n = 7 (ResourceCapError).
     Each column sums count * w.cell_weight(e0, e - e0, k) over the sweep's
     cells (e edges, e0 bridges, k components; e0 = 0 unless lam0 != lam1).
     For a connected-members view the a-column equals the c-column.
     """
-    _check_caps(fam, n, cap)
+    _check_caps(fam, n)
     mode = lattice_mode(fam)
     member = member_mask_array(fam, n) if mode == _kernels.MODE_MEMBER_ARRAY else None
     counts = _kernels.sweep_counts(n, member, mode, want_bridges=not w.is_diagonal)
@@ -373,17 +375,18 @@ def ratio_sequence(values: Sequence) -> list:
 
 
 def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
-                         cap: int = BRUTE_FORCE_CAP, verbose: bool = False) -> WeightTable:
+                         verbose: bool = False) -> WeightTable:
     """Brute-force table up to n_max (all entries enumerated exactly).
 
-    The caps are checked for n_max before any slice is enumerated.
+    The lattice and array caps of brute_force_tau are checked for n_max
+    before any slice is enumerated.
     verbose prints one progress line per slice from n = 6 to standard error
     only, naming the rows the sweep reads: the forests of the forest slice
     for a family swept as the forests, else every edge mask.
     """
     import sys
 
-    _check_caps(fam, n_max, cap)
+    _check_caps(fam, n_max)
     a, c, b = [], [], []
     for n in range(n_max + 1):
         if verbose and n >= 6:
@@ -391,7 +394,7 @@ def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
                     if lattice_mode(fam) == _kernels.MODE_FORESTS
                     else f"{1 << pair_count(n)} edge masks")
             print(f"enumerating n={n} ({rows})...", file=sys.stderr)
-        t = brute_force_tau(fam, w, n, cap=cap)
+        t = brute_force_tau(fam, w, n)
         a.append(t.a)
         c.append(t.c)
         b.append(t.b)
@@ -433,26 +436,23 @@ def f_nk(fam: "GraphFamily", w: Weighting, n: int, k: int, b_of_k):
     return _simplify(val)
 
 
-def f_nk_bruteforce(fam: "GraphFamily", w: Weighting, n: int, k: int,
-                    cap: int = BRUTE_FORCE_CAP):
+def f_nk_bruteforce(fam: "GraphFamily", w: Weighting, n: int, k: int):
     """Cross-check: sum the weights of connected members with v(core) = k directly.
 
     The connected members are tallied by their cells (mask_cells) over the
     whole slice, with every mask's 2-core size from one peel of the slice
-    (`_kernels.core_sets`); the whole slice stops at BRUTE_FORCE_CAP
-    vertices, so a larger cap is lowered to it.
+    (`_kernels.core_sets`); the whole slice stops at RECORD_CAP vertices
+    (ResourceCapError, raised before the peel).
     """
-    _check_caps(fam, n, min(cap, BRUTE_FORCE_CAP))
     sel = _connected_members(fam, n) & (np.bitwise_count(_kernels.core_sets(n)) == k)
     cells, weights = mask_cells(fam, w, n, np.flatnonzero(sel))
     return _simplify(sum(c * x for c, x in zip(np.bincount(cells).tolist(), weights) if c) or 0)
 
 
-def core_decomposition_identity(fam: "GraphFamily", w: Weighting, n: int,
-                                cap: int = BRUTE_FORCE_CAP):
+def core_decomposition_identity(fam: "GraphFamily", w: Weighting, n: int):
     """Reconstruct tau(C_n) as sum_k f(n,k) plus the tree term; returns both sides."""
     _require_trimmable(fam)
-    b_vals = {k: brute_force_tau(fam, w, k, cap=cap).b for k in range(3, n + 1)}
+    b_vals = {k: brute_force_tau(fam, w, k).b for k in range(3, n + 1)}
     total = 0
     for k in range(3, n + 1):
         if b_vals[k] != 0:
@@ -460,7 +460,7 @@ def core_decomposition_identity(fam: "GraphFamily", w: Weighting, n: int,
     one_vertex = 1 if fam.base_member(Graph(1, 0)) else 0
     tree_term = one_vertex * n ** max(n - 2, 0) * w.lambda0 ** (n - 1) * w.nu
     lhs = _simplify(total + tree_term)
-    rhs = brute_force_tau(fam, w, n, cap=cap).c
+    rhs = brute_force_tau(fam, w, n).c
     return lhs, rhs
 
 
@@ -583,7 +583,7 @@ def _canonical_deletion(n: int, masks: np.ndarray) -> np.ndarray:
     return ok
 
 
-def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> UnlabelledCensus:
+def build_census(fam: "GraphFamily", n_max: int) -> UnlabelledCensus:
     """Inventory of the connected members up to n_max, one row per isomorphism class.
 
     Built by canonical augmentation (McKay 1998, "Isomorph-free exhaustive
@@ -610,8 +610,10 @@ def build_census(fam: "GraphFamily", n_max: int, cap: int = BRUTE_FORCE_CAP) -> 
     automorphisms.  Per order, the class sizes n!/aut must add up to the
     connected-member count (member_masks, which reads the forest slice for
     the forests, so no forest census builds the whole lattice at n_max).
+    The lattice and array caps of brute_force_tau are checked for n_max
+    before any order is built.
     """
-    _check_caps(fam, n_max, cap)
+    _check_caps(fam, n_max)
     mode = lattice_mode(fam)
     rows = []
     reps = [0]  # canonical masks of the (n-1)-vertex classes; the empty graph below n = 1
@@ -666,8 +668,7 @@ def census_labelled_total(census: UnlabelledCensus, w: Weighting) -> list:
 
 
 def falling_moment_check(fam: "GraphFamily", w: Weighting, n: int,
-                         picks: Sequence[tuple[Graph, int]], rho=Fraction(1),
-                         cap: int = BRUTE_FORCE_CAP):
+                         picks: Sequence[tuple[Graph, int]], rho=Fraction(1)):
     """Residual of the exact falling-moment identity for component counts.
 
     Left side: E[prod_i (number of components isomorphic to H_i)_(k_i)] under
@@ -688,11 +689,13 @@ def falling_moment_check(fam: "GraphFamily", w: Weighting, n: int,
     if len(set(pick_codes)) != len(pick_codes):
         raise ValueError("picks must be pairwise non-isomorphic")
 
-    a_vals = {m: brute_force_tau(fam, w, m, cap=cap).a for m in range(n - K, n + 1)}
+    # listed before the sweeps, so a family that stops at RECORD_CAP fails before them
+    masks = member_masks(fam, n, connected=False)
+    a_vals = {m: brute_force_tau(fam, w, m).a for m in range(n - K, n + 1)}
 
     comp_code_memo: dict[tuple[int, int], bytes] = {}
     lhs_num = Fraction(0)
-    for mask in member_masks(fam, n, connected=False).tolist():
+    for mask in masks.tolist():
         g = Graph(n, mask)
         comps = component_masks(g)
         counts = [0] * len(picks)
@@ -729,17 +732,15 @@ def falling_moment_check(fam: "GraphFamily", w: Weighting, n: int,
 # -- exact structural expectations -----------------------------------------------------
 
 
-def exact_frag_distribution(fam: "GraphFamily", w: Weighting, n: int,
-                            cap: int = BRUTE_FORCE_CAP) -> dict:
+def exact_frag_distribution(fam: "GraphFamily", w: Weighting, n: int) -> dict:
     """Exact Pr[frag = k] for the weighted random graph on the family's n-slice.
 
     frag is n less the most vertices sharing a component root in the lattice
     (`_kernels._record(n, extendable=True).roots`, or the forest slice's); the
     members are tallied by (cell of mask_cells, frag); a connected-only
-    family's members are its connected ones.  The slice stops at
-    BRUTE_FORCE_CAP.
+    family's members are its connected ones.  Forests reach n = 8, every
+    other family RECORD_CAP (member_masks).
     """
-    _check_caps(fam, n, min(cap, BRUTE_FORCE_CAP))
     if n < 1:
         raise ValueError("big/frag split needs at least one vertex")
     if lattice_mode(fam) == _kernels.MODE_FORESTS:
@@ -749,7 +750,8 @@ def exact_frag_distribution(fam: "GraphFamily", w: Weighting, n: int,
     else:
         masks = member_masks(fam, n)
         roots = (r[masks] for r in _kernels._record(n, extendable=True).roots)
-    # each vertex adds 1 to its root's 4-bit counter, which n <= 7 never overflows
+    # each vertex adds 1 to its root's 4-bit counter: at n = 8 eight counters
+    # fill the uint32, and none exceeds 8
     counter = np.zeros(256, dtype=np.uint32)
     counter[1 << np.arange(n)] = 1 << 4 * np.arange(n)
     sizes = sum(counter[r] for r in roots)
@@ -765,6 +767,6 @@ def exact_frag_distribution(fam: "GraphFamily", w: Weighting, n: int,
     return {k: _simplify(v / denom) for k, v in sorted(totals.items())}
 
 
-def exact_frag_mean(fam: "GraphFamily", w: Weighting, n: int, cap: int = BRUTE_FORCE_CAP):
-    dist = exact_frag_distribution(fam, w, n, cap=cap)
+def exact_frag_mean(fam: "GraphFamily", w: Weighting, n: int):
+    dist = exact_frag_distribution(fam, w, n)
     return _simplify(sum(_as_exact(k) * _as_exact(p) for k, p in dist.items()))

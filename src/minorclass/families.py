@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -386,22 +386,33 @@ def excluded_minor_family(name: str, minors: tuple[Graph, ...], flags: FamilyFla
     )
 
 
+def _check_keys(data, known: set[str], what: str):
+    """Raise ValueError, naming them, for the keys of `data` outside `known`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must hold a JSON object, got {type(data).__name__}")
+    if set(data) - known:
+        raise ValueError(f"{what} has unknown keys: {sorted(set(data) - known)}")
+
+
 def load_family(path: str | pathlib.Path) -> GraphFamily:
-    """Family definition file: {name, excluded_minors: [graph files], flags: {...}}."""
+    """Family definition file: {name, excluded_minors: [graph files], flags: {...}}.
+
+    A declared flag (true, false or null) replaces the one derive_flags gives.
+    An unknown key or flag name, or a flag of another value, is a ValueError
+    naming it."""
     path = pathlib.Path(path)
     data = json.loads(path.read_text())
+    _check_keys(data, {"name", "excluded_minors", "flags"}, str(path))
+    flags = data.get("flags", {})
+    _check_keys(flags, {f.name for f in fields(FamilyFlags)}, f"the flags of {path}")
+    for key, value in flags.items():
+        if value is not None and not isinstance(value, bool):
+            raise ValueError(f"flag {key!r} of {path} must be true, false or null, got {value!r}")
     minors = tuple(
         graph_from_text((path.parent / p).read_text()) for p in data.get("excluded_minors", [])
     )
-    flags_in = data.get("flags", {})
-    derived = derive_flags(minors)
-    flags = FamilyFlags(
-        bridge_addable=flags_in.get("bridge_addable", derived.bridge_addable),
-        decomposable=flags_in.get("decomposable", derived.decomposable),
-        addable=flags_in.get("addable", derived.addable),
-        trimmable=flags_in.get("trimmable", derived.trimmable),
-    )
-    return GraphFamily(data["name"], excluded_minors=minors, flags=flags)
+    return GraphFamily(data["name"], excluded_minors=minors,
+                       flags=replace(derive_flags(minors), **flags))
 
 
 def family_from_spec(spec: str) -> GraphFamily:

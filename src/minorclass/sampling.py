@@ -23,14 +23,13 @@ import numpy.random  # noqa: F401  (loaded with the package, not by the first dr
 from . import _kernels
 from .canon import canonicalize, code_of
 from .enumeration import (
-    BRUTE_FORCE_CAP,
     UnlabelledCensus,
     lattice_mode,
     mask_cells,
     member_mask_array,
     member_masks,
 )
-from .errors import EmptySliceError, ResourceCapError
+from .errors import EmptySliceError
 from .graphs import (
     Graph,
     RootedGraph,
@@ -59,17 +58,14 @@ def _check_draws(draws: int) -> None:
         raise ValueError(f"draws must be >= 0, got {draws}")
 
 
-def exact_masks(fam, w: Weighting, n: int, seed: int, draws: int,
-                cap: int = BRUTE_FORCE_CAP) -> list[int]:
+def exact_masks(fam, w: Weighting, n: int, seed: int, draws: int) -> list[int]:
     """The edge masks of i.i.d. draws with Pr(G) proportional to its cluster
-    weight, by cumulative inversion over the enumerated members, for every
-    family only up to BRUTE_FORCE_CAP vertices.  draws must be >= 0 (else
+    weight, by cumulative inversion over the enumerated members (member_masks:
+    the forest slice up to n = 8, every other family up to RECORD_CAP, past
+    which it raises ResourceCapError).  draws must be >= 0 (else
     ValueError).  Each weight is gathered from the member's lattice cell
     (mask_cells)."""
     _check_draws(draws)
-    if n > min(cap, BRUTE_FORCE_CAP):
-        raise ResourceCapError(
-            f"exact sampling needs the enumeration range (n <= {BRUTE_FORCE_CAP})")
     masks = member_masks(fam, n)
     if not masks.size:
         raise EmptySliceError(f"family {fam.name!r} has no members of order {n}")
@@ -81,10 +77,9 @@ def exact_masks(fam, w: Weighting, n: int, seed: int, draws: int,
     return masks[idx].tolist()
 
 
-def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int,
-                 cap: int = BRUTE_FORCE_CAP) -> list[Graph]:
+def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int) -> list[Graph]:
     """The draws of exact_masks as Graphs."""
-    return [Graph(n, s) for s in exact_masks(fam, w, n, seed, draws, cap)]
+    return [Graph(n, s) for s in exact_masks(fam, w, n, seed, draws)]
 
 
 # -- Boltzmann Poisson sampler ---------------------------------------------------
@@ -190,7 +185,7 @@ def mcmc_masks(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
 
     One kernel runs every family and weighting (_kernels.mcmc_chain), in the
     family's lattice_mode.  A family swept by membership array is tested by a
-    lookup in that array up to BRUTE_FORCE_CAP vertices and by base_member
+    lookup in that array up to RECORD_CAP vertices and by base_member
     past it; forests and all need no test.  The test is never asked about a
     removal, and about an addition once the Metropolis test has accepted it,
     or, with lambda0 != lambda1, before a toggle inside a component recounts
@@ -213,7 +208,7 @@ def mcmc_masks(fam, w: Weighting, n: int, draws: int, burn_in: int = 100_000,
     uniforms = rng.random(total)
     mode, member = lattice_mode(fam), None
     if mode == _kernels.MODE_MEMBER_ARRAY:
-        member = (member_mask_array(fam, n).tobytes().__getitem__ if n <= BRUTE_FORCE_CAP
+        member = (member_mask_array(fam, n).tobytes().__getitem__ if n <= _kernels.RECORD_CAP
                   else lambda s: fam.base_member(Graph(n, s)))
     return _kernels.mcmc_chain(n, proposals, uniforms, float(w.lambda0), float(w.lambda1),
                                float(w.nu), mode, member, burn_in, thin, draws)
@@ -323,7 +318,6 @@ class SampleStats:
     kappa_hist: dict
     frag_hist: dict
     core_frac_mean: float
-    core_frac_hist: dict
     comp_counts: dict          # code hex -> {count: draws with that many such components}
     pendant_density: dict      # code hex of the rooted graph -> mean f_H / n
 
@@ -344,7 +338,6 @@ def collect_stats(samples: Sequence[Graph], rooted: Sequence[RootedGraph] = (),
     """Aggregate the structural statistics of a sample of graphs."""
     kappa_hist: dict = {}
     frag_hist: dict = {}
-    core_hist: dict = {}
     core_sum = 0.0
     core_n = 0
     comp_counts: dict = {}
@@ -356,9 +349,7 @@ def collect_stats(samples: Sequence[Graph], rooted: Sequence[RootedGraph] = (),
         fsize = g.n - max((c.bit_count() for c in comps), default=0)  # n less the big component
         frag_hist[fsize] = frag_hist.get(fsize, 0) + 1
         if g.n >= 1:
-            frac = Fraction(two_core(g).graph.n, g.n)
-            core_hist[frac] = core_hist.get(frac, 0) + 1
-            core_sum += float(frac)
+            core_sum += two_core(g).graph.n / g.n
             core_n += 1
         per_graph: dict[str, int] = {}
         for cm in comps:
@@ -384,7 +375,6 @@ def collect_stats(samples: Sequence[Graph], rooted: Sequence[RootedGraph] = (),
         kappa_hist=kappa_hist,
         frag_hist=frag_hist,
         core_frac_mean=core_sum / core_n if core_n else 0.0,
-        core_frac_hist=core_hist,
         comp_counts=comp_counts,
         pendant_density={k: v / len(samples) for k, v in pend_sums.items()} if samples else {},
     )

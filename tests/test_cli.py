@@ -15,7 +15,8 @@ import pytest
 from minorclass import cli, jsonl
 from minorclass.cli import ExperimentConfig, main, parse_number
 from minorclass.jsonl import graph_from_json, graphs_to_jsonl
-from minorclass.graphs import Graph, complete_graph, graph_to_text, path_graph, set_bits
+from minorclass.graphs import Graph, complete_graph, graph_to_text, is_forest, path_graph, \
+    set_bits
 
 
 def run_cli(argv, capsys):
@@ -372,14 +373,79 @@ def test_forests_lift_beyond_cap(capsys):
 
 
 def test_trees_past_cap_stay_connected(capsys):
-    """Past --cap, trees take the forest table's route with a = c, so the rows
-    up to the cap are those of the brute-force sweep."""
+    """Past the whole slices (n = 7), trees take the forest table's route
+    with a = c, so the rows up to n = 7 are those of the brute-force sweep."""
     _, within = run_cli(["enumerate", "--family", "trees", "--nmax", "7"], capsys)
     code, past = run_cli(["enumerate", "--family", "trees", "--nmax", "8"], capsys)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(past)))
     assert rows[:8] == list(csv.DictReader(io.StringIO(within)))
     assert rows[8]["a_n"] == rows[8]["c_n"] == str(8 ** 6)
+
+
+_MEMBER_ARRAYS_STOP = ("membership arrays for minor-tested families stop at n=7; "
+                       "only forests and all are swept past it")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--family", "all", "--nmax", "9"], "brute force is limited to n <= 8"),
+    (["enumerate", "--family", "series-parallel", "--nmax", "8"], _MEMBER_ARRAYS_STOP),
+    (["census", "--family", "planar", "--nmax", "8"], _MEMBER_ARRAYS_STOP),
+    (["sample", "--method", "exact", "--family", "planar", "--n", "8"], _MEMBER_ARRAYS_STOP),
+    (["sample", "--method", "exact", "--family", "all", "--n", "8"],
+     "listing every graph stops at n=7"),
+], ids=["enumerate-all-9", "enumerate-sp-8", "census-planar-8", "exact-planar-8", "exact-all-8"])
+def test_each_limit_is_raised_by_the_layer_whose_data_stops_there(argv, message, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"resource cap exceeded: {message}\n"
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_no_command_takes_a_cap(command, capsys):
+    required = {"stats": ["--in", "s.jsonl"], "pendant": ["--graph", "g.txt", "--h", "h.txt"]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required.get(command, []), "--cap", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
+
+def test_cap_in_a_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"cap": 8}))
+    assert main(["enumerate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown config keys: ['cap']\n"
+
+
+def test_enumerate_all_reaches_the_n8_sweep(monkeypatch, capsys):
+    """enumerate --family all --nmax 8 passes every check and streams the
+    n = 8 slice (stubbed here: the real sweep takes seconds)."""
+    from minorclass import _kernels
+
+    class Reached(Exception):
+        pass
+
+    sweep = _kernels.sweep_counts
+
+    def stop_at_8(n, *args, **kwargs):
+        if n == 8:
+            raise Reached
+        return sweep(n, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "sweep_counts", stop_at_8)
+    with pytest.raises(Reached):
+        main(["enumerate", "--family", "all", "--nmax", "8"])
+    assert capsys.readouterr().err.endswith("enumerating n=8 (268435456 edge masks)...\n")
+
+
+def test_exact_forests_at_n8_are_deterministic(capsys):
+    argv = ["sample", "--method", "exact", "--family", "forests", "--n", "8", "--draws", "50",
+            "--seed", "5"]
+    code, first = run_cli(argv, capsys)
+    assert code == 0 and run_cli(argv, capsys) == (0, first)
+    graphs = [graph_from_json(line) for line in first.splitlines()]
+    assert len(graphs) == 50 and all(g.n == 8 and is_forest(g) for g in graphs)
 
 
 def test_json_family_named_all_is_swept_by_its_minors(tmp_path, capsys):
@@ -483,7 +549,7 @@ def test_boltzmann_output_is_one_line_per_count_row(argv, capsys):
 
 @pytest.mark.parametrize("family, argv, rows", [
     ("forests", ["--nmax", "7"], ["2932 forests", "36961 forests"]),
-    ("trees", ["--nmax", "8", "--cap", "8"], ["2932 forests", "36961 forests", "561948 forests"]),
+    ("trees", ["--nmax", "7"], ["2932 forests", "36961 forests"]),
     ("all", ["--nmax", "7"], ["32768 edge masks", "2097152 edge masks"]),
 ])
 def test_enumerate_progress_names_the_rows_it_reads(family, argv, rows, capsys):
@@ -612,9 +678,9 @@ def test_membership_and_census_do_not_load_numpy_ma():
 
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--family", "planar", "--lambda", "1/2", "--nu", "2", "--lambda0", "1",
-     "--lambda1", "3", "--nmax", "5", "--cap", "6", "--config", "c.json", "--seed", "3",
+     "--lambda1", "3", "--nmax", "5", "--config", "c.json", "--seed", "3",
      "--out", "o.csv"],
-    ["census", "--family", "planar", "--nmax", "4", "--cap", "7"],
+    ["census", "--family", "planar", "--nmax", "4"],
     ["constants", "--gamma", "27", "--lambda", "2", "--nmax", "5", "--census-nmax", "0"],
     ["sample", "--method", "mcmc", "--n", "5", "--draws", "4", "--steps", "100",
      "--burn-in", "10", "--thin", "2", "--rho", "0.1", "--census-nmax", "3"],

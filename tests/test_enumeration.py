@@ -75,17 +75,17 @@ def test_lattice_mode_follows_the_predicate_not_the_name():
 
 def test_cap_errors():
     with pytest.raises(ResourceCapError):
-        brute_force_tau(FORESTS, W11, 8)  # needs the explicit cap=8 override
+        brute_force_tau(builtin_family("series-parallel"), W11, 8)  # membership-array limit
     with pytest.raises(ResourceCapError):
-        brute_force_tau(FORESTS, W11, 9, cap=9)  # hard limit
+        brute_force_tau(FORESTS, W11, 9)  # lattice limit
 
 
-@pytest.mark.parametrize("name,n_max,cap", [
-    ("series-parallel", 8, 7),   # past the requested cap
-    ("all", 9, 9),               # past the hard cap
-    ("planar", 8, 8),            # past the membership-array cap
+@pytest.mark.parametrize("name,n_max", [
+    ("series-parallel", 8),   # past the membership-array cap
+    ("all", 9),               # past the lattice cap
+    ("planar", 8),            # past the membership-array cap
 ])
-def test_weight_table_checks_caps_before_any_slice(name, n_max, cap, monkeypatch):
+def test_weight_table_checks_caps_before_any_slice(name, n_max, monkeypatch):
     from minorclass import _kernels
 
     def no_sweep(*args, **kwargs):
@@ -93,7 +93,7 @@ def test_weight_table_checks_caps_before_any_slice(name, n_max, cap, monkeypatch
 
     monkeypatch.setattr(_kernels, "sweep_counts", no_sweep)
     with pytest.raises(ResourceCapError):
-        compute_weight_table(builtin_family(name), W11, n_max, cap=cap)
+        compute_weight_table(builtin_family(name), W11, n_max)
 
 
 def test_weighted_counts_are_exact_fractions():
@@ -231,7 +231,7 @@ def test_f_nk_bruteforce_matches_per_graph_two_core(name):
 
 def test_f_nk_bruteforce_stops_at_n7():
     with pytest.raises(ResourceCapError):
-        f_nk_bruteforce(ALL, W11, 8, 3, cap=8)
+        f_nk_bruteforce(ALL, W11, 8, 3)
 
 
 def test_f_nk_zero_for_forests():
@@ -413,9 +413,28 @@ def test_forest_census_never_builds_the_lattice_at_its_top_order(name, monkeypat
     assert np.bincount(census.v).tolist() == [0, 1, 1, 1, 2, 3, 6, 11]
 
 
+def test_member_list_of_all_graphs_stops_at_n7():
+    """All 2^28 masks at n = 8 are never listed: the refusal comes before
+    any array is allocated."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="listing every graph stops at n=7"):
+            member_masks(ALL, 8)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_weight_table_progress_at_n8_counts_the_forest_slice(capsys):
+    compute_weight_table(builtin_family("trees"), W11, 8, verbose=True)
+    assert capsys.readouterr().err.splitlines()[-1] == "enumerating n=8 (561948 forests)..."
+
+
 def test_census_of_planar_stops_at_the_array_cap():
     with pytest.raises(ResourceCapError):
-        build_census(builtin_family("planar"), 8, cap=8)
+        build_census(builtin_family("planar"), 8)
 
 
 @pytest.mark.parametrize("name", ("forests", "trees"))
@@ -423,7 +442,7 @@ def test_census_of_forests_reaches_n8(name):
     """The forest census looks its children up in the forest slice, which
     reaches n = 8: the 23 trees on 8 vertices hold all 8^6 labelled ones,
     and the rows below are the n <= 7 census."""
-    census = build_census(builtin_family(name), 8, cap=8)
+    census = build_census(builtin_family(name), 8)
     assert np.bincount(census.v).tolist() == [0, 1, 1, 1, 2, 3, 6, 11, 23]
     assert sum(math.factorial(8) // aut for v, _, aut in census.entries if v == 8) == 8 ** 6
     assert census.entries[:25] == build_census(builtin_family(name), 7).entries
@@ -475,6 +494,18 @@ def test_falling_moment_identity():
     assert falling_moment_check(FORESTS, W11, 4, []) == 0
     # also under a genuinely weighted measure
     assert falling_moment_check(FORESTS, Weighting(2, 3), 5, [(k1, 2)]) == 0
+
+
+@pytest.mark.parametrize("w", [W11, Weighting(Fraction(1, 2), 3),
+                               Weighting.extended(Fraction(1, 2), 2, 3)])
+def test_forest_frag_law_at_n8(w):
+    """At n = 8 the frag law reads the forest slice: it sums to 1, and for
+    k <= 3 the big component is unique, so Pr[frag = k] = C(8, k) c_(8-k) a_k / a_8."""
+    dist = exact_frag_distribution(FORESTS, w, 8)
+    table = forest_table(w, 8)
+    assert sum(dist.values()) == 1
+    for k in range(4):
+        assert dist[k] == Fraction(math.comb(8, k) * table.c[8 - k] * table.a[k]) / table.a[8], k
 
 
 def test_exact_frag_mean_bound():

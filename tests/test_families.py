@@ -1,7 +1,9 @@
 """Family membership and bounded-scale closure verification."""
 
+import dataclasses
 import json
 import random
+import re
 import sys
 
 import networkx as nx
@@ -609,6 +611,37 @@ def test_family_json_loading(tmp_path):
     assert member(fam, cycle_graph(4))
     assert fam.flags.trimmable is True
     assert family_from_spec(str(path)).name == "no-k4"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"name": "no-k4", "excluded_minor": ["k4.graph"]}, "has unknown keys: ['excluded_minor']"),
+    ({"name": "no-k4", "excluded_minors": ["k4.graph"], "flags": {"trimable": False}},
+     "has unknown keys: ['trimable']"),
+    ({"name": "no-k4", "excluded_minors": ["k4.graph"], "flags": {"addable": "yes"}},
+     "flag 'addable' of "),
+    ({"name": "no-k4", "excluded_minors": ["k4.graph"], "flags": {"decomposable": 1}},
+     "must be true, false or null, got 1"),
+    (["no-k4"], "must hold a JSON object, got list"),
+], ids=["misspelled-key", "misspelled-flag", "string-flag", "number-flag", "list"])
+def test_family_json_rejects_what_it_does_not_know(spec, message, tmp_path):
+    """A misspelled key would give a family with no minors, and a misspelled
+    or non-boolean flag would be ignored or printed as given: each is an
+    error naming the key."""
+    (tmp_path / "k4.graph").write_text(graph_to_text(complete_graph(4)))
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_family(path)
+
+
+def test_family_json_flags_replace_the_derived_ones(tmp_path):
+    (tmp_path / "k4.graph").write_text(graph_to_text(complete_graph(4)))
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"name": "no-k4", "excluded_minors": ["k4.graph"],
+                                "flags": {"addable": False, "decomposable": None}}))
+    derived = derive_flags((complete_graph(4),))
+    assert load_family(path).flags == dataclasses.replace(derived, addable=False,
+                                                          decomposable=None)
 
 
 def test_unknown_builtin():

@@ -116,7 +116,7 @@ def test_sweep_with_member_array():
 
 def test_forests_at_n8_match_forest_table():
     for w in (Weighting(Fraction(1, 2), 3), Weighting.extended(Fraction(1, 2), 2, 3)):
-        got = brute_force_tau(builtin_family("forests"), w, 8, cap=8)
+        got = brute_force_tau(builtin_family("forests"), w, 8)
         table = forest_table(w, 8)
         assert (got.a, got.c, got.b) == (table.a[8], table.c[8], table.b[8]), w
 

@@ -243,6 +243,17 @@ def test_mcmc_forest_connectivity_matches_forest_table(n):
     assert abs(connected.mean() - p) <= 5 * se
 
 
+@pytest.mark.parametrize("w", [W11, Weighting.extended(Fraction(1, 2), 2, 3)], ids=["1-1", "split"])
+def test_exact_forests_at_n8_match_forest_table(w):
+    """The exact sampler reads the forest slice at n = 8: the connected
+    share of its draws is within 5 standard errors of c_8 / a_8."""
+    table = forest_table(w, 8)
+    p = float(table.c[8] / table.a[8])
+    masks = np.array(sampling.exact_masks(FORESTS, w, 8, seed=2, draws=40000))
+    connected = np.bitwise_count(masks) == 7
+    assert abs(connected.mean() - p) <= 5 * math.sqrt(p * (1 - p) / masks.size)
+
+
 def test_mcmc_extended_weighting_matches_exact_sampler():
     """With lambda0 != lambda1 the chain weighs bridges and other edges apart;
     its (e, kappa) law matches the exact sampler's."""
