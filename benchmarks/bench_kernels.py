@@ -3,9 +3,11 @@
 
 Runs each kernel in one process and prints a timing table (best of three;
 the census and closure-check rows run once).  The JSONL rows time the
-CLI's routes: the chain row formats edge masks drawn before the clock starts
-(`jsonl.masks_to_jsonl`), and the Boltzmann and tree rows time the draws and
-the formatting together.  Every
+CLI's routes, each writing its chunks of text to the null device: the exact
+and chain rows format edge masks drawn before the clock starts
+(`jsonl.masks_to_jsonl`, from the exact sampler's int64 array and from the
+chain's Python ints), and the Boltzmann and tree rows time the draws and the
+formatting together.  Every
 kernel has a single implementation, in numpy or plain Python; the lattice
 rows start from an empty slice cache in every repeat, and the census and
 closure-check rows from built membership arrays and an empty canonical cache.
@@ -15,6 +17,7 @@ closure-check rows from built membership arrays and an empty canonical cache.
 
 import argparse
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -39,6 +42,13 @@ def _time(fn, *args, repeat=3):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _write(chunks):
+    """Write a JSONL route's chunks of text as `sample --out` does."""
+    with open(os.devnull, "w") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _cold(fn, *args, **kwargs):
@@ -158,14 +168,28 @@ def bench_tree_jsonl_route(draws, n):
     from minorclass.sampling import random_tree_bits
 
     def run():
-        trees_to_jsonl(n, random_tree_bits(n, 1, draws))
+        _write(trees_to_jsonl(n, random_tree_bits(n, 1, draws)))
 
-    return f"{draws} trees on {n} vertices to JSONL lines (CLI route)", "numpy", _time(run)
+    return f"{draws} trees on {n} vertices to JSONL (CLI route)", "numpy", _time(run)
+
+
+def bench_jsonl_exact(draws, n):
+    """The CLI's exact route after the sampler: the int64 masks of exact
+    forest draws (drawn before the clock starts) formatted and written
+    (jsonl.masks_to_jsonl), with no Graph built."""
+    from minorclass.families import builtin_family
+    from minorclass.jsonl import masks_to_jsonl
+    from minorclass.sampling import exact_masks
+
+    masks = exact_masks(builtin_family("forests"), Weighting(1, 1), n, 0, draws)
+    label = f"{draws} exact forest masks n={n} to JSONL (CLI route)"
+    return label, "numpy", _time(lambda: _write(masks_to_jsonl(n, masks)))
 
 
 def bench_jsonl_chain(draws, n):
     """The CLI's MCMC route after the chain: its edge masks (drawn before the
-    clock starts) to JSONL lines (jsonl.masks_to_jsonl), with no Graph built."""
+    clock starts) formatted and written (jsonl.masks_to_jsonl), with no Graph
+    built."""
     from minorclass.families import builtin_family
     from minorclass.graphs import Weighting
     from minorclass.jsonl import masks_to_jsonl
@@ -173,29 +197,27 @@ def bench_jsonl_chain(draws, n):
 
     masks = mcmc_masks(builtin_family("forests"), Weighting(1, 1), n, draws, burn_in=20_000,
                        thin=10, seed=0)
-    label = f"{draws} chain masks n={n} to JSONL lines (CLI route)"
-    return label, "numpy", _time(masks_to_jsonl, n, masks)
+    label = f"{draws} chain masks n={n} to JSONL (CLI route)"
+    return label, "numpy", _time(lambda: _write(masks_to_jsonl(n, masks)))
 
 
 def bench_jsonl_boltzmann(draws, census_n):
     """The CLI's Boltzmann route: Poisson count rows grouped in numpy
     (sampling.boltzmann_groups), one Graph and one line per distinct row,
-    the lines expanded to every draw."""
+    the lines gathered for every draw and written (jsonl.draws_to_jsonl)."""
     from minorclass.enumeration import build_census
     from minorclass.families import builtin_family
     from minorclass.graphs import Weighting
-    from minorclass.jsonl import graphs_to_jsonl
+    from minorclass.jsonl import draws_to_jsonl
     from minorclass.sampling import boltzmann_config, boltzmann_groups
 
     census = build_census(builtin_family("forests"), census_n)
     cfg = boltzmann_config(census, 1 / math.e, Weighting(1, 1))
 
     def run():
-        graphs, inverse = boltzmann_groups(cfg, 0, draws)
-        text = graphs_to_jsonl(graphs)
-        return [text[j] for j in inverse.tolist()]
+        _write(draws_to_jsonl(*boltzmann_groups(cfg, 0, draws)))
 
-    label = f"{draws} Boltzmann draws grouped to lines (census n<={census_n}, CLI route)"
+    label = f"{draws} Boltzmann draws grouped to JSONL (census n<={census_n}, CLI route)"
     return label, "numpy", _time(run)
 
 
@@ -344,6 +366,7 @@ def main():
         bench_prufer(draws, 300),
         bench_tree_sample(draws, 300),
         bench_tree_jsonl_route(draws, 300),
+        bench_jsonl_exact(10 * draws, 7),
         bench_jsonl_chain(8 * draws, 10),
         bench_jsonl_boltzmann(50 * draws, 6),
     ] + [bench_member_array(name, n) for n in sorted({6, n_sweep})

@@ -32,7 +32,7 @@ from .errors import EmptySliceError, ResourceCapError
 from .families import family_from_spec
 from .graphs import RootedGraph, Weighting, graph_from_text, pendant_appearances, \
     overlapping_pendant_appearances
-from .jsonl import graph_from_json, graphs_to_jsonl, masks_to_jsonl, trees_to_jsonl
+from .jsonl import draws_to_jsonl, graph_from_json, masks_to_jsonl, trees_to_jsonl
 
 
 def _fmt(x) -> str:
@@ -245,9 +245,6 @@ def cmd_constants(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-_JSONL_CHUNK_LINES = 256  # lines per write of the JSONL text
-
-
 def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .enumeration import build_census, lattice_mode
     from . import sampling
@@ -258,10 +255,10 @@ def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     w = cfg.weighting()  # checked for every method, though trees take no weights
     n = cfg.n if cfg.n is not None else 6
     if cfg.method == "tree":
-        lines = trees_to_jsonl(n, sampling.random_tree_bits(n, cfg.seed, cfg.draws))
+        text = trees_to_jsonl(n, sampling.random_tree_bits(n, cfg.seed, cfg.draws))
     elif cfg.method == "exact":
         fam = family_from_spec(cfg.family)
-        lines = masks_to_jsonl(n, sampling.exact_masks(fam, w, n, cfg.seed, cfg.draws))
+        text = masks_to_jsonl(n, sampling.exact_masks(fam, w, n, cfg.seed, cfg.draws))
     elif cfg.method == "mcmc":
         fam = family_from_spec(cfg.family)
         draws = cfg.draws
@@ -271,8 +268,8 @@ def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                 raise ValueError(f"{_flag('steps')} must be >= {_flag('burn_in')} "
                                  f"({cfg.burn_in}), got {cfg.steps}")
             draws = (cfg.steps - cfg.burn_in) // cfg.thin
-        lines = masks_to_jsonl(n, sampling.mcmc_masks(fam, w, n, draws, burn_in=cfg.burn_in,
-                                                      thin=cfg.thin, seed=cfg.seed))
+        text = masks_to_jsonl(n, sampling.mcmc_masks(fam, w, n, draws, burn_in=cfg.burn_in,
+                                                     thin=cfg.thin, seed=cfg.seed))
     elif cfg.method == "boltzmann":
         fam = family_from_spec(cfg.family)
         census = build_census(fam, cfg.census_n_max)
@@ -282,15 +279,12 @@ def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             rho = 1.0 / (math.e * float(w.lambda0))
         else:
             raise ValueError("boltzmann sampling needs --rho for this family")
-        graphs, inverse = sampling.boltzmann_groups(sampling.boltzmann_config(census, rho, w),
-                                                    cfg.seed, cfg.draws)
-        text = graphs_to_jsonl(graphs)
-        lines = [text[j] for j in inverse.tolist()]
+        text = draws_to_jsonl(*sampling.boltzmann_groups(sampling.boltzmann_config(census, rho, w),
+                                                         cfg.seed, cfg.draws))
     else:
         raise ValueError(f"unknown sampling method {cfg.method!r}")
-    # a chunk of lines at a time: neither the whole text nor its encoding is ever held
-    _write_text(cfg.out, ("\n".join(lines[s:s + _JSONL_CHUNK_LINES]) + "\n"
-                          for s in range(0, len(lines), _JSONL_CHUNK_LINES)))
+    # each chunk of lines is written as it is made: the whole text is never held
+    _write_text(cfg.out, text)
     return 0
 
 

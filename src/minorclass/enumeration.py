@@ -203,9 +203,18 @@ def member_masks(fam: "GraphFamily", n: int, connected: bool | None = None) -> n
     arr = member_mask_array(fam, n)
     if arr is not None:
         return np.flatnonzero(arr)
-    if n > _kernels.RECORD_CAP:
-        raise ResourceCapError(f"listing every graph stops at n={_kernels.RECORD_CAP}")
+    check_listing(fam, n)
     return np.arange(1 << pair_count(n))
+
+
+def check_listing(fam: "GraphFamily", n: int):
+    """Raise ResourceCapError, before anything is built, where
+    member_masks(fam, n, connected=False) stops: past RECORD_CAP for every
+    graph, else past the caps of _check_caps (the lattice, or the array cap
+    of a family swept by membership array)."""
+    if n > _kernels.RECORD_CAP and lattice_mode(fam) == _kernels.MODE_ALL:
+        raise ResourceCapError(f"listing every graph stops at n={_kernels.RECORD_CAP}")
+    _check_caps(fam, n)
 
 
 def mask_cells(fam: "GraphFamily", w: Weighting, n: int,
@@ -387,6 +396,8 @@ def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
     import sys
 
     _check_caps(fam, n_max)
+    if lattice_mode(fam) == _kernels.MODE_FORESTS:
+        _kernels.forest_slice(n_max)  # each lower slice is built once, with its vertex sets
     a, c, b = [], [], []
     for n in range(n_max + 1):
         if verbose and n >= 6:
@@ -615,6 +626,8 @@ def build_census(fam: "GraphFamily", n_max: int) -> UnlabelledCensus:
     """
     _check_caps(fam, n_max)
     mode = lattice_mode(fam)
+    if mode == _kernels.MODE_FORESTS:
+        _kernels.forest_slice(n_max)  # each lower slice is built once, with its vertex sets
     rows = []
     reps = [0]  # canonical masks of the (n-1)-vertex classes; the empty graph below n = 1
     for n in range(1, n_max + 1):

@@ -595,10 +595,12 @@ class FreelyAddableVerdict:
 
 
 def freely_addable_at_scale(h: Graph, fam: GraphFamily, n_max: int = 5) -> FreelyAddableVerdict:
-    """Check that g + h (disjoint union) stays in the family for members g up to n_max."""
+    """Check that g + h (disjoint union) stays in the family for members g up to n_max.
+    An n_max past where member_masks stops raises ResourceCapError at once."""
     from .canon import canonicalize
-    from .enumeration import member_masks
+    from .enumeration import check_listing, member_masks
 
+    check_listing(fam, n_max)
     seen = set()
     for n in range(0, n_max + 1):
         for mask in member_masks(fam, n, connected=False).tolist():
@@ -625,11 +627,13 @@ def dichotomy_scan(fam: GraphFamily, n_max: int = 4, k_max: int = 4) -> list[Dic
     limited (with its least k), or undetermined.
 
     A limited certificate wins over a freely-addable non-refutation, so no
-    member is ever reported as both.
+    member is ever reported as both.  An n_max past where member_masks stops
+    raises ResourceCapError before any member is canonicalized.
     """
     from .canon import canonicalize
-    from .enumeration import member_masks
+    from .enumeration import check_listing, member_masks
 
+    check_listing(fam, n_max)
     reps: dict[bytes, Graph] = {}
     for n in range(1, n_max + 1):
         for mask in member_masks(fam, n, connected=False).tolist():

@@ -1,10 +1,11 @@
-"""The JSONL text of sampled graphs: one line per draw, each the same text as
-json.dumps({"n": ..., "edges": [[u, v], ...]}) with the edges of Graph.edges.
+"""The JSONL text of sampled graphs, a chunk of whole lines at a time: one
+line per draw, each the same text as json.dumps({"n": ..., "edges": [[u, v],
+...]}) with the edges of Graph.edges, and a newline.  No Graph is built.
 
-Two routes share one formatter (_jsonl_lines) and one pair table
-(_pair_tables): masks_to_jsonl for the edge masks of one order (the exact
-and MCMC draws, and graphs_to_jsonl's Graphs grouped by order), and
-trees_to_jsonl for the edge bits of decoded trees.  Neither builds a Graph.
+masks_to_jsonl writes the edge masks of one order (the exact draws' int64
+array; the MCMC draws and graphs_to_jsonl's Graphs of one order as Python
+ints), one join per chunk over a flat token table; trees_to_jsonl writes the
+edge bits of decoded trees, one join per line.  Both read _pair_tables.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import json
 import operator
 from collections import defaultdict
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .graphs import Graph, pair_count
 # nothing to the sampler's peak memory.
 _CHUNK_BYTES = 1 << 15
 _CHUNK_EDGES = 1 << 15  # tree edges per batch of the tree route (one tree if larger)
+_CHUNK_LINES = 1 << 12  # draws per chunk of draws_to_jsonl
 
 
 def _set_bits(buf: bytes) -> np.ndarray:
@@ -45,102 +48,103 @@ def _set_bits(buf: bytes) -> np.ndarray:
     return first[on >> 3] + (on & 7)
 
 
-def _pair_tables(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_tables(n: int, bits: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """For ascending pair bits of order n: rank[b], the lexicographic rank of
     bit b's pair among them (int32, indexed up to the highest bit), and the
     "[u, v]" text of each pair in that order, joined from per-vertex halves.
     Its index arrays are freed on return, before the lines are built."""
     pu, pv = pair_endpoints(n, bits)
     order = np.lexsort((pv, pu))
-    rank = np.empty(bits[-1] + 1, dtype=np.int32)
+    rank = np.empty(bits.max(initial=-1) + 1, dtype=np.int32)
     rank[bits[order]] = np.arange(bits.size, dtype=np.int32)
     head = ["[%d, " % (u + 1) for u in range(n)]
     tail = ["%d]" % (v + 1) for v in range(n)]
-    text = [head[u] + tail[v] for u, v in zip(pu[order].tolist(), pv[order].tolist())]
-    return rank, np.array(text, dtype=object)
+    return rank, [head[u] + tail[v] for u, v in zip(pu[order].tolist(), pv[order].tolist())]
 
 
-def _jsonl_lines(n: int, text: np.ndarray, ranks: np.ndarray, ends) -> list[str]:
-    """The JSONL lines of consecutive draws of order n, from the pair text of
-    _pair_tables: draw i's edges are the pairs whose ranks are
-    ranks[ends[i-1]:ends[i]] (from 0 for the first draw), ascending."""
-    edges = text[ranks].tolist()
-    head = '{"n": %d, "edges": [' % n
-    out = []
-    begin = 0
-    for end in ends:
-        out.append(head + ", ".join(edges[begin:end]) + "]}")
-        begin = end
-    return out
+def masks_to_jsonl(n: int, masks: list[int] | np.ndarray) -> Iterator[str]:
+    """The JSONL text of the edge masks of order n, in order: line i is
+    json.dumps({"n": n, "edges": [[u, v], ...]}) with the edges of
+    Graph(n, masks[i]).
 
-
-def masks_to_jsonl(n: int, masks: list[int]) -> list[str]:
-    """One JSONL line per edge mask of order n, in order, each the same text
-    as json.dumps({"n": n, "edges": [[u, v], ...]}) with the edges of
-    Graph(n, mask).edges.
-
-    Each distinct mask is formatted once and its line repeated for every
-    equal draw.  The tables cover only the pairs set in the OR of the masks
-    (_pair_tables).  Each chunk of at most _CHUNK_BYTES packs its masks into
-    little-endian bytes, rows rounded up to whole 64-bit words, finds their
-    set bits word by word (_set_bits), sorts every draw's set bits by their
-    pair's rank and joins the text (_jsonl_lines).  No (draws x pair_count)
-    bit matrix is built.
+    masks is a list of Python ints or an int64 array (n <= 11); they differ
+    only in how a chunk packs its rows into little-endian bytes of whole
+    64-bit words (one int.to_bytes a mask, or one tobytes).  Each pair set in
+    the OR of the masks (_pair_tables) has two tokens, head + "[u, v]" for a
+    line's first edge and ", [u, v]" for a later one; the line ends are
+    "]}\n" and, for an edgeless line, head + "]}\n".  Each chunk of at most
+    _CHUNK_BYTES finds its set bits (_set_bits), sorts every draw's by their
+    pair's rank, places the token ids in numpy and joins them once.
     """
-    index: dict[int, int] = {}
-    inverse = [index.setdefault(s, len(index)) for s in masks]
-    distinct = list(index)
-    del index
-    union = functools.reduce(operator.or_, distinct, 0)
-    if not union:
-        return ['{"n": %d, "edges": []}' % n] * len(masks)
-    width = (pair_count(n) + 63) // 64 * 8  # whole 64-bit words
+    array = isinstance(masks, np.ndarray)
+    union = int(np.bitwise_or.reduce(masks, initial=0)) if array else \
+        functools.reduce(operator.or_, masks, 0)
+    width = max(8, (pair_count(n) + 63) // 64 * 8)  # whole 64-bit words
     rank, text = _pair_tables(n, _set_bits(union.to_bytes(width, "little")))
-    k = text.size
+    k = len(text)
+    head = '{"n": %d, "edges": [' % n
+    tokens = np.array([head + t for t in text] + [", " + t for t in text]
+                      + ["]}\n", head + "]}\n"], dtype=object)
     step = max(1, _CHUNK_BYTES // width)
-    lines: list[str] = []
-    for start in range(0, len(distinct), step):
-        chunk = distinct[start:start + step]
-        buf = b"".join([s.to_bytes(width, "little") for s in chunk])
+    for start in range(0, len(masks), step):
+        chunk = masks[start:start + step]
+        buf = chunk.astype("<i8").tobytes() if array else \
+            b"".join([s.to_bytes(width, "little") for s in chunk])
         rows, cols = np.divmod(_set_bits(buf), width * 8)
-        keys = np.sort(rows * k + rank[cols])
-        ends = np.cumsum(np.bincount(rows, minlength=len(chunk))).tolist()
-        lines += _jsonl_lines(n, text, keys % k, ends)
-    return [lines[j] for j in inverse]
+        keys = np.sort(rows * k + rank[cols])  # the rows stay ascending
+        counts = np.bincount(rows, minlength=len(chunk))
+        ends = np.cumsum(counts) + np.arange(len(chunk))  # each line's end token
+        ids = np.empty(ends[-1] + 1, dtype=np.intp)
+        ids[np.arange(rows.size) + rows] = keys - (rows - 1) * k  # ", [u, v]" tokens
+        ids[(ends - counts)[counts > 0]] -= k  # each line's first edge
+        ids[ends] = 2 * k + (counts == 0)
+        yield "".join(tokens[ids].tolist())
 
 
 def graphs_to_jsonl(graphs: list[Graph]) -> list[str]:
-    """One JSONL line per graph, in order: masks_to_jsonl over the draws of
-    each order n."""
+    """One JSONL line per graph, in order, without its newline: the text of
+    masks_to_jsonl over the graphs of each order n, split into lines."""
     by_n: defaultdict[int, list[int]] = defaultdict(list)
     for i, g in enumerate(graphs):
         by_n[g.n].append(i)
     lines: list[str] = [""] * len(graphs)
     for n, idx in by_n.items():
-        for i, line in zip(idx, masks_to_jsonl(n, [graphs[i].mask for i in idx])):
+        text = "".join(masks_to_jsonl(n, [graphs[i].mask for i in idx]))
+        for i, line in zip(idx, text.split("\n")):
             lines[i] = line
     return lines
 
 
-def trees_to_jsonl(n: int, bits: np.ndarray) -> list[str]:
-    """One JSONL line per row of tree edge bits (sampling.random_tree_bits):
-    the text masks_to_jsonl gives for the trees' edge masks, without building
-    the masks.  The tables cover the pairs present in any row (_pair_tables),
-    and each batch of rows sorts every row's ranks and joins the text
-    (_jsonl_lines)."""
+def draws_to_jsonl(graphs: list[Graph], inverse: np.ndarray) -> Iterator[str]:
+    """The JSONL text of the draws graphs[inverse[i]] (the Boltzmann draws,
+    grouped by sampling.boltzmann_groups), a chunk of lines at a time: each
+    graph's line (graphs_to_jsonl) is a token, and a chunk is one join."""
+    tokens = np.array([line + "\n" for line in graphs_to_jsonl(graphs)], dtype=object)
+    for start in range(0, inverse.size, _CHUNK_LINES):
+        yield "".join(tokens[inverse[start:start + _CHUNK_LINES]].tolist())
+
+
+def trees_to_jsonl(n: int, bits: np.ndarray) -> Iterator[str]:
+    """The JSONL text of rows of tree edge bits (sampling.random_tree_bits), a
+    batch of rows at a time: the text masks_to_jsonl gives for the trees'
+    edge masks, without building the masks.  The pair text covers the pairs
+    present in any row (_pair_tables); each batch sorts every row's ranks
+    and joins each line's edges."""
     edges = bits.shape[1]
-    if not bits.size:
-        return ['{"n": %d, "edges": []}' % n] * len(bits)
+    if not edges:  # n <= 1: edgeless lines
+        yield from masks_to_jsonl(n, [0] * len(bits))
+        return
     present = np.zeros(pair_count(n), dtype=bool)
     present[bits.reshape(-1)] = True
     rank, text = _pair_tables(n, np.flatnonzero(present))
     del present
-    lines: list[str] = []
+    text = np.array(text, dtype=object)
+    head = '{"n": %d, "edges": [' % n
     step = max(1, _CHUNK_EDGES // edges)
     for start in range(0, len(bits), step):
-        ranks = np.sort(rank[bits[start:start + step]], axis=1).reshape(-1)
-        lines += _jsonl_lines(n, text, ranks, range(edges, ranks.size + 1, edges))
-    return lines
+        pairs = text[np.sort(rank[bits[start:start + step]], axis=1).reshape(-1)].tolist()
+        yield "".join([head + ", ".join(pairs[i:i + edges]) + "]}\n"
+                       for i in range(0, len(pairs), edges)])
 
 
 def graph_from_json(line: str) -> Graph:

@@ -58,8 +58,8 @@ def _check_draws(draws: int) -> None:
         raise ValueError(f"draws must be >= 0, got {draws}")
 
 
-def exact_masks(fam, w: Weighting, n: int, seed: int, draws: int) -> list[int]:
-    """The edge masks of i.i.d. draws with Pr(G) proportional to its cluster
+def exact_masks(fam, w: Weighting, n: int, seed: int, draws: int) -> np.ndarray:
+    """The int64 edge masks of i.i.d. draws with Pr(G) proportional to its cluster
     weight, by cumulative inversion over the enumerated members (member_masks:
     the forest slice up to n = 8, every other family up to RECORD_CAP, past
     which it raises ResourceCapError).  draws must be >= 0 (else
@@ -74,12 +74,12 @@ def exact_masks(fam, w: Weighting, n: int, seed: int, draws: int) -> list[int]:
     rng = rng_stream(seed)
     r = rng.random(draws) * cum[-1]
     idx = np.searchsorted(cum, r, side="right")
-    return masks[idx].tolist()
+    return masks[idx]
 
 
 def exact_sample(fam, w: Weighting, n: int, seed: int, draws: int) -> list[Graph]:
     """The draws of exact_masks as Graphs."""
-    return [Graph(n, s) for s in exact_masks(fam, w, n, seed, draws)]
+    return [Graph(n, s) for s in exact_masks(fam, w, n, seed, draws).tolist()]
 
 
 # -- Boltzmann Poisson sampler ---------------------------------------------------

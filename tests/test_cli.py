@@ -9,7 +9,9 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minorclass import cli, jsonl
@@ -507,6 +509,14 @@ def test_jsonl_writer_matches_json_dumps(monkeypatch):
     assert graphs_to_jsonl([]) == []
 
 
+def _mask_lines(n, masks):
+    """The lines of masks_to_jsonl's text, each with its newline; every
+    chunk must end on a whole line."""
+    chunks = list(jsonl.masks_to_jsonl(n, masks))
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    return "".join(chunks).splitlines(keepends=True)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 11, 12, 16])
 def test_mask_writer_matches_json_dumps(n, monkeypatch):
     """Random, repeated, empty and full masks of one order, whose widths put
@@ -517,12 +527,61 @@ def test_mask_writer_matches_json_dumps(n, monkeypatch):
     full = (1 << m) - 1
     masks = [0, full, 0] + [rng.getrandbits(m) for _ in range(40)] + [1 << m >> 1, full, 0]
     masks += masks[3:12]
-    want = [json.dumps({"n": n, "edges": Graph(n, s).edges}) for s in masks]
-    assert jsonl.masks_to_jsonl(n, masks) == want
+    want = [json.dumps({"n": n, "edges": Graph(n, s).edges}) + "\n" for s in masks]
+    assert _mask_lines(n, masks) == want
     monkeypatch.setattr(jsonl, "_CHUNK_BYTES", 1)
-    assert jsonl.masks_to_jsonl(n, masks) == want
-    assert jsonl.masks_to_jsonl(n, [0, 0]) == [json.dumps({"n": n, "edges": []})] * 2
-    assert jsonl.masks_to_jsonl(n, []) == []
+    assert _mask_lines(n, masks) == want
+    assert _mask_lines(n, [0, 0]) == [json.dumps({"n": n, "edges": []}) + "\n"] * 2
+    assert _mask_lines(n, []) == []
+
+
+@pytest.mark.parametrize("name", ["all", "forests", "trees", "planar", "series-parallel",
+                                  "ex-k-disjoint-cycles:1"])
+def test_mask_writer_reads_int64_arrays_as_python_ints(name, monkeypatch):
+    """The exact sampler's int64 masks and the same masks as Python ints give
+    the same text, for every built-in family at n <= 7 and the forests at
+    n = 8, in chunks of 7 masks and of the default size."""
+    from minorclass.families import builtin_family
+    from minorclass.graphs import Weighting
+    from minorclass.sampling import exact_masks
+
+    fam = builtin_family(name)
+    w = Weighting.extended(Fraction(1, 2), 2, 3)
+    for n in range(9 if name == "forests" else 8):
+        if name == "trees" and n == 0:
+            continue  # no tree on no vertex
+        masks = exact_masks(fam, w, n, seed=n, draws=600)
+        assert masks.dtype == np.int64
+        for chunk_bytes in (56, jsonl._CHUNK_BYTES):
+            monkeypatch.setattr(jsonl, "_CHUNK_BYTES", chunk_bytes)
+            text = "".join(jsonl.masks_to_jsonl(n, masks))
+            assert text == "".join(jsonl.masks_to_jsonl(n, masks.tolist())), (n, chunk_bytes)
+        assert text.count("\n") == masks.size
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["ints", "int64"])
+def test_mask_writer_chunk_ends_after_an_edgeless_line(as_array, monkeypatch):
+    """Two masks a chunk (16 bytes at n = 5): a chunk that ends on an edgeless
+    line, one of edgeless lines only, and a last chunk of one line."""
+    masks = [0b1011, 0, 0, 0, 1 << 9 | 1, 0, 0b10]
+    lines = [json.dumps({"n": 5, "edges": Graph(5, s).edges}) + "\n" for s in masks]
+    monkeypatch.setattr(jsonl, "_CHUNK_BYTES", 16)
+    got = list(jsonl.masks_to_jsonl(5, np.array(masks) if as_array else masks))
+    assert got == ["".join(lines[i:i + 2]) for i in range(0, len(lines), 2)]
+
+
+@pytest.mark.parametrize("method, argv", [
+    ("exact", ["--family", "forests", "--n", "7"]),
+    ("mcmc", ["--family", "forests", "--n", "10", "--burn-in", "50"]),
+    ("tree", ["--n", "9"]),
+    ("boltzmann", ["--family", "forests", "--census-nmax", "4"]),
+])
+def test_zero_draws_write_an_empty_file(method, argv, tmp_path, capsys):
+    out = tmp_path / "none.jsonl"
+    code, stdout = run_cli(["sample", "--method", method, *argv, "--draws", "0",
+                            "--out", str(out)], capsys)
+    assert (code, stdout) == (0, "")
+    assert out.read_bytes() == b""
 
 
 @pytest.mark.parametrize("argv", [["--draws", "0"], ["--draws", "1"],

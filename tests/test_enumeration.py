@@ -96,6 +96,27 @@ def test_weight_table_checks_caps_before_any_slice(name, n_max, monkeypatch):
         compute_weight_table(builtin_family(name), W11, n_max)
 
 
+def test_forest_table_and_census_extend_each_forest_slice_once(monkeypatch):
+    """The forests' weight table and census to n = 7 build each forest slice
+    once: the slices below n_max are built with their vertex sets before the
+    first sweep, so none is rebuilt to be extended."""
+    from minorclass import _kernels
+
+    extend, calls = _kernels._extend, []
+
+    def counted(low, n, *args, forests=False, **kwargs):
+        if forests:  # the census extends the whole slices too
+            calls.append(n)
+        return extend(low, n, *args, forests=forests, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_extend", counted)
+    for build in (lambda: compute_weight_table(FORESTS, W11, 7), lambda: build_census(FORESTS, 7)):
+        monkeypatch.setattr(_kernels, "_FORESTS", {})
+        calls.clear()
+        build()
+        assert calls == list(range(1, 8))
+
+
 def test_weighted_counts_are_exact_fractions():
     w = Weighting(Fraction(1, 2), Fraction(3, 2))
     t = brute_force_tau(FORESTS, w, 4)

@@ -379,6 +379,30 @@ def test_dichotomy_scans():
     assert not any(en.classification == "limited-with-k" for en in scan)
 
 
+class _Canonicalized(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, n_max, refused", [
+    ("all", 8, True), ("planar", 8, True), ("forests", 9, True),
+    ("all", 7, False), ("forests", 8, False),
+])
+def test_scans_check_the_listing_cap_before_any_member(name, n_max, refused, monkeypatch):
+    """dichotomy_scan and freely_addable_at_scale raise ResourceCapError for
+    an n_max past where member_masks stops before they canonicalize any
+    member; up to it they start canonicalizing members."""
+    from minorclass import canon
+
+    def canonicalize(g):
+        raise _Canonicalized
+    monkeypatch.setattr(canon, "canonicalize", canonicalize)
+    fam = builtin_family(name)
+    for scan in (lambda: dichotomy_scan(fam, n_max),
+                 lambda: freely_addable_at_scale(Graph(1), fam, n_max)):
+        with pytest.raises(ResourceCapError if refused else _Canonicalized):
+            scan()
+
+
 def _ncomp(g):
     from minorclass.graphs import component_count
 
