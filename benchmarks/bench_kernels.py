@@ -27,7 +27,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # runs from a checkout
 from minorclass import _kernels as K  # noqa: E402
+from minorclass.enumeration import build_census  # noqa: E402
 from minorclass.families import (  # noqa: E402
+    builtin_family,
     verify_bridge_addable,
     verify_decomposable,
     verify_trimmable,
@@ -147,14 +149,18 @@ def bench_tree_series(terms, x, where):
     return f"tree_series {terms} terms {where}", "numpy", t
 
 
-def bench_prufer(draws, n):
+def bench_random_walk_tree(draws, n):
+    """The tree kernel on uniforms and row permutations drawn before the
+    clock starts."""
     rng = np.random.default_rng(1)
-    seqs = rng.integers(0, n, size=(draws, n - 2), dtype=np.int64)
-    return f"prufer_decode {draws} trees on {n} vertices", "numpy", _time(K.prufer_decode, seqs)
+    uniforms = rng.integers(0, n, size=(draws, n - 2), dtype=np.int64)
+    perm = rng.permuted(np.broadcast_to(np.arange(n), (draws, n)), axis=1)
+    label = f"random_walk_tree {draws} trees on {n} vertices"
+    return label, "numpy", _time(K.random_walk_tree, uniforms, perm)
 
 
 def bench_tree_sample(draws, n):
-    """Decode and pack: random_tree_sample's draws, Graphs and edge masks."""
+    """Sample and pack: random_tree_sample's draws, Graphs and edge masks."""
     from minorclass.sampling import random_tree_sample
 
     label = f"random_tree_sample {draws} trees on {n} vertices"
@@ -162,13 +168,14 @@ def bench_tree_sample(draws, n):
 
 
 def bench_tree_jsonl_route(draws, n):
-    """The CLI's tree route: decode to edge bits and format them
+    """The CLI's tree route: each chunk of sampled edges
+    (sampling.random_tree_chunks) formatted and written as it is made
     (jsonl.trees_to_jsonl), with no Graph built."""
     from minorclass.jsonl import trees_to_jsonl
-    from minorclass.sampling import random_tree_bits
+    from minorclass.sampling import random_tree_chunks
 
     def run():
-        _write(trees_to_jsonl(n, random_tree_bits(n, 1, draws)))
+        _write(trees_to_jsonl(n, random_tree_chunks(n, 1, draws)))
 
     return f"{draws} trees on {n} vertices to JSONL (CLI route)", "numpy", _time(run)
 
@@ -201,23 +208,22 @@ def bench_jsonl_chain(draws, n):
     return label, "numpy", _time(lambda: _write(masks_to_jsonl(n, masks)))
 
 
-def bench_jsonl_boltzmann(draws, census_n):
-    """The CLI's Boltzmann route: Poisson count rows grouped in numpy
-    (sampling.boltzmann_groups), one Graph and one line per distinct row,
-    the lines gathered for every draw and written (jsonl.draws_to_jsonl)."""
-    from minorclass.enumeration import build_census
-    from minorclass.families import builtin_family
-    from minorclass.graphs import Weighting
+def bench_jsonl_boltzmann(draws, census, label):
+    """The CLI's Boltzmann route: one Poisson component count per draw and a
+    class per component, grouped by component multiset in numpy
+    (sampling.boltzmann_groups), one Graph and one line per distinct
+    multiset, the lines gathered for every draw and written
+    (jsonl.draws_to_jsonl)."""
     from minorclass.jsonl import draws_to_jsonl
     from minorclass.sampling import boltzmann_config, boltzmann_groups
 
-    census = build_census(builtin_family("forests"), census_n)
-    cfg = boltzmann_config(census, 1 / math.e, Weighting(1, 1))
+    rho = 1 / math.e if census.of_trees else 0.3
+    cfg = boltzmann_config(census, rho, Weighting(1, 1))
 
     def run():
         _write(draws_to_jsonl(*boltzmann_groups(cfg, 0, draws)))
 
-    label = f"{draws} Boltzmann draws grouped to JSONL (census n<={census_n}, CLI route)"
+    label = f"{draws} Boltzmann draws to JSONL ({label}, {census.v.size} classes, CLI route)"
     return label, "numpy", _time(run)
 
 
@@ -363,12 +369,17 @@ def main():
         bench_mcmc(4000, 9, "ex-k-disjoint-cycles:1"),
         bench_tree_series(terms, 1 / math.e, "at the radius (x = 1/e)"),
         bench_tree_series(200_000, 1 / 22, "inside the radius (x = 1/22)"),
-        bench_prufer(draws, 300),
+        bench_random_walk_tree(draws, 300),
         bench_tree_sample(draws, 300),
         bench_tree_jsonl_route(draws, 300),
+        bench_tree_jsonl_route(20 * draws, 300),
         bench_jsonl_exact(10 * draws, 7),
         bench_jsonl_chain(8 * draws, 10),
-        bench_jsonl_boltzmann(50 * draws, 6),
+        bench_jsonl_boltzmann(50 * draws, build_census(builtin_family("forests"), 6),
+                              "forests n<=6"),
+        # many classes: the draws x classes Poisson counts are never built
+        bench_jsonl_boltzmann(20_000, build_census(builtin_family("all"), n_sweep),
+                              f"all n<={n_sweep} rho=0.3"),
     ] + [bench_member_array(name, n) for n in sorted({6, n_sweep})
          for name in ("planar", "series-parallel", "ex-k-disjoint-cycles:1")
     ] + [bench_census(name, n)

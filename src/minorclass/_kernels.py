@@ -3,10 +3,9 @@
 The subset-lattice kernels are whole-array numpy: each n-slice of edge masks
 is built from the cached (n-1)-slice, in one pass for n <= 7 and streamed in
 blocks of 2^21 masks at n = 8.  The tree series sums its terms in numpy
-chunks, and the Pruefer decoder decodes every sequence of a batch in one
-numpy step per sequence position.  There is no compiled path.  Callers
-pre-draw all random numbers, so a kernel is a deterministic function of its
-inputs.
+chunks, and the random-walk tree kernel builds every tree of a chunk in a few
+numpy steps.  There is no compiled path.  Callers pre-draw all random
+numbers, so a kernel is a deterministic function of its inputs.
 
 Kernels:
   * subset_stats      - component count, edge count and min-degree flag for every edge mask
@@ -22,7 +21,9 @@ Kernels:
                         block's fixed acceptance as codes decided in numpy
   * tree_series_sum   - partial sums of the weighted (rooted) tree series, stopped
                         once its terms have underflowed to 0.0
-  * prufer_decode     - batch decode of uniform parent sequences into trees
+  * random_walk_tree  - uniform labelled trees from pre-drawn uniforms and permutations
+  * prufer_decode     - batch decode of parent sequences into trees, the bijective
+                        oracle of the tree tests
 """
 
 from __future__ import annotations
@@ -320,6 +321,34 @@ def sweep_counts(n: int, member: np.ndarray | None, mode: int,
         _tally(c, split, sel_c)
         _tally(b, split, sel_b)
     return SweepCounts(n, a, c, b)
+
+
+def bridge_counts(n: int, masks: np.ndarray) -> np.ndarray:
+    """The bridge count of each connected n-vertex edge mask (int64 array,
+    n <= 11 so that a mask fits in int64).
+
+    An edge of a connected graph is a bridge iff the graph without it is
+    disconnected.  Every (mask, set edge bit) pair is tested at once: the
+    neighbour bitsets of each mask less its edge are built one pair bit at a
+    time, and the set reachable from vertex 0 grows through them until no
+    round adds a vertex."""
+    pu, pv = pair_arrays(n)
+    rows, bits = np.nonzero(masks[:, None] >> np.arange(pu.size) & 1)
+    cut = masks[rows] ^ np.left_shift(1, bits)
+    nbrs = np.zeros((n, cut.size), dtype=np.int64)
+    for b, (u, v) in enumerate(zip(pu.tolist(), pv.tolist())):
+        edge = cut >> b & 1
+        nbrs[u] |= edge << v
+        nbrs[v] |= edge << u
+    seen = np.ones_like(cut)
+    while True:
+        before = seen.copy()
+        for w in range(n):
+            seen |= -(seen >> w & 1) & nbrs[w]
+        if (seen == before).all():
+            break
+    full = (1 << n) - 1
+    return np.bincount(rows[seen != full], minlength=masks.size)
 
 
 # ---------------------------------------------------------------------------
@@ -712,4 +741,28 @@ def prufer_decode(seqs: np.ndarray) -> np.ndarray:
         deg[v] -= 1
         flag[v] = deg[v] == 1
     edges[:, L] = np.nonzero(flags)[1].reshape(draws, 2)
+    return edges
+
+
+def random_walk_tree(uniforms: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Labelled trees from pre-drawn randomness, by Aldous's random-walk
+    construction (Aldous 1990): edge lists (draws, n-1, 2) of 0-indexed
+    endpoints u < v, one edge per vertex 1..n-1 in that order.
+
+    uniforms (draws, n-2) holds integers in [0, n) and perm (draws, n) one
+    permutation of range(n) per row.  Vertex 1 joins vertex 0, and vertex
+    c >= 2 joins min(uniforms[:, c-2], c-1): the uniform vertex if it came
+    earlier, else vertex c-1.  Every label is then mapped through its row's
+    permutation.  Each of the n^(n-2) labelled trees arises from exactly n!
+    of the n^(n-2) n! inputs, so uniform inputs give a uniform tree at a cost
+    linear in its size.
+    """
+    draws, n = perm.shape
+    parent = np.zeros((draws, n - 1), dtype=np.int64)
+    np.minimum(uniforms, np.arange(1, n - 1), out=parent[:, 1:])
+    parent += np.arange(0, draws * n, n, dtype=np.int64)[:, None]  # flat indices into perm
+    ends, child = perm.reshape(-1)[parent], perm[:, 1:]
+    edges = np.empty((draws, n - 1, 2), dtype=np.int64)
+    np.minimum(ends, child, out=edges[:, :, 0])
+    np.maximum(ends, child, out=edges[:, :, 1])
     return edges

@@ -222,13 +222,14 @@ def boltzmann_poisson() -> CriterionResult:
             hist[int(v)] = int(c)
         _, _, p = poisson_chi_square(hist, draws, mu)
         pvals.append(p)
-    max_corr = pairwise_max_correlation(counts)
+    max_corr = pairwise_max_correlation(counts, cfg.mus)
     corr_tol = 4.0 / math.sqrt(draws)
     k1_mean = float(counts[:, 0].mean())
     ok = min(pvals) >= 1e-3 and max_corr <= corr_tol and abs(k1_mean - 0.3679) <= 0.006
     return CriterionResult(
         "boltzmann-poisson",
-        "each kappa(R,H) passes chi^2 vs Po(mu) at 1e-3, correlations within 4 sigma, E[kappa(R,K1)]=0.3679 +/- 0.006",
+        "each kappa(R,H) passes chi^2 vs Po(mu) at 1e-3, correlations within 4 sigma "
+        "(pairs expected nonzero together in >= 5 draws), E[kappa(R,K1)]=0.3679 +/- 0.006",
         ok,
         {"min_pvalue": min(pvals), "max_correlation": max_corr,
          "correlation_tol": corr_tol, "kappa_K1_mean": k1_mean},

@@ -255,7 +255,7 @@ def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     w = cfg.weighting()  # checked for every method, though trees take no weights
     n = cfg.n if cfg.n is not None else 6
     if cfg.method == "tree":
-        text = trees_to_jsonl(n, sampling.random_tree_bits(n, cfg.seed, cfg.draws))
+        text = trees_to_jsonl(n, sampling.random_tree_chunks(n, cfg.seed, cfg.draws))
     elif cfg.method == "exact":
         fam = family_from_spec(cfg.family)
         text = masks_to_jsonl(n, sampling.exact_masks(fam, w, n, cfg.seed, cfg.draws))

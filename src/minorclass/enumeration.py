@@ -55,7 +55,6 @@ from .errors import ResourceCapError
 from .graphs import (
     Graph,
     Weighting,
-    bridge_mask,
     component_masks,
     every_graph,
     induced_subgraph,
@@ -546,8 +545,13 @@ class UnlabelledCensus:
 
     @cached_property
     def _bridges(self) -> list[int]:
-        """Each class's bridge count, counted on first use and kept."""
-        return [bridge_mask(Graph(v, m)).bit_count() for v, m, _ in self.entries]
+        """Each class's bridge count, counted on first use and kept: one
+        _kernels.bridge_counts pass per order over its class masks."""
+        counts = np.zeros(self.v.size, dtype=np.int64)
+        for n in np.unique(self.v).tolist():
+            at = self.v == n
+            counts[at] = _kernels.bridge_counts(n, self.masks[at])
+        return counts.tolist()
 
     def weights(self, w: Weighting) -> list:
         """Each class's cluster weight w.cell_weight(e0, e - e0, 1), one
@@ -628,6 +632,11 @@ def build_census(fam: "GraphFamily", n_max: int) -> UnlabelledCensus:
     mode = lattice_mode(fam)
     if mode == _kernels.MODE_FORESTS:
         _kernels.forest_slice(n_max)  # each lower slice is built once, with its vertex sets
+    # The whole slices are read below n_max (_canonical_deletion) and, unless
+    # the family is swept as the forests, at n_max; asking for the top one
+    # first builds each lower one once, with its vertex sets.
+    top = max(0, n_max - 1 if mode == _kernels.MODE_FORESTS else n_max)
+    _kernels._record(min(top, _kernels.RECORD_CAP), extendable=top > _kernels.RECORD_CAP)
     rows = []
     reps = [0]  # canonical masks of the (n-1)-vertex classes; the empty graph below n = 1
     for n in range(1, n_max + 1):

@@ -4,8 +4,10 @@ line per draw, each the same text as json.dumps({"n": ..., "edges": [[u, v],
 
 masks_to_jsonl writes the edge masks of one order (the exact draws' int64
 array; the MCMC draws and graphs_to_jsonl's Graphs of one order as Python
-ints), one join per chunk over a flat token table; trees_to_jsonl writes the
-edge bits of decoded trees, one join per line.  Both read _pair_tables.
+ints), one join per chunk over a flat token table of the pairs set in some
+draw; draws_to_jsonl gathers the lines of grouped Boltzmann draws;
+trees_to_jsonl writes each chunk of sampled tree edges from per-vertex
+tokens, one join per chunk.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import json
 import operator
 from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .graphs import Graph, pair_count
 # packed byte, so the chunk stays small enough that the writer adds about
 # nothing to the sampler's peak memory.
 _CHUNK_BYTES = 1 << 15
-_CHUNK_EDGES = 1 << 15  # tree edges per batch of the tree route (one tree if larger)
 _CHUNK_LINES = 1 << 12  # draws per chunk of draws_to_jsonl
 
 
@@ -124,27 +125,33 @@ def draws_to_jsonl(graphs: list[Graph], inverse: np.ndarray) -> Iterator[str]:
         yield "".join(tokens[inverse[start:start + _CHUNK_LINES]].tolist())
 
 
-def trees_to_jsonl(n: int, bits: np.ndarray) -> Iterator[str]:
-    """The JSONL text of rows of tree edge bits (sampling.random_tree_bits), a
-    batch of rows at a time: the text masks_to_jsonl gives for the trees'
-    edge masks, without building the masks.  The pair text covers the pairs
-    present in any row (_pair_tables); each batch sorts every row's ranks
-    and joins each line's edges."""
-    edges = bits.shape[1]
-    if not edges:  # n <= 1: edgeless lines
-        yield from masks_to_jsonl(n, [0] * len(bits))
-        return
-    present = np.zeros(pair_count(n), dtype=bool)
-    present[bits.reshape(-1)] = True
-    rank, text = _pair_tables(n, np.flatnonzero(present))
-    del present
-    text = np.array(text, dtype=object)
+def trees_to_jsonl(n: int, chunks: Iterable[np.ndarray]) -> Iterator[str]:
+    """The JSONL text of trees on n vertices, one text per chunk of
+    (draws, n - 1, 2) arrays of edges u < v (sampling.random_tree_chunks):
+    the text masks_to_jsonl gives for the trees' edge masks, without building
+    them.
+
+    A line is built from 3n + 1 per-vertex tokens: head + "[u, " for its
+    first edge, ", [u, " for a later one, "v]", and "]}\n".  Each row's keys
+    u * n + v are sorted, which puts its edges in Graph.edges order, the
+    token ids are placed in numpy, and the chunk is one join.
+    """
     head = '{"n": %d, "edges": [' % n
-    step = max(1, _CHUNK_EDGES // edges)
-    for start in range(0, len(bits), step):
-        pairs = text[np.sort(rank[bits[start:start + step]], axis=1).reshape(-1)].tolist()
-        yield "".join([head + ", ".join(pairs[i:i + edges]) + "]}\n"
-                       for i in range(0, len(pairs), edges)])
+    labels = range(1, n + 1)
+    tokens = np.array([head + "[%d, " % u for u in labels] + [", [%d, " % u for u in labels]
+                      + ["%d]" % v for v in labels] + ["]}\n"], dtype=object)
+    for edges in chunks:
+        draws, k = edges.shape[:2]
+        if not k:  # n = 1: edgeless lines
+            yield (head + "]}\n") * draws
+            continue
+        keys = np.sort(edges[:, :, 0] * n + edges[:, :, 1], axis=1)
+        ids = np.empty((draws, 2 * k + 1), dtype=np.intp)
+        ids[:, 0:-1:2], ids[:, 1::2] = np.divmod(keys, n)
+        ids[:, 2:-1:2] += n
+        ids[:, 1::2] += 2 * n
+        ids[:, -1] = 3 * n
+        yield "".join(tokens[ids.reshape(-1)].tolist())
 
 
 def graph_from_json(line: str) -> Graph:

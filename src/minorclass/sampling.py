@@ -3,19 +3,23 @@
 Three routes to the n-slice distribution: exact cumulative-weight inversion
 over the enumerated members, a Metropolis edge-toggle chain (for orders past
 the enumeration range), and the component-multiset Boltzmann Poisson sampler
-driven by an unlabelled census.  A uniform labelled-tree sampler decodes
-uniform parent sequences.  All randomness comes from the counter-based Philox
-generator keyed by an explicit 64-bit seed and a stream index, so every
-sampler is reproducible across platforms.
+driven by an unlabelled census, which draws each draw's number of components
+and then each component's class.  A uniform labelled-tree sampler runs
+Aldous's random-walk construction a chunk of draws at a time.  The Boltzmann
+and tree samplers cost time and memory linear in their output.  All
+randomness comes from the counter-based Philox generator keyed by an explicit
+64-bit seed and a stream index, so every sampler is reproducible across
+platforms.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import numpy.random  # noqa: F401  (loaded with the package, not by the first draw)
@@ -121,15 +125,37 @@ def boltzmann_config(census: UnlabelledCensus, rho: float, w: Weighting,
     return BoltzmannConfig(rho, w, census, mus, census_tail_bound(census, rho, w))
 
 
-def boltzmann_component_counts(cfg: BoltzmannConfig, seed: int, draws: int) -> np.ndarray:
-    """(draws, classes) independent Poisson counts, one column per census class.
+def boltzmann_classes(cfg: BoltzmannConfig, seed: int,
+                      draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated Boltzmann Poisson draws as component lists: each draw's
+    component count N ~ Po(sum of mu), from rng_stream(seed, 0), and the
+    census class of every component, draw after draw, picked with
+    probability mu / (sum of mu) by a search of the cumulative means, from
+    rng_stream(seed, 1).
 
-    draws must be >= 0 (else ValueError)."""
+    A Poisson count split by independent class labels gives independent
+    Po(mu) counts per class (Duchon, Flajolet, Louchard and Schaeffer 2004),
+    so this is the law of one Po(mu) count per class, at a cost linear in the
+    draws and their components, not in draws x classes.  draws must be >= 0
+    (else ValueError).
+    """
     _check_draws(draws)
     if not cfg.census.v.size:
         raise EmptySliceError("empty census")
-    rng = rng_stream(seed)
-    return rng.poisson(lam=np.asarray(cfg.mus), size=(draws, len(cfg.mus)))
+    cum = np.cumsum(cfg.mus)
+    sizes = rng_stream(seed, 0).poisson(cum[-1], size=draws)
+    u = rng_stream(seed, 1).random(int(sizes.sum())) * cum[-1]
+    return sizes, np.searchsorted(cum[:-1], u, side="right")
+
+
+def boltzmann_component_counts(cfg: BoltzmannConfig, seed: int, draws: int) -> np.ndarray:
+    """The draws of boltzmann_classes as (draws, classes) counts, one column
+    per census class: the independent Poisson counts of the law checks.  The
+    samplers never build this array."""
+    sizes, classes = boltzmann_classes(cfg, seed, draws)
+    k = len(cfg.mus)
+    rows = np.repeat(np.arange(draws), sizes)
+    return np.bincount(rows * k + classes, minlength=draws * k).reshape(draws, k)
 
 
 def counts_to_graph(census: UnlabelledCensus, counts: Sequence[int]) -> Graph:
@@ -144,26 +170,37 @@ def counts_to_graph(census: UnlabelledCensus, counts: Sequence[int]) -> Graph:
 
 def boltzmann_groups(cfg: BoltzmannConfig, seed: int,
                      draws: int) -> tuple[list[Graph], np.ndarray]:
-    """Draws from the truncated Boltzmann Poisson random graph, grouped by
-    count row: the labelled graph of each distinct row, and each draw's index
-    into them.
+    """The draws of boltzmann_classes grouped by component multiset: the
+    labelled graph of each distinct multiset (counts_to_graph of its counts),
+    and each draw's index into them.
 
-    Few distinct component multisets have any real probability (117 rows in
-    50,000 forest draws at census n <= 6, seed 0), so each is materialized
-    once.  The rows are grouped in one numpy pass: cast to the narrowest
-    dtype that holds the largest count, viewed as one opaque item per row,
-    and passed to np.unique.
+    Few distinct multisets have any real probability (112 in 50,000 forest
+    draws at census n <= 6, seed 0), so each is materialized once.  The draws
+    are grouped in one numpy pass: each draw's classes sorted and padded to
+    the largest N with the class count, in the narrowest dtype that holds it,
+    viewed as one opaque item per draw and passed to np.unique.
     """
-    counts = boltzmann_component_counts(cfg, seed, draws)
-    counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))  # frees the int64 rows
-    rows = counts.view(np.dtype((np.void, counts.itemsize * counts.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return [counts_to_graph(cfg.census, counts[i]) for i in first.tolist()], inverse
+    sizes, classes = boltzmann_classes(cfg, seed, draws)
+    k = len(cfg.mus)
+    rows = np.repeat(np.arange(draws), sizes)
+    starts = np.cumsum(sizes) - sizes
+    lists = np.full((draws, max(1, int(sizes.max(initial=0)))), k, dtype=np.min_scalar_type(k))
+    lists[rows, np.arange(rows.size) - starts[rows]] = np.sort(rows * k + classes) % k
+    items = lists.view(np.dtype((np.void, lists.itemsize * lists.shape[1]))).ravel()
+    _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+    v, masks = cfg.census.v.tolist(), cfg.census.masks.tolist()
+    graphs = []
+    for i in first.tolist():
+        g = Graph(0, 0)
+        for c in lists[i, :sizes[i]].tolist():
+            g = disjoint_union(g, Graph(v[c], masks[c]))
+        graphs.append(g)
+    return graphs, inverse
 
 
 def boltzmann_poisson_sample(cfg: BoltzmannConfig, seed: int, draws: int) -> list[Graph]:
     """The draws of boltzmann_groups as labelled graphs, in draw order; draws
-    with the same count row share one Graph."""
+    with the same component multiset share one Graph."""
     graphs, inverse = boltzmann_groups(cfg, seed, draws)
     return [graphs[j] for j in inverse.tolist()]
 
@@ -265,29 +302,47 @@ def stationary_residual(fam, w: Weighting, n: int) -> Fraction:
 # -- uniform random trees --------------------------------------------------------------
 
 
-def random_tree_bits(n: int, seed: int, draws: int) -> np.ndarray:
-    """Edge bits of uniform labelled trees via parent-sequence decoding
-    (bijective with n^(n-2)): row i holds the n - 1 pair bits v(v-1)/2 + u
-    (see graphs.pair_bit) of tree i's edges u < v, in decode order, as an int64
-    array (draws, n - 1).  draws must be >= 0 and n >= 1 (else ValueError).
+# tree edges per chunk of random_tree_chunks (one tree if larger)
+_CHUNK_EDGES = 1 << 15
+
+
+def random_tree_chunks(n: int, seed: int, draws: int) -> Iterator[np.ndarray]:
+    """Uniform labelled trees on n vertices, a chunk of draws at a time: each
+    chunk's (draws, n - 1, 2) array of 0-indexed edges u < v, from
+    _kernels.random_walk_tree.  A chunk holds at most _CHUNK_EDGES edges (one
+    tree if more).  The walk's uniforms come from rng_stream(seed, 0) and the
+    row permutations from rng_stream(seed, 1), each read in draw order, so the
+    draws do not depend on the chunk size.  draws must be >= 0 and n >= 1
+    (else ValueError, raised before the first chunk is asked for).
     """
     _check_draws(draws)
     if n < 1:
         raise ValueError("trees need at least one vertex")
-    if n == 1:
-        return np.zeros((draws, 0), dtype=np.int64)
-    rng = rng_stream(seed)
-    edges = _kernels.prufer_decode(rng.integers(0, n, size=(draws, n - 2), dtype=np.int64))
-    # bits takes v, and columns 0 and 1 are overwritten with u and v - 1, so no
-    # array beyond bits is allocated
-    u, v = edges[:, :, 0], edges[:, :, 1]
-    bits = np.maximum(u, v)
-    np.minimum(u, v, out=u)
-    np.subtract(bits, 1, out=v)
-    bits *= v
-    bits //= 2
-    bits += u
-    return bits
+    step = max(1, _CHUNK_EDGES // max(1, n - 1))
+
+    def chunks():
+        walk, shuffle = rng_stream(seed, 0), rng_stream(seed, 1)
+        labels = np.arange(n, dtype=np.int64)
+        for start in range(0, draws, step):
+            rows = min(step, draws - start)
+            uniforms = walk.integers(0, n, size=(rows, max(0, n - 2)), dtype=np.int64)
+            perm = shuffle.permuted(np.broadcast_to(labels, (rows, n)), axis=1)
+            yield _kernels.random_walk_tree(uniforms, perm)
+
+    return chunks()
+
+
+def random_tree_bits(n: int, seed: int, draws: int) -> np.ndarray:
+    """The draws of random_tree_chunks as pair bits: row i holds the n - 1 pair
+    bits v(v-1)/2 + u (see graphs.pair_bit) of tree i's edges u < v, as an
+    int64 array (draws, n - 1).  draws must be >= 0 and n >= 1 (else
+    ValueError).
+    """
+    bits = [np.zeros((0, max(0, n - 1)), dtype=np.int64)]
+    for edges in random_tree_chunks(n, seed, draws):
+        u, v = edges[:, :, 0], edges[:, :, 1]
+        bits.append(v * (v - 1) // 2 + u)
+    return np.concatenate(bits)
 
 
 def random_tree_sample(n: int, seed: int, draws: int) -> list[Graph]:
@@ -422,17 +477,27 @@ def poisson_chi_square(hist: dict, draws: int, mu: float,
     return stat, df, float(chi2.sf(stat, df))
 
 
-def pairwise_max_correlation(counts: np.ndarray) -> float:
-    """Largest |pairwise empirical correlation| between count columns (0 for constant columns)."""
-    if counts.shape[1] < 2:
-        return 0.0
+def pairwise_max_correlation(counts: np.ndarray, means: Sequence[float] | None = None,
+                             min_expected: float = 5.0) -> float:
+    """Largest |pairwise empirical correlation| between count columns (0 for
+    constant columns).
+
+    Given the columns' expected means, only the pairs expected to be nonzero
+    together in at least min_expected rows (rows * mean_i * mean_j) are
+    compared.  For rarer pairs the estimate is far from normal: one row where
+    both are nonzero moves it by many standard errors (a single such row in
+    10^5 Boltzmann forest draws, where 0.035 were expected, reads 4.8 of
+    them), as chi-square bins below five expected counts are merged."""
     keep = counts.std(axis=0) > 0
     cols = counts[:, keep]
     if cols.shape[1] < 2:
         return 0.0
+    pairs = ~np.eye(cols.shape[1], dtype=bool)
+    if means is not None:
+        m = np.asarray(means, dtype=float)[keep]
+        pairs &= np.outer(m, m) * counts.shape[0] >= min_expected
     corr = np.corrcoef(cols, rowvar=False)
-    off = corr[~np.eye(corr.shape[0], dtype=bool)]
-    return float(np.max(np.abs(off)))
+    return float(np.abs(corr[pairs]).max(initial=0.0))
 
 
 def e_kappa_histogram(samples: Sequence[Graph]) -> dict:

@@ -622,18 +622,43 @@ def test_enumerate_progress_names_the_rows_it_reads(family, argv, rows, capsys):
 @pytest.mark.parametrize("n, draws", [(1, 5), (2, 5), (3, 200), (41, 60), (300, 40), (2000, 10),
                                       (5, 0)])
 def test_tree_output_matches_json_dumps_of_the_sampled_graphs(n, draws, monkeypatch, capsys):
-    """sample --method tree formats the decoded edge bits without building
-    Graphs, in batches smaller than the draws here; its text is json.dumps
+    """sample --method tree formats the sampled edges without building
+    Graphs, in chunks smaller than the draws here; its text is json.dumps
     over random_tree_sample's Graphs on the same seed."""
+    from minorclass import sampling
     from minorclass.sampling import random_tree_sample
 
-    monkeypatch.setattr(jsonl, "_CHUNK_EDGES", 1000)
+    monkeypatch.setattr(sampling, "_CHUNK_EDGES", 1000)
     code, out = run_cli(["sample", "--method", "tree", "--n", str(n), "--draws", str(draws),
                          "--seed", "7"], capsys)
     assert code == 0
     want = [json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
             for g in random_tree_sample(n, 7, draws)]
     assert out.splitlines() == want
+
+
+@pytest.mark.parametrize("method, argv, module, constant", [
+    ("tree", ["--n", "3"], "sampling", "_CHUNK_EDGES"),
+    ("tree", ["--n", "41"], "sampling", "_CHUNK_EDGES"),
+    ("boltzmann", ["--family", "forests", "--census-nmax", "5"], "jsonl", "_CHUNK_LINES"),
+    ("boltzmann", ["--family", "all", "--census-nmax", "4", "--rho", "0.4",
+                   "--lambda0", "1/2", "--lambda1", "2"], "jsonl", "_CHUNK_LINES"),
+])
+def test_sampler_output_does_not_depend_on_the_chunk_size(method, argv, module, constant,
+                                                          monkeypatch, capsys):
+    """The tree and Boltzmann draws, and their text, are the same in chunks
+    of 1, 7 and the default size."""
+    from minorclass import sampling
+
+    owner = {"sampling": sampling, "jsonl": jsonl}[module]
+    outs = []
+    for size in (getattr(owner, constant), 1, 7):
+        monkeypatch.setattr(owner, constant, size)
+        code, out = run_cli(["sample", "--method", method, *argv, "--draws", "60",
+                             "--seed", "5"], capsys)
+        assert code == 0 and out.count("\n") == 60
+        outs.append(out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_tree_with_negative_draws_exits_2(capsys):

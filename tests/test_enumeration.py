@@ -2,6 +2,7 @@
 core-size decomposition."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,6 +116,28 @@ def test_forest_table_and_census_extend_each_forest_slice_once(monkeypatch):
         calls.clear()
         build()
         assert calls == list(range(1, 8))
+
+
+@pytest.mark.parametrize("name, n_max, top", [("all", 7, 7), ("series-parallel", 6, 6),
+                                              ("planar", 5, 5), ("forests", 7, 6)])
+def test_census_extends_each_whole_slice_once(name, n_max, top, monkeypatch):
+    """The census builds each whole lattice slice it reads once: up to n_max,
+    or n_max - 1 for the forests, whose top order is read from the forest
+    slice.  The top slice is asked for first, so no lower slice is rebuilt to
+    gain its vertex sets."""
+    from minorclass import _kernels
+
+    extend, calls = _kernels._extend, []
+
+    def counted(low, n, *args, forests=False, **kwargs):
+        if not forests:
+            calls.append(n)
+        return extend(low, n, *args, forests=forests, **kwargs)
+
+    monkeypatch.setattr(_kernels, "_extend", counted)
+    monkeypatch.setattr(_kernels, "_RECORDS", {})
+    build_census(builtin_family(name), n_max)
+    assert calls == list(range(1, top + 1))
 
 
 def test_weighted_counts_are_exact_fractions():
@@ -485,24 +508,25 @@ def test_census_totals_under_split_weights(name):
 
 def test_census_counts_bridges_once_and_only_off_the_diagonal(monkeypatch):
     """A diagonal weighting counts no bridges; the first split weighting
-    counts each class's once, and later calls reuse them unchanged."""
-    import minorclass.enumeration as en
+    counts each class's once, in one pass per order, and later calls reuse
+    them unchanged."""
+    from minorclass import _kernels
 
     census = build_census(builtin_family("planar"), 5)
-    counted, count = [], en.bridge_mask
+    counted, count = [], _kernels.bridge_counts
 
-    def counting(g):
-        counted.append(g.n)
-        return count(g)
+    def counting(n, masks):
+        counted.append((n, masks.size))
+        return count(n, masks)
 
-    monkeypatch.setattr(en, "bridge_mask", counting)
+    monkeypatch.setattr(_kernels, "bridge_counts", counting)
     diagonal = census.weights(Weighting(Fraction(1, 2), 3))
     assert counted == []
     split = [census.weights(Weighting.extended(Fraction(1, 2), 2, 3)) for _ in range(2)]
-    assert counted == census.v.tolist()
+    assert counted == sorted(Counter(census.v.tolist()).items())
     assert split[0] == split[1] and diagonal != split[0]
     census.weights(Weighting.extended(0.3, 2.5, 1.5))
-    assert len(counted) == census.v.size
+    assert len(counted) == 5
 
 
 def test_falling_moment_identity():

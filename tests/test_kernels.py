@@ -8,7 +8,9 @@ closed-form terms, and bit for bit against `_tree_series_every_chunk`, the
 sum it was before it stopped at underflow.  The Pruefer decoder is checked
 edge for edge against `_prufer_argmax`, the whole-matrix decoder it replaced,
 against networkx's decoder and, exhaustively at n <= 6, as a bijection onto
-the labelled trees.  The MCMC chain is checked draw for draw against
+the labelled trees; the random-walk tree kernel, exhaustively at n <= 6,
+against the trees it decodes.  Census bridge counts are checked class by
+class against `bridge_mask`.  The MCMC chain is checked draw for draw against
 `_mcmc_python`, a reference chain that tests membership and recomputes both
 weights on every proposal, and its two membership tests, array lookup and
 base_member, against each other.
@@ -504,6 +506,46 @@ def test_prufer_paths_agree():
         for seq, tree in zip(seqs.tolist(), edges.tolist()):
             want = nx.from_prufer_sequence(seq)
             assert {frozenset(e) for e in tree} == {frozenset(e) for e in want.edges}
+
+
+def _tree_masks(edges: np.ndarray) -> np.ndarray:
+    """The int64 edge mask of each row of an (draws, n - 1, 2) edge array,
+    n <= 11."""
+    u, v = edges.min(axis=2), edges.max(axis=2)
+    return np.bitwise_or.reduce(np.left_shift(1, v * (v - 1) // 2 + u), axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_random_walk_tree_is_exactly_uniform(n):
+    """Over every input, every uniform sequence in [n]^(n-2) with every
+    permutation of range(n), each of the n^(n-2) labelled trees (the Pruefer
+    decodes of every sequence) appears exactly n! times."""
+    seqs = np.array(list(itertools.product(range(n), repeat=n - 2)),
+                    dtype=np.int64).reshape(n ** (n - 2), n - 2)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    edges = K.random_walk_tree(np.repeat(seqs, len(perms), axis=0), np.tile(perms, (len(seqs), 1)))
+    assert edges.shape == (len(seqs) * len(perms), n - 1, 2) and edges.dtype == np.int64
+    trees, counts = np.unique(_tree_masks(edges), return_counts=True)
+    assert np.array_equal(trees, np.unique(_tree_masks(K.prufer_decode(seqs))))
+    assert trees.size == n ** (n - 2)
+    assert (counts == math.factorial(n)).all()
+
+
+def test_census_bridge_counts_match_bridge_mask():
+    """One numpy pass per order counts every class's bridges as bridge_mask
+    does graph by graph: the connected graphs on n <= 6 and the classes of
+    the `all` census at n = 7."""
+    from minorclass.enumeration import build_census
+
+    census = build_census(builtin_family("all"), 7)
+    for n in range(8):
+        masks = census.masks[census.v == n]
+        if n <= 6:
+            masks = np.array([s for s in range(1 << (n * (n - 1) // 2))
+                              if len(component_masks(Graph(n, s))) == 1], dtype=np.int64)
+        want = [bridge_mask(Graph(n, s)).bit_count() for s in masks.tolist()]
+        got = K.bridge_counts(n, masks)
+        assert got.dtype == np.int64 and got.tolist() == want, n
 
 
 def _prufer_argmax(seqs: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Samplers against their exact laws."""
 
 import functools
+import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -131,8 +133,8 @@ def test_boltzmann_component_law():
         hist = {int(v): int(c) for v, c in zip(*np.unique(counts[:, i], return_counts=True))}
         _, _, p = poisson_chi_square(hist, draws, mu)
         assert p >= 1e-3
-    # pairwise correlations vanish
-    assert pairwise_max_correlation(counts) <= 4 / math.sqrt(draws)
+    # pairwise correlations vanish, over the pairs frequent enough to estimate
+    assert pairwise_max_correlation(counts, cfg.mus) <= 4 / math.sqrt(draws)
     # total components are Poisson with mean C_trunc
     assert counts.sum(axis=1).mean() == pytest.approx(cfg.total_mean, abs=0.01)
     # empty-draw frequency equals exp(-C_trunc)
@@ -163,6 +165,78 @@ def test_boltzmann_groups_hold_one_graph_per_distinct_row(nu, draws):
     graphs = boltzmann_poisson_sample(cfg, seed=7, draws=draws)
     assert len({id(g) for g in graphs}) == len(distinct)
     assert nu == 1 or rows.max() >= 256
+
+
+def test_boltzmann_law_over_many_classes():
+    """The 31 classes of the `all` census at n <= 5, drawn by splitting one
+    Poisson count per draw: each class's count has its Poisson mean (within 5
+    standard errors) and variance/mean near 1, no two classes correlate
+    (5 standard errors over 465 pairs), and the component total has mean
+    sum(mu)."""
+    cfg = boltzmann_config(build_census(ALL, 5), 0.6, W11)
+    draws = 20000
+    counts = boltzmann_component_counts(cfg, seed=11, draws=draws)
+    mus = np.asarray(cfg.mus)
+    assert counts.shape == (draws, 31)
+    mean, var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
+    assert (np.abs(mean - mus) <= 5 * np.sqrt(mus / draws)).all()
+    big = mus * draws >= 50
+    assert big.sum() >= 10
+    dispersion = var[big] / mean[big]
+    assert (np.abs(dispersion - 1) <= 5 * np.sqrt((1 / mus[big] + 2) / draws)).all()
+    assert pairwise_max_correlation(counts, mus) <= 5 / math.sqrt(draws)
+    total = counts.sum(axis=1)
+    assert abs(total.mean() - mus.sum()) <= 5 * math.sqrt(mus.sum() / draws)
+
+
+def test_boltzmann_sample_is_its_groups_expanded():
+    """boltzmann_poisson_sample is boltzmann_groups' graphs read through the
+    inverse index, on the `all` census with split weights."""
+    cfg = boltzmann_config(build_census(ALL, 4), 0.4, Weighting.extended(0.5, 2, 3))
+    graphs, inverse = sampling.boltzmann_groups(cfg, seed=2, draws=500)
+    assert inverse.shape == (500,)
+    assert boltzmann_poisson_sample(cfg, seed=2, draws=500) == [graphs[j] for j in inverse]
+    assert len(set(graphs)) == len(graphs)
+
+
+def test_boltzmann_memory_is_linear_in_the_output():
+    """20,000 draws over 10^5 classes of mean 10^-5 each: the sampler and
+    the writer never build the 2 * 10^9 draws x classes counts."""
+    from minorclass.enumeration import UnlabelledCensus
+    from minorclass.jsonl import draws_to_jsonl
+
+    k = 10**5
+    ones = np.ones(k, dtype=np.int64)
+    census = UnlabelledCensus("k1", 1, ones, ones - 1, ones)
+    cfg = sampling.BoltzmannConfig(0.5, W11, census, [1 / k] * k)
+    tracemalloc.start()
+    try:
+        orders = Counter(json.loads(line)["n"] for chunk in
+                         draws_to_jsonl(*sampling.boltzmann_groups(cfg, 0, 20000))
+                         for line in chunk.splitlines())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(orders.values()) == 20000
+    assert abs(orders[0] / 20000 - math.exp(-1)) < 0.02 and max(orders) >= 4
+    assert peak < 16 * 2**20
+
+
+def test_tree_memory_is_linear_in_a_chunk():
+    """20,000 trees at n = 300 are sampled and formatted a chunk at a time:
+    the peak is a few chunks, not the 48 MB of one (draws, n - 1) int64
+    array."""
+    from minorclass.jsonl import trees_to_jsonl
+
+    tracemalloc.start()
+    try:
+        lines = sum(chunk.count("\n") for chunk in
+                    trees_to_jsonl(300, sampling.random_tree_chunks(300, 0, 20000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines == 20000
+    assert peak < 8 * 2**20
 
 
 def test_boltzmann_truncation_note():
