@@ -158,20 +158,20 @@ def boltzmann_component_counts(cfg: BoltzmannConfig, seed: int, draws: int) -> n
     return np.bincount(rows * k + classes, minlength=draws * k).reshape(draws, k)
 
 
-def counts_to_graph(census: UnlabelledCensus, counts: Sequence[int]) -> Graph:
-    """Materialize a component multiset as a labelled graph: counts[i] copies
-    of the canonical graph of class i, in census order."""
+def classes_to_graph(census: UnlabelledCensus, classes: Sequence[int]) -> Graph:
+    """Materialize a component multiset, given as its list of census class
+    indices (sorted, one per component), as a labelled graph: the disjoint
+    union of the canonical graphs of those classes, in that order."""
     g = Graph(0, 0)
-    for (v, m, _), c in zip(census.entries, counts):
-        for _ in range(int(c)):
-            g = disjoint_union(g, Graph(v, m))
+    for c in classes:
+        g = disjoint_union(g, Graph(int(census.v[c]), int(census.masks[c])))
     return g
 
 
 def boltzmann_groups(cfg: BoltzmannConfig, seed: int,
                      draws: int) -> tuple[list[Graph], np.ndarray]:
     """The draws of boltzmann_classes grouped by component multiset: the
-    labelled graph of each distinct multiset (counts_to_graph of its counts),
+    labelled graph of each distinct multiset (classes_to_graph of its classes),
     and each draw's index into them.
 
     Few distinct multisets have any real probability (112 in 50,000 forest
@@ -188,13 +188,7 @@ def boltzmann_groups(cfg: BoltzmannConfig, seed: int,
     lists[rows, np.arange(rows.size) - starts[rows]] = np.sort(rows * k + classes) % k
     items = lists.view(np.dtype((np.void, lists.itemsize * lists.shape[1]))).ravel()
     _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
-    v, masks = cfg.census.v.tolist(), cfg.census.masks.tolist()
-    graphs = []
-    for i in first.tolist():
-        g = Graph(0, 0)
-        for c in lists[i, :sizes[i]].tolist():
-            g = disjoint_union(g, Graph(v[c], masks[c]))
-        graphs.append(g)
+    graphs = [classes_to_graph(cfg.census, lists[i, :sizes[i]].tolist()) for i in first.tolist()]
     return graphs, inverse
 
 
@@ -477,27 +471,35 @@ def poisson_chi_square(hist: dict, draws: int, mu: float,
     return stat, df, float(chi2.sf(stat, df))
 
 
-def pairwise_max_correlation(counts: np.ndarray, means: Sequence[float] | None = None,
-                             min_expected: float = 5.0) -> float:
-    """Largest |pairwise empirical correlation| between count columns (0 for
-    constant columns).
+def pairwise_independence(counts: np.ndarray, means: Sequence[float]) -> tuple[float, float]:
+    """Pairwise independence of Poisson count columns with the given means,
+    over every pair of columns: (largest |empirical correlation| over the
+    frequent pairs, least p-value over the rare pairs).
 
-    Given the columns' expected means, only the pairs expected to be nonzero
-    together in at least min_expected rows (rows * mean_i * mean_j) are
-    compared.  For rarer pairs the estimate is far from normal: one row where
-    both are nonzero moves it by many standard errors (a single such row in
-    10^5 Boltzmann forest draws, where 0.035 were expected, reads 4.8 of
-    them), as chi-square bins below five expected counts are merged."""
-    keep = counts.std(axis=0) > 0
-    cols = counts[:, keep]
-    if cols.shape[1] < 2:
-        return 0.0
-    pairs = ~np.eye(cols.shape[1], dtype=bool)
-    if means is not None:
-        m = np.asarray(means, dtype=float)[keep]
-        pairs &= np.outer(m, m) * counts.shape[0] >= min_expected
-    corr = np.corrcoef(cols, rowvar=False)
-    return float(np.abs(corr[pairs]).max(initial=0.0))
+    A pair is frequent when both columns are expected to be nonzero together
+    in at least 5 rows (rows * P(X_i > 0) * P(X_j > 0)); its correlation
+    (0 for a constant column) has standard error 1/sqrt(rows).  For a rarer
+    pair the correlation is far from normal: one row where both are nonzero
+    moves it by many standard errors (a single such row in 10^5 Boltzmann
+    forest draws, where 0.035 were expected, reads 4.8 of them).  So a rare
+    pair is judged by its count of rows where both are nonzero, against the
+    Poisson upper tail at its expectation.  The lower tail needs no test: below
+    5 expected rows, seeing none has probability above e^-5.  1.0 when there
+    is no rare pair, 0.0 for the correlation when there is no frequent one."""
+    from scipy.stats import poisson
+
+    rows = counts.shape[0]
+    nonzero = -np.expm1(-np.asarray(means, dtype=float))
+    upper = np.triu_indices(counts.shape[1], 1)
+    expected = (rows * np.outer(nonzero, nonzero))[upper]
+    frequent = expected >= 5
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.nan_to_num(np.corrcoef(counts, rowvar=False)[upper])
+    max_corr = float(np.abs(corr[frequent]).max(initial=0.0))
+    both = (counts > 0).astype(np.int64)
+    joint = (both.T @ both)[upper][~frequent]
+    min_p = float(poisson.sf(joint - 1, expected[~frequent]).min(initial=1.0))
+    return max_corr, min_p
 
 
 def e_kappa_histogram(samples: Sequence[Graph]) -> dict:

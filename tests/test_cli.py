@@ -587,12 +587,13 @@ def test_zero_draws_write_an_empty_file(method, argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["--draws", "0"], ["--draws", "1"],
                                   ["--nu", "1000", "--draws", "30"]])
 def test_boltzmann_output_is_one_line_per_count_row(argv, capsys):
-    """sample --method boltzmann prints json.dumps of counts_to_graph over
-    each draw's count row, with no draws, one, and counts of 256 and more."""
+    """sample --method boltzmann prints json.dumps of classes_to_graph over
+    each draw's count row as a class list, with no draws, one, and counts of
+    256 and more."""
     from minorclass.enumeration import build_census
     from minorclass.families import builtin_family
     from minorclass.sampling import boltzmann_component_counts, boltzmann_config, \
-        counts_to_graph
+        classes_to_graph
 
     code, out = run_cli(["sample", "--method", "boltzmann", "--family", "forests",
                          "--census-nmax", "4", "--seed", "3", *argv], capsys)
@@ -602,7 +603,8 @@ def test_boltzmann_output_is_one_line_per_count_row(argv, capsys):
     cfg = boltzmann_config(census, 1 / math.e, w)
     rows = boltzmann_component_counts(cfg, 3, int(argv[-1]))
     assert out.splitlines() == [json.dumps({"n": g.n, "edges": g.edges})
-                                for g in (counts_to_graph(census, r) for r in rows)]
+                                for g in (classes_to_graph(census, np.repeat(np.arange(len(r)), r))
+                                          for r in rows)]
     assert argv[0] != "--nu" or rows.max() >= 256
 
 

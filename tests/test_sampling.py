@@ -28,11 +28,11 @@ from minorclass.sampling import (
     boltzmann_config,
     boltzmann_poisson_sample,
     collect_stats,
-    counts_to_graph,
+    classes_to_graph,
     e_kappa_histogram,
     exact_sample,
     mcmc_sample,
-    pairwise_max_correlation,
+    pairwise_independence,
     poisson_chi_square,
     random_tree_bits,
     random_tree_sample,
@@ -133,13 +133,21 @@ def test_boltzmann_component_law():
         hist = {int(v): int(c) for v, c in zip(*np.unique(counts[:, i], return_counts=True))}
         _, _, p = poisson_chi_square(hist, draws, mu)
         assert p >= 1e-3
-    # pairwise correlations vanish, over the pairs frequent enough to estimate
-    assert pairwise_max_correlation(counts, cfg.mus) <= 4 / math.sqrt(draws)
+    # every pair is independent: frequent pairs do not correlate, rare pairs
+    # are not nonzero together more often than the Poisson tail allows
+    max_corr, rare_pair_p = pairwise_independence(counts, cfg.mus)
+    assert max_corr <= 4 / math.sqrt(draws)
+    assert rare_pair_p >= 1e-3
     # total components are Poisson with mean C_trunc
     assert counts.sum(axis=1).mean() == pytest.approx(cfg.total_mean, abs=0.01)
     # empty-draw frequency equals exp(-C_trunc)
     empty = (counts.sum(axis=1) == 0).mean()
     assert empty == pytest.approx(math.exp(-cfg.total_mean), abs=0.01)
+
+
+def _row_graph(census, row):
+    """The graph of one count row: its class list, each class repeated by its count."""
+    return classes_to_graph(census, np.repeat(np.arange(len(row)), row))
 
 
 def test_boltzmann_sample_is_counts_to_graph_per_row():
@@ -148,7 +156,7 @@ def test_boltzmann_sample_is_counts_to_graph_per_row():
     cfg = boltzmann_config(census, 1 / math.e, W11)
     graphs = boltzmann_poisson_sample(cfg, seed=7, draws=3000)
     rows = boltzmann_component_counts(cfg, seed=7, draws=3000)
-    assert graphs == [counts_to_graph(census, row) for row in rows]
+    assert graphs == [_row_graph(census, row) for row in rows]
 
 
 @pytest.mark.parametrize("nu, draws", [(1, 0), (1, 1), (1, 3000), (1000, 40)])
@@ -160,7 +168,7 @@ def test_boltzmann_groups_hold_one_graph_per_distinct_row(nu, draws):
     cfg = boltzmann_config(census, 1 / math.e, Weighting(1, nu))
     rows = boltzmann_component_counts(cfg, seed=7, draws=draws)
     distinct, inverse = sampling.boltzmann_groups(cfg, seed=7, draws=draws)
-    assert [distinct[j] for j in inverse.tolist()] == [counts_to_graph(census, r) for r in rows]
+    assert [distinct[j] for j in inverse.tolist()] == [_row_graph(census, r) for r in rows]
     assert len(distinct) == len({r.tobytes() for r in rows})
     graphs = boltzmann_poisson_sample(cfg, seed=7, draws=draws)
     assert len({id(g) for g in graphs}) == len(distinct)
@@ -170,9 +178,10 @@ def test_boltzmann_groups_hold_one_graph_per_distinct_row(nu, draws):
 def test_boltzmann_law_over_many_classes():
     """The 31 classes of the `all` census at n <= 5, drawn by splitting one
     Poisson count per draw: each class's count has its Poisson mean (within 5
-    standard errors) and variance/mean near 1, no two classes correlate
-    (5 standard errors over 465 pairs), and the component total has mean
-    sum(mu)."""
+    standard errors) and variance/mean near 1, no two of the 465 pairs
+    depend (correlation within 5 standard errors where both are expected
+    nonzero together in 5 draws or more, else co-occurrences within the
+    Poisson tail), and the component total has mean sum(mu)."""
     cfg = boltzmann_config(build_census(ALL, 5), 0.6, W11)
     draws = 20000
     counts = boltzmann_component_counts(cfg, seed=11, draws=draws)
@@ -184,7 +193,8 @@ def test_boltzmann_law_over_many_classes():
     assert big.sum() >= 10
     dispersion = var[big] / mean[big]
     assert (np.abs(dispersion - 1) <= 5 * np.sqrt((1 / mus[big] + 2) / draws)).all()
-    assert pairwise_max_correlation(counts, mus) <= 5 / math.sqrt(draws)
+    max_corr, rare_pair_p = pairwise_independence(counts, mus)
+    assert max_corr <= 5 / math.sqrt(draws) and rare_pair_p >= 1e-3
     total = counts.sum(axis=1)
     assert abs(total.mean() - mus.sum()) <= 5 * math.sqrt(mus.sum() / draws)
 
