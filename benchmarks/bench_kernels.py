@@ -11,6 +11,8 @@ formatting together.  Every
 kernel has a single implementation, in numpy or plain Python; the lattice
 rows start from an empty slice cache in every repeat, and the census and
 closure-check rows from built membership arrays and an empty canonical cache.
+Without --quick a row also times the streamed sweep of all 2^28 masks at
+n = 8, which takes seconds.
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -160,7 +162,8 @@ def bench_random_walk_tree(draws, n):
 
 
 def bench_tree_sample(draws, n):
-    """Sample and pack: random_tree_sample's draws, Graphs and edge masks."""
+    """Sample and pack: random_tree_sample's draws, each chunk's pair bits
+    ORed into one byte row per tree, and one Graph per tree."""
     from minorclass.sampling import random_tree_sample
 
     label = f"random_tree_sample {draws} trees on {n} vertices"
@@ -351,6 +354,8 @@ def main():
         bench_forest_slice(n_sweep + 1),
         bench_sweep(n_sweep, K.MODE_ALL, True, "all +bridges"),
         bench_sweep(n_sweep + 1, K.MODE_FORESTS, False, "forests"),
+        # the only row that reaches the streamed sweep: blocks of 2^21 masks
+        *([] if args.quick else [bench_sweep(8, K.MODE_ALL, False, "all")]),
         bench_exact_sample(n_sweep, 1000),
         bench_frag_distribution("planar", n_sweep),
         bench_mcmc(steps, 7),

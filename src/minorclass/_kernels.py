@@ -13,8 +13,8 @@ Kernels:
   * forest_slice      - the forests' masks and statistics alone, never the whole lattice:
                         each slice keeps the rows of the forests one vertex below that
                         stay forests, picked from their root bits, then extends just those
-  * sweep_counts      - aggregate member counts by (edges, bridges, components); the
-                        forests are read from forest_slice
+  * sweep_counts      - member counts by (edges, bridges, components, min-degree flag),
+                        one bincount per block; the forests are read from forest_slice
   * mcmc_chain        - Metropolis chain over edge toggles (pure Python, any n), one
                         kernel for every family and weighting in three loops (simple,
                         forest, component); the simple and forest loops read each
@@ -22,8 +22,7 @@ Kernels:
   * tree_series_sum   - partial sums of the weighted (rooted) tree series, stopped
                         once its terms have underflowed to 0.0
   * random_walk_tree  - uniform labelled trees from pre-drawn uniforms and permutations
-  * prufer_decode     - batch decode of parent sequences into trees, the bijective
-                        oracle of the tree tests
+  * prufer_decode     - batch Pruefer decode, the bijective oracle of the tree tests
 """
 
 from __future__ import annotations
@@ -287,12 +286,6 @@ def _blocks(n: int, bridges: bool):
         yield first * low.kappa.size, _extend(low, n, first, count, bridges=bridges)
 
 
-def _tally(out: np.ndarray, index: np.ndarray, sel: np.ndarray | None):
-    """Add to out.flat[i] the number of selected masks whose index is i."""
-    flat = out.reshape(-1)
-    flat += np.bincount(index if sel is None else index[sel], minlength=out.size)
-
-
 def sweep_counts(n: int, member: np.ndarray | None, mode: int,
                  want_bridges: bool = False) -> SweepCounts:
     """Aggregate exact member counts over the n-vertex edge masks, n <= LATTICE_CAP.
@@ -306,21 +299,21 @@ def sweep_counts(n: int, member: np.ndarray | None, mode: int,
         raise ResourceCapError(f"the subset lattice stops at n={LATTICE_CAP}")
     m = n * (n - 1) // 2
     splits = m + 1 if want_bridges else 1
-    a = np.zeros((m + 1, splits, n + 2), dtype=np.int64)
-    c = np.zeros((m + 1, splits), dtype=np.int64)
-    b = np.zeros((m + 1, splits), dtype=np.int64)
+    # one uint16 cell per mask, ((e * splits + e0) * (n + 2) + kappa) * 2 + mindeg2:
+    # at most 16,819 (n = 8 with the bridge split)
+    tally = np.zeros((m + 1) * splits * (n + 2) * 2, dtype=np.int64)
     blocks = [(0, forest_slice(n))] if mode == MODE_FORESTS else _blocks(n, want_bridges)
     for start, blk in blocks:
-        ok = member[start:start + blk.kappa.size] != 0 if mode == MODE_MEMBER_ARRAY else None
-        connected = blk.kappa == 1
-        sel_c = connected if ok is None else ok & connected
-        sel_b = sel_c & (blk.mindeg2 != 0)
-        e = blk.edges.astype(np.uint16)
-        split = e * splits + blk.bridges if want_bridges else e
-        _tally(a, split * (n + 2) + blk.kappa, ok)
-        _tally(c, split, sel_c)
-        _tally(b, split, sel_b)
-    return SweepCounts(n, a, c, b)
+        cell = blk.edges.astype(np.uint16)
+        if want_bridges:
+            cell = cell * splits + blk.bridges
+        cell = (cell * (n + 2) + blk.kappa) * 2 + blk.mindeg2
+        if mode == MODE_MEMBER_ARRAY:
+            cell = cell[member[start:start + cell.size] != 0]
+        tally += np.bincount(cell, minlength=tally.size)
+    cells = tally.reshape(m + 1, splits, n + 2, 2)
+    a = cells.sum(axis=3)
+    return SweepCounts(n, a, a[:, :, 1], cells[:, :, 1, 1])
 
 
 def bridge_counts(n: int, masks: np.ndarray) -> np.ndarray:
@@ -692,55 +685,24 @@ def prufer_decode(seqs: np.ndarray) -> np.ndarray:
 
     The decoding is the classical bijection between sequences over [n]^(n-2)
     and labelled trees on [n]; endpoints are 0-indexed.  Every row follows
-    the smallest-leaf rule at once: edge i joins the least vertex of degree 1
-    to seqs[:, i], and the last edge joins the two vertices of degree 1 left.
-
-    The state is flat: int32 degrees and a bool leaf flag per (row, vertex),
-    at index row * stride + vertex, the degrees counted by one bincount.  The
-    stride is n rounded up to a multiple of 8, so each row's flags are whole
-    little-endian 64-bit words, whose padding cells stay False.  A step finds
-    each row's least leaf in two short scans, argmax over the nonzero words
-    and the lowest set byte of the first one (its trailing zero bits, by
-    bitwise_count), in place of an argmax that reads the row byte by byte up
-    to the leaf.  Then it writes only the two cells of each row that change:
-    the removed leaf's flag, and the parent's degree and flag.  Each step
-    forms its flat indices from seqs[:, i]; no (draws, n-2) index copy is
-    kept.
+    the smallest-leaf rule at once: edge i joins the least vertex of degree 1,
+    found by an argmax over the whole (draws, n) degree matrix, to
+    seqs[:, i], and the last edge joins the two vertices of degree 1 left.
     """
     seqs = np.asarray(seqs, dtype=np.int64)
     draws, L = seqs.shape
-    n = L + 2
-    words = (n + 7) // 8
-    stride = 8 * words
-    base = np.arange(0, draws * stride, stride, dtype=np.int64)
-    deg = np.bincount((seqs + base[:, None]).ravel(), minlength=draws * stride).astype(np.int32)
-    deg += 1
-    flag = deg == 1
-    flags = flag.reshape(draws, stride)
-    flags[:, n:] = False
-    word = flag.view("<u8")
-    rows = word.reshape(draws, words)
-    first = np.arange(0, draws * words, words, dtype=np.int64)  # each row's first word
-    one = np.uint64(1)
+    rows = np.arange(draws)
+    deg = np.ones((draws, L + 2), dtype=np.int32)
+    np.add.at(deg, (rows[:, None], seqs), 1)
     edges = np.empty((draws, L + 1, 2), dtype=np.int64)
     for i in range(L):
-        at = (rows != 0).argmax(axis=1)
-        low = word[at + first]
-        low &= ~low + one  # the lowest set bit
-        low -= one
-        leaf = np.bitwise_count(low).astype(np.int64)
-        leaf >>= 3
-        at <<= 3
-        leaf += at
+        leaf = (deg == 1).argmax(axis=1)
         v = seqs[:, i]
         edges[:, i, 0] = leaf
         edges[:, i, 1] = v
-        leaf += base
-        flag[leaf] = False
-        v = v + base
-        deg[v] -= 1
-        flag[v] = deg[v] == 1
-    edges[:, L] = np.nonzero(flags)[1].reshape(draws, 2)
+        deg[rows, leaf] = 0
+        deg[rows, v] -= 1
+    edges[:, L] = np.nonzero(deg == 1)[1].reshape(draws, 2)
     return edges
 
 

@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._kernels import MODE_FORESTS, RECORD_CAP
+from ._kernels import MODE_FORESTS
 from .errors import EmptySliceError, ResourceCapError
 from .families import family_from_spec
 from .graphs import RootedGraph, Weighting, graph_from_text, pendant_appearances, \
@@ -62,7 +62,7 @@ def parse_number(s: str, flag: str):
 
 # smallest allowed value of each integer option
 _INT_MINIMUM = {"n": 0, "n_max": 0, "census_n_max": 0, "draws": 0, "steps": 0,
-                "burn_in": 0, "thin": 1, "seed": 0, "minor_budget": 0}
+                "burn_in": 0, "thin": 1, "seed": 0}
 
 
 @dataclasses.dataclass
@@ -85,7 +85,6 @@ class ExperimentConfig:
     burn_in: int = 100000
     thin: int = 10
     seed: int = 0
-    minor_budget: int = 10_000_000
     out: str | None = None
 
     def validate(self, command: str = "") -> None:
@@ -163,17 +162,10 @@ def _write_text(path: str | None, text: str | Iterator[str]):
 
 
 def cmd_enumerate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    from .enumeration import compute_weight_table, forest_table, lattice_mode
+    from .enumeration import compute_weight_table
 
     fam = family_from_spec(cfg.family)
-    w = cfg.weighting()
-    if cfg.n_max > RECORD_CAP and lattice_mode(fam) == MODE_FORESTS:
-        # past the whole slices, the closed form lifted by the exponential formula
-        table = forest_table(w, cfg.n_max)
-        if fam.connected_only:  # trees: every member is connected
-            table.a = table.c
-    else:
-        table = compute_weight_table(fam, w, cfg.n_max, verbose=True)
+    table = compute_weight_table(fam, cfg.weighting(), cfg.n_max, verbose=True)
     ratios = table.ratios("a")
     growth = table.growth_estimates("a")
     buf = io.StringIO()
@@ -336,7 +328,6 @@ def cmd_families_check(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         verify_trimmable
 
     fam = family_from_spec(cfg.family)
-    fam.minor_budget = cfg.minor_budget
     n_max = cfg.n_max
     reports = {
         "bridge_addable": verify_bridge_addable(fam, n_max),
@@ -401,7 +392,6 @@ _OPTIONS = {
     "burn_in": ("--burn-in", {"type": int}),
     "thin": ("--thin", {"type": int}),
     "seed": ("--seed", {"type": int, "help": "64-bit RNG seed"}),
-    "minor_budget": ("--minor-budget", {"type": int}),
     "out": ("--out", {"help": "output path (default stdout)"}),
 }
 # the flag and keywords of the config file every command takes
@@ -450,8 +440,7 @@ COMMANDS = {
                         ("--root", {"type": int, "default": 1}), "gamma", "lam", "nu"),
     "families-check": _command("bounded-scale closure-property verification",
                                cmd_families_check, "family", "n_max",
-                               ("--kmax", {"dest": "k_max", "type": int, "default": 4}),
-                               "minor_budget"),
+                               ("--kmax", {"dest": "k_max", "type": int, "default": 4})),
     "verify": _command("run acceptance criteria (default: all)", cmd_verify,
                        ("suites", {"nargs": "*", "help": "criterion names, or empty for all"})),
 }

@@ -4,6 +4,10 @@ The brute-force sweep aggregates integer counts by (edges, components,
 bridges, ...) over every edge mask of a slice in one lattice pass (each
 n-slice is built from the cached (n-1)-slice, see `_kernels`), and only then
 applies the weighting, so rational parameters give exact rational totals.
+A family swept as the forests has a closed form instead: each tree on k
+vertices weighs lambda0^(k-1) * nu * k^(k-2) (Cayley), and the exponential
+formula lifts that to every order, so its weight table (`forest_table`)
+sweeps nothing at any n; the forest-slice sweep stays as its oracle.
 Every exact per-mask weight comes from the same cells: `mask_cells` reads
 each member's (edges, bridges, components) from the lattice and weighs each
 occupied cell once (`Weighting.cell_weight`), and the exact sampler and the
@@ -384,26 +388,20 @@ def ratio_sequence(values: Sequence) -> list:
 
 def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
                          verbose: bool = False) -> WeightTable:
-    """Brute-force table up to n_max (all entries enumerated exactly).
-
-    The lattice and array caps of brute_force_tau are checked for n_max
-    before any slice is enumerated.
-    verbose prints one progress line per slice from n = 6 to standard error
-    only, naming the rows the sweep reads: the forests of the forest slice
-    for a family swept as the forests, else every edge mask.
-    """
+    """Exact table up to n_max: forest_table for a family swept as the
+    forests (a = c for the trees), else brute_force_tau per slice, whose caps
+    are checked for n_max before any slice is enumerated.  verbose prints a
+    progress line per slice from n = 6 to standard error only."""
     import sys
 
-    _check_caps(fam, n_max)
     if lattice_mode(fam) == _kernels.MODE_FORESTS:
-        _kernels.forest_slice(n_max)  # each lower slice is built once, with its vertex sets
+        t = forest_table(w, n_max)
+        return WeightTable(fam.name, w, t.c if fam.connected_only else t.a, t.c, t.b)
+    _check_caps(fam, n_max)
     a, c, b = [], [], []
     for n in range(n_max + 1):
         if verbose and n >= 6:
-            rows = (f"{_kernels.forest_slice(n).masks.size} forests"
-                    if lattice_mode(fam) == _kernels.MODE_FORESTS
-                    else f"{1 << pair_count(n)} edge masks")
-            print(f"enumerating n={n} ({rows})...", file=sys.stderr)
+            print(f"enumerating n={n} ({1 << pair_count(n)} edge masks)...", file=sys.stderr)
         t = brute_force_tau(fam, w, n)
         a.append(t.a)
         c.append(t.c)

@@ -40,7 +40,7 @@ from .graphs import (
     reach,
     vertex_labels,
 )
-from .minors import DEFAULT_BUDGET, has_minor
+from .minors import has_minor
 
 CANON_MEMO_CAP = 9
 
@@ -275,7 +275,6 @@ class GraphFamily:
     predicate: Optional[Callable[[Graph], bool]] = None
     flags: FamilyFlags = field(default_factory=FamilyFlags)
     connected_only: bool = False
-    minor_budget: int = DEFAULT_BUDGET
     _code_memo: dict = field(default_factory=dict, repr=False)
     _member_arrays: dict = field(default_factory=dict, repr=False)
 
@@ -299,7 +298,7 @@ class GraphFamily:
             hit = self._code_memo.get(key)
             if hit is not None:
                 return hit
-        verdict = all(not has_minor(g, m, self.minor_budget) for m in self.excluded_minors)
+        verdict = all(not has_minor(g, m) for m in self.excluded_minors)
         if key is not None:
             self._code_memo[key] = verdict
         return verdict
@@ -376,13 +375,12 @@ def builtin_family(name: str) -> GraphFamily:
     raise ValueError(f"unknown built-in family: {name!r}")
 
 
-def excluded_minor_family(name: str, minors: tuple[Graph, ...], flags: FamilyFlags | None = None,
-                          budget: int = DEFAULT_BUDGET) -> GraphFamily:
+def excluded_minor_family(name: str, minors: tuple[Graph, ...],
+                          flags: FamilyFlags | None = None) -> GraphFamily:
     return GraphFamily(
         name,
         excluded_minors=tuple(minors),
         flags=flags if flags is not None else derive_flags(tuple(minors)),
-        minor_budget=budget,
     )
 
 

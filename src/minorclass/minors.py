@@ -9,7 +9,8 @@ connected growth with an exclusion discipline so no set is generated twice.
 Disconnected h is handled directly, which is needed for excluded minors like
 disjoint unions of triangles.
 
-The search is exact; a node budget guards against blow-up on larger inputs.
+The search is exact; a fixed node budget (DEFAULT_BUDGET) guards against
+blow-up on larger inputs.
 """
 
 from __future__ import annotations

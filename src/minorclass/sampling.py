@@ -15,7 +15,6 @@ platforms.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,17 +107,13 @@ class BoltzmannConfig:
         return float(sum(self.mus))
 
 
-def boltzmann_config(census: UnlabelledCensus, rho: float, w: Weighting,
-                     radius_estimate: float | None = None) -> BoltzmannConfig:
+def boltzmann_config(census: UnlabelledCensus, rho: float, w: Weighting) -> BoltzmannConfig:
     from .asymptotics import census_tail_bound
 
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be a finite positive number")
     if not census.v.size:
         raise EmptySliceError("empty census")
-    if radius_estimate is not None and rho > radius_estimate:
-        warnings.warn("rho exceeds the estimated radius of convergence; "
-                      "the truncated Boltzmann law may be badly biased")
     mus = census.mus(rho, w)
     if not all(math.isfinite(m) for m in mus):
         raise ValueError("non-finite Boltzmann mean; rho or the weights are too large")
@@ -326,35 +321,29 @@ def random_tree_chunks(n: int, seed: int, draws: int) -> Iterator[np.ndarray]:
     return chunks()
 
 
-def random_tree_bits(n: int, seed: int, draws: int) -> np.ndarray:
-    """The draws of random_tree_chunks as pair bits: row i holds the n - 1 pair
-    bits v(v-1)/2 + u (see graphs.pair_bit) of tree i's edges u < v, as an
-    int64 array (draws, n - 1).  draws must be >= 0 and n >= 1 (else
-    ValueError).
-    """
-    bits = [np.zeros((0, max(0, n - 1)), dtype=np.int64)]
-    for edges in random_tree_chunks(n, seed, draws):
-        u, v = edges[:, :, 0], edges[:, :, 1]
-        bits.append(v * (v - 1) // 2 + u)
-    return np.concatenate(bits)
-
-
 def random_tree_sample(n: int, seed: int, draws: int) -> list[Graph]:
-    """Uniform labelled trees: the rows of random_tree_bits, each packed into
-    one Graph.
+    """Uniform labelled trees: the draws of random_tree_chunks, each packed
+    into one Graph.  Each chunk's pair bits v(v-1)/2 + u (see graphs.pair_bit)
+    are ORed into one little-endian byte row per tree, and each row becomes
+    the tree's edge mask.
 
     Under the cluster weighting every tree has the same weight, so uniform
-    trees are exactly the weighted random trees.  draws must be >= 0 (else
-    ValueError).
+    trees are exactly the weighted random trees.  draws must be >= 0 and
+    n >= 1 (else ValueError).
     """
-    bits = random_tree_bits(n, seed, draws)
-    # each tree's edge mask as little-endian bytes, converted to one int
+    chunks = random_tree_chunks(n, seed, draws)
     width = (pair_count(n) + 7) // 8
     out = []
-    for row in bits:
-        packed = np.zeros(width, dtype=np.uint8)
-        np.bitwise_or.at(packed, row >> 3, (1 << (row & 7)).astype(np.uint8))
-        out.append(Graph(n, int.from_bytes(packed.tobytes(), "little")))
+    for edges in chunks:
+        u, v = edges[:, :, 0], edges[:, :, 1]
+        bits = v * (v - 1) // 2 + u
+        rows = len(edges)
+        packed = np.zeros((rows, width), dtype=np.uint8)
+        np.bitwise_or.at(packed, (np.arange(rows)[:, None], bits >> 3),
+                         np.left_shift(1, bits & 7).astype(np.uint8))
+        data = packed.tobytes()
+        out += [Graph(n, int.from_bytes(data[i * width:(i + 1) * width], "little"))
+                for i in range(rows)]
     return out
 
 

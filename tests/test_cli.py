@@ -420,6 +420,36 @@ def test_cap_in_a_config_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "configuration error: unknown config keys: ['cap']\n"
 
 
+@pytest.mark.parametrize("family, column", [("forests", "a"), ("trees", "c")])
+def test_forest_constants_reach_n9_and_enumerate_sweeps_nothing(family, column, capsys):
+    """constants reads the forests' and the trees' table from forest_table at
+    any n: past the lattice, gamma is 1 / r_9 of its a column (the c column
+    for the trees, whose a is c).  enumerate prints no progress for them."""
+    from minorclass.enumeration import forest_table
+    from minorclass.graphs import Weighting
+
+    code, out = run_cli(["constants", "--family", family, "--nmax", "9", "--census-nmax", "0"],
+                        capsys)
+    assert code == 0
+    r9 = forest_table(Weighting(1, 1), 9).ratios(column)[9]
+    assert json.loads(out)["gamma"] == 1.0 / float(r9)
+    assert main(["enumerate", "--family", family, "--nmax", "7"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_minor_budget_is_not_an_option(tmp_path, capsys):
+    """The minor search runs at its fixed budget: --minor-budget is no flag,
+    and a config file naming minor_budget exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["families-check", "--family", "planar", "--minor-budget", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --minor-budget" in capsys.readouterr().err
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"minor_budget": 9}))
+    assert main(["families-check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown config keys: ['minor_budget']\n"
+
+
 def test_enumerate_all_reaches_the_n8_sweep(monkeypatch, capsys):
     """enumerate --family all --nmax 8 passes every check and streams the
     n = 8 slice (stubbed here: the real sweep takes seconds)."""
@@ -609,13 +639,14 @@ def test_boltzmann_output_is_one_line_per_count_row(argv, capsys):
 
 
 @pytest.mark.parametrize("family, argv, rows", [
-    ("forests", ["--nmax", "7"], ["2932 forests", "36961 forests"]),
-    ("trees", ["--nmax", "7"], ["2932 forests", "36961 forests"]),
+    ("forests", ["--nmax", "7"], []),
+    ("trees", ["--nmax", "7"], []),
     ("all", ["--nmax", "7"], ["32768 edge masks", "2097152 edge masks"]),
 ])
 def test_enumerate_progress_names_the_rows_it_reads(family, argv, rows, capsys):
-    """The progress line counts the forest slice's rows for a family swept
-    as the forests, and every edge mask otherwise."""
+    """The progress line counts every edge mask of a swept slice; a family
+    swept as the forests reads its table from Cayley's formula, sweeps no
+    slice and prints none."""
     assert main(["enumerate", "--family", family, *argv]) == 0
     err = capsys.readouterr().err
     assert err == "".join(f"enumerating n={n} ({r})...\n" for n, r in enumerate(rows, 6))
@@ -772,7 +803,7 @@ def test_membership_and_census_do_not_load_numpy_ma():
      "--burn-in", "10", "--thin", "2", "--rho", "0.1", "--census-nmax", "3"],
     ["stats", "--in", "s.jsonl"],
     ["pendant", "--graph", "g.txt", "--h", "h.txt", "--root", "2", "--gamma", "3"],
-    ["families-check", "--family", "planar", "--kmax", "3", "--minor-budget", "9"],
+    ["families-check", "--family", "planar", "--kmax", "3"],
     ["verify", "cayley-trees", "tree-series"],
 ], ids=lambda argv: argv[0])
 def test_parser_of_one_command_parses_and_helps_like_the_full_parser(argv, capsys):

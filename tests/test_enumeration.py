@@ -98,9 +98,9 @@ def test_weight_table_checks_caps_before_any_slice(name, n_max, monkeypatch):
 
 
 def test_forest_table_and_census_extend_each_forest_slice_once(monkeypatch):
-    """The forests' weight table and census to n = 7 build each forest slice
-    once: the slices below n_max are built with their vertex sets before the
-    first sweep, so none is rebuilt to be extended."""
+    """The forests' census to n = 7 builds each forest slice once: the slices
+    below n_max are built with their vertex sets before the first order, so
+    none is rebuilt to be extended."""
     from minorclass import _kernels
 
     extend, calls = _kernels._extend, []
@@ -111,11 +111,9 @@ def test_forest_table_and_census_extend_each_forest_slice_once(monkeypatch):
         return extend(low, n, *args, forests=forests, **kwargs)
 
     monkeypatch.setattr(_kernels, "_extend", counted)
-    for build in (lambda: compute_weight_table(FORESTS, W11, 7), lambda: build_census(FORESTS, 7)):
-        monkeypatch.setattr(_kernels, "_FORESTS", {})
-        calls.clear()
-        build()
-        assert calls == list(range(1, 8))
+    monkeypatch.setattr(_kernels, "_FORESTS", {})
+    build_census(FORESTS, 7)
+    assert calls == list(range(1, 8))
 
 
 @pytest.mark.parametrize("name, n_max, top", [("all", 7, 7), ("series-parallel", 6, 6),
@@ -469,11 +467,6 @@ def test_member_list_of_all_graphs_stops_at_n7():
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
-
-
-def test_weight_table_progress_at_n8_counts_the_forest_slice(capsys):
-    compute_weight_table(builtin_family("trees"), W11, 8, verbose=True)
-    assert capsys.readouterr().err.splitlines()[-1] == "enumerating n=8 (561948 forests)..."
 
 
 def test_census_of_planar_stops_at_the_array_cap():

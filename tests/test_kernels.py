@@ -6,10 +6,11 @@ against closed forms, and the forest slice row by row against the lattice's
 rows with e + kappa = n.  The tree series is checked against a math.fsum of its
 closed-form terms, and bit for bit against `_tree_series_every_chunk`, the
 sum it was before it stopped at underflow.  The Pruefer decoder is checked
-edge for edge against `_prufer_argmax`, the whole-matrix decoder it replaced,
-against networkx's decoder and, exhaustively at n <= 6, as a bijection onto
-the labelled trees; the random-walk tree kernel, exhaustively at n <= 6,
-against the trees it decodes.  Census bridge counts are checked class by
+tree for tree against networkx's decoder and, exhaustively at n <= 6, as a
+bijection onto the labelled trees; the random-walk tree kernel, exhaustively
+at n <= 6, against the trees it decodes.  The forests' weight table (Cayley's
+formula lifted by the exponential formula) is checked against the forest
+slice's sweep at every n <= 8.  Census bridge counts are checked class by
 class against `bridge_mask`.  The MCMC chain is checked draw for draw against
 `_mcmc_python`, a reference chain that tests membership and recomputes both
 weights on every proposal, and its two membership tests, array lookup and
@@ -28,7 +29,12 @@ import numpy as np
 import pytest
 
 from minorclass import _kernels as K
-from minorclass.enumeration import brute_force_tau, forest_table, lattice_mode, member_mask_array
+from minorclass.enumeration import (
+    brute_force_tau,
+    compute_weight_table,
+    lattice_mode,
+    member_mask_array,
+)
 from minorclass.families import builtin_family, excluded_minor_family
 from minorclass.graphs import (
     Graph,
@@ -117,10 +123,17 @@ def test_sweep_with_member_array():
 
 
 def test_forests_at_n8_match_forest_table():
+    """The weight table of the forests and of the trees, read from
+    forest_table, equals the forest slice's sweep at every n <= 8, on the
+    diagonal and under split weights."""
     for w in (Weighting(Fraction(1, 2), 3), Weighting.extended(Fraction(1, 2), 2, 3)):
-        got = brute_force_tau(builtin_family("forests"), w, 8)
-        table = forest_table(w, 8)
-        assert (got.a, got.c, got.b) == (table.a[8], table.c[8], table.b[8]), w
+        for name in ("forests", "trees"):
+            fam = builtin_family(name)
+            table = compute_weight_table(fam, w, 8)
+            assert table.family == name
+            for n in range(9):
+                got = brute_force_tau(fam, w, n)
+                assert got == (table.a[n], table.c[n], table.b[n]), (name, w, n)
 
 
 # labelled forests on n = 0..8 vertices, OEIS A001858
@@ -497,17 +510,6 @@ def test_prufer_decode_is_bijective(n):
     assert len(seen) == n ** (n - 2)  # all Cayley trees, each exactly once
 
 
-def test_prufer_paths_agree():
-    rng = np.random.default_rng(3)
-    for n in (3, 8, 300):
-        seqs = rng.integers(0, n, size=(50, n - 2), dtype=np.int64)
-        edges = K.prufer_decode(seqs)
-        assert edges.shape == (50, n - 1, 2)
-        for seq, tree in zip(seqs.tolist(), edges.tolist()):
-            want = nx.from_prufer_sequence(seq)
-            assert {frozenset(e) for e in tree} == {frozenset(e) for e in want.edges}
-
-
 def _tree_masks(edges: np.ndarray) -> np.ndarray:
     """The int64 edge mask of each row of an (draws, n - 1, 2) edge array,
     n <= 11."""
@@ -548,45 +550,15 @@ def test_census_bridge_counts_match_bridge_mask():
         assert got.dtype == np.int64 and got.tolist() == want, n
 
 
-def _prufer_argmax(seqs: np.ndarray) -> np.ndarray:
-    """The decoder as first written, kept as the reference: (deg == 1) is
-    rebuilt over the whole (draws, n) matrix at every step."""
-    seqs = np.asarray(seqs, dtype=np.int64)
-    draws, L = seqs.shape
-    rows = np.arange(draws)
-    deg = np.ones((draws, L + 2), dtype=np.int32)
-    np.add.at(deg, (rows[:, None], seqs), 1)
-    edges = np.empty((draws, L + 1, 2), dtype=np.int64)
-    for i in range(L):
-        leaf = (deg == 1).argmax(axis=1)
-        v = seqs[:, i]
-        edges[:, i, 0] = leaf
-        edges[:, i, 1] = v
-        deg[rows, leaf] = 0
-        deg[rows, v] -= 1
-    edges[:, L] = np.nonzero(deg == 1)[1].reshape(draws, 2)
-    return edges
-
-
 @pytest.mark.parametrize("draws", [0, 1, 50])
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 64, 65, 300])
 def test_prufer_decode_matches_reference(n, draws):
-    """The same edges in the same order, shape and dtype."""
+    """Each row decodes to the tree networkx's decoder gives, in an int64
+    array of shape (draws, n - 1, 2)."""
     rng = np.random.default_rng(1000 * n + draws)
     seqs = rng.integers(0, n, size=(draws, n - 2), dtype=np.int64)
-    got, want = K.prufer_decode(seqs), _prufer_argmax(seqs)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
-
-
-def test_prufer_decode_memory():
-    """At (1000, 298) the decode peaks at about 6 MiB, the 4.6 MiB edge array
-    included; keeping the flat indices of every step would double that."""
-    seqs = np.random.default_rng(5).integers(0, 300, size=(1000, 298), dtype=np.int64)
-    tracemalloc.start()
-    try:
-        K.prufer_decode(seqs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    edges = K.prufer_decode(seqs)
+    assert edges.dtype == np.int64 and edges.shape == (draws, n - 1, 2)
+    for seq, tree in zip(seqs.tolist(), edges.tolist()):
+        want = nx.from_prufer_sequence(seq)
+        assert {frozenset(e) for e in tree} == {frozenset(e) for e in want.edges}

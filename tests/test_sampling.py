@@ -22,7 +22,7 @@ from minorclass.enumeration import (
 )
 from minorclass.errors import EmptySliceError
 from minorclass.families import builtin_family
-from minorclass.graphs import Graph, RootedGraph, Weighting, component_count, set_bits, weight
+from minorclass.graphs import Graph, RootedGraph, Weighting, component_count, weight
 from minorclass.sampling import (
     boltzmann_component_counts,
     boltzmann_config,
@@ -34,7 +34,6 @@ from minorclass.sampling import (
     mcmc_sample,
     pairwise_independence,
     poisson_chi_square,
-    random_tree_bits,
     random_tree_sample,
     rng_stream,
     stationary_residual,
@@ -254,8 +253,6 @@ def test_boltzmann_truncation_note():
     cfg = boltzmann_config(census, 1 / math.e, W11)
     assert cfg.truncated_mass_note is not None
     assert 0 < cfg.truncated_mass_note < 0.05
-    with pytest.warns(UserWarning):
-        boltzmann_config(census, 0.9, W11, radius_estimate=1 / math.e)
 
 
 @pytest.mark.parametrize("rho", [1 / math.e, 0.3], ids=["radius", "inside"])
@@ -404,16 +401,6 @@ def test_random_trees_small():
     assert len(freq) == 3
     for count in freq.values():
         assert abs(count / 30000 - 1 / 3) <= 0.01
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 12, 300])
-def test_random_tree_bits_are_the_sampled_masks(n):
-    """Each row of random_tree_bits holds the set bits of the same draw of
-    random_tree_sample, as int64."""
-    bits = random_tree_bits(n, 4, 30)
-    assert bits.dtype == np.int64 and bits.shape == (30, n - 1)
-    assert [sorted(row) for row in bits.tolist()] == \
-        [set_bits(g.mask) for g in random_tree_sample(n, 4, 30)]
 
 
 def test_random_trees_are_uniform_on_n4():
