@@ -2,15 +2,16 @@
 """Time the hot kernels.
 
 Runs each kernel in one process and prints a timing table (best of three;
-the census and closure-check rows run once).  The JSONL rows time the
+the census, closure-check and dichotomy rows run once).  The JSONL rows time the
 CLI's routes, each writing its chunks of text to the null device: the exact
 and chain rows format edge masks drawn before the clock starts
 (`jsonl.masks_to_jsonl`, from the exact sampler's int64 array and from the
 chain's Python ints), and the Boltzmann and tree rows time the draws and the
 formatting together.  Every
 kernel has a single implementation, in numpy or plain Python; the lattice
-rows start from an empty slice cache in every repeat, and the census and
-closure-check rows from built membership arrays and an empty canonical cache.
+rows start from an empty slice cache in every repeat, and the census,
+closure-check and dichotomy rows from built membership arrays and an empty
+canonical cache.
 Without --quick a row also times the streamed sweep of all 2^28 masks at
 n = 8, which takes seconds.
 
@@ -294,6 +295,19 @@ def bench_verify(verify, name, n):
     return f"{verify.__name__} n<={n} {name}", "numpy", _time(verify, fam, n, repeat=1)
 
 
+def bench_dichotomy(name, n):
+    """One dichotomy scan from built arrays; the label gives its canonical
+    lookups, one per labelled member of order <= n."""
+    from minorclass.canon import _canon_data
+    from minorclass.families import dichotomy_scan
+
+    fam = _warm_family(name, n)
+    t = _time(dichotomy_scan, fam, n, repeat=1)
+    info = _canon_data.cache_info()
+    return (f"dichotomy_scan n<={n} {name} ({info.hits + info.misses} canonical lookups)",
+            "python", t)
+
+
 def bench_planar_dichotomy():
     """_planar_predicate on the graphs the planar dichotomy scan asks about:
     unions and copies of members on at most 4 vertices."""
@@ -393,7 +407,8 @@ def main():
         (Weighting(1, 1), "diagonal"), (Weighting.extended(Fraction(1, 2), 2, 3), "(1/2, 2, 3)"))
     ] + [bench_planar_dichotomy(), bench_planar_networkx(100)
     ] + [bench_verify(verify, "planar", n_sweep)
-         for verify in (verify_bridge_addable, verify_decomposable, verify_trimmable)]
+         for verify in (verify_bridge_addable, verify_decomposable, verify_trimmable)
+    ] + [bench_dichotomy("planar", 4)]
     width = max(len(label) for label, _, _ in benches) + 2
     for label, kind, t in benches:
         print(f"{label:<{width}} {kind:>6}: {t * 1e3:10.2f} ms")

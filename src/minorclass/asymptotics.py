@@ -21,19 +21,24 @@ class SeriesEvaluation:
     """A truncated series value; tail_bound is None when no bound is certified."""
 
     value: float
-    terms_used: int
     tail_bound: Optional[float] = None
 
 
 # -- root solving -------------------------------------------------------------
 
 
-def _bisect_newton(f, fprime, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
+# every solver's tolerance on |f| (a root is refused past 10 * ROOT_TOL), and the
+# step cap of each phase of _bisect_newton
+ROOT_TOL = 1e-9
+_MAX_ITER = 200
+
+
+def _bisect_newton(f, fprime, lo: float, hi: float) -> float:
     flo = f(lo)
     fhi = f(hi)
     if flo > 0 or fhi < 0:
         raise ArithmeticError("root not bracketed")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm <= 0:
@@ -43,9 +48,9 @@ def _bisect_newton(f, fprime, lo: float, hi: float, tol: float, max_iter: int = 
         if hi - lo <= 1e-9:
             break
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         fx = f(x)
-        if abs(fx) <= tol:
+        if abs(fx) <= ROOT_TOL:
             return x
         d = fprime(x)
         if d == 0:
@@ -55,12 +60,12 @@ def _bisect_newton(f, fprime, lo: float, hi: float, tol: float, max_iter: int = 
         if not (lo <= x_new <= hi):
             x_new = 0.5 * (lo + hi)
         x = x_new
-    if abs(f(x)) <= tol * 10:
+    if abs(f(x)) <= ROOT_TOL * 10:
         return x
     raise ArithmeticError("root refinement did not converge")
 
 
-def solve_beta(gamma: float, lam: float, tol: float = 1e-9) -> Optional[float]:
+def solve_beta(gamma: float, lam: float) -> Optional[float]:
     """Growth constant of the connected min-degree-2 subclass.
 
     The unique root beta > lam of beta * exp(lam/beta) = gamma when
@@ -74,14 +79,14 @@ def solve_beta(gamma: float, lam: float, tol: float = 1e-9) -> Optional[float]:
     fp = lambda b: math.exp(lam / b) * (1 - lam / b)
     lo = lam * (1 + 1e-12)
     hi = max(lam * 1e6, 2 * gamma)
-    return _bisect_newton(f, fp, lo, hi, tol)
+    return _bisect_newton(f, fp, lo, hi)
 
 
-def solve_alpha(gamma: float, lam: float, tol: float = 1e-9) -> float:
+def solve_alpha(gamma: float, lam: float) -> float:
     """Limiting 2-core fraction: 1 - x with x the sub-1 root of x*exp(-x) = lam/gamma.
 
     Returns 0 in the radius case gamma <= lam*e.  Cross-checked against
-    solve_beta via alpha = 1 - lam/beta within 10*tol.
+    solve_beta via alpha = 1 - lam/beta within 10*ROOT_TOL.
     """
     if gamma <= 0 or lam <= 0:
         raise ValueError("gamma and lam must be positive")
@@ -90,10 +95,10 @@ def solve_alpha(gamma: float, lam: float, tol: float = 1e-9) -> float:
     target = lam / gamma
     f = lambda x: x * math.exp(-x) - target
     fp = lambda x: math.exp(-x) * (1 - x)
-    x = _bisect_newton(f, fp, 1e-300, 1.0, tol)
+    x = _bisect_newton(f, fp, 1e-300, 1.0)
     alpha = 1.0 - x
-    beta = solve_beta(gamma, lam, tol)
-    if beta is not None and abs(alpha - (1 - lam / beta)) > 10 * tol:
+    beta = solve_beta(gamma, lam)
+    if beta is not None and abs(alpha - (1 - lam / beta)) > 10 * ROOT_TOL:
         raise ArithmeticError("alpha/beta consistency check failed")
     return alpha
 
@@ -150,8 +155,8 @@ def tree_series_eval(x: float, w: Weighting, n_terms: int) -> TreeSeriesValues:
     t = tree_series_sum(n_terms, lam, x, nu, rooted=False)
     to = tree_series_sum(n_terms, lam, x, nu, rooted=True)
     return TreeSeriesValues(
-        SeriesEvaluation(t, n_terms, tree_tail_bound(n_terms, lam, x, nu, rooted=False)),
-        SeriesEvaluation(to, n_terms, tree_tail_bound(n_terms, lam, x, nu, rooted=True)),
+        SeriesEvaluation(t, tree_tail_bound(n_terms, lam, x, nu, rooted=False)),
+        SeriesEvaluation(to, tree_tail_bound(n_terms, lam, x, nu, rooted=True)),
         x,
     )
 
@@ -161,11 +166,10 @@ def tree_series_eval(x: float, w: Weighting, n_terms: int) -> TreeSeriesValues:
 
 @dataclass(frozen=True)
 class CensusSeriesValues:
-    """Truncated connected-class series: sum of mu, its vertex moment, and exp."""
+    """Truncated connected-class series: sum of mu and its vertex moment."""
 
     connected_sum: SeriesEvaluation     # truncated C (or D for a freely-addable view)
     vertex_moment: SeriesEvaluation     # truncated sum v(H) mu(H) / rho  (= D' estimate)
-    exp_sum: SeriesEvaluation           # exp of connected_sum (truncated F)
 
 
 def census_tail_bound(census: UnlabelledCensus, rho, w: Weighting, rooted: bool = False):
@@ -192,13 +196,7 @@ def census_series_eval(census: UnlabelledCensus, rho, w: Weighting) -> CensusSer
     # dropped part of sum v(H) mu(H) / rho
     rooted = census_tail_bound(census, rho, w, rooted=True)
     moment_tail = None if rooted is None else rooted / float(rho)
-    terms = census.v.size
-    c_eval = SeriesEvaluation(total, terms, tail)
-    m_eval = SeriesEvaluation(moment, terms, moment_tail)
-    exp_tail = None
-    if tail is not None:
-        exp_tail = math.exp(total) * (math.exp(tail) - 1)
-    return CensusSeriesValues(c_eval, m_eval, SeriesEvaluation(math.exp(total), terms, exp_tail))
+    return CensusSeriesValues(SeriesEvaluation(total, tail), SeriesEvaluation(moment, moment_tail))
 
 
 # -- forest closed forms -------------------------------------------------------------
@@ -268,7 +266,7 @@ class AsymptoticConstants:
         }
 
 
-def constants_from_gamma(gamma: float, w: Weighting, tol: float = 1e-9,
+def constants_from_gamma(gamma: float, w: Weighting,
                          census: UnlabelledCensus | None = None) -> AsymptoticConstants:
     """Solve the constants determined by a growth constant; optionally add the
     truncated census-based limits (connectivity, fragment mean, core connectivity).
@@ -276,8 +274,8 @@ def constants_from_gamma(gamma: float, w: Weighting, tol: float = 1e-9,
     With split edge parameters the relations use the bridge parameter lambda0.
     """
     lam = float(w.lambda0)
-    beta = solve_beta(gamma, lam, tol)
-    alpha = solve_alpha(gamma, lam, tol)
+    beta = solve_beta(gamma, lam)
+    alpha = solve_alpha(gamma, lam)
     rho = 1.0 / gamma
     residuals = {}
     if beta is not None:
@@ -306,7 +304,7 @@ PLANAR_EXP_T = 1.038138
 PLANAR_CORE_CONN = 0.999990
 
 
-def planar_constants(tol: float = 1e-9) -> AsymptoticConstants:
+def planar_constants() -> AsymptoticConstants:
     """Published uniform-planar reference constants, re-derived where an equation exists.
 
     solve_beta / solve_alpha applied to the published growth constant must
@@ -314,7 +312,7 @@ def planar_constants(tol: float = 1e-9) -> AsymptoticConstants:
     product of the two published exponentials.
     """
     w = Weighting(1, 1)
-    out = constants_from_gamma(PLANAR_GAMMA, w, tol)
+    out = constants_from_gamma(PLANAR_GAMMA, w)
     out.conn_limit = PLANAR_EXP_MINUS_D
     out.core_conn_limit = PLANAR_EXP_MINUS_D * PLANAR_EXP_T
     out.residuals["beta_vs_published"] = (out.beta or math.nan) - PLANAR_BETA

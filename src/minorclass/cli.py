@@ -7,9 +7,9 @@ dispatch all read it; a flag for every command is one entry there.  Exit
 codes: 0 success, 2 configuration error, 3 resource cap exceeded,
 4 verification failure.
 
-Every command is a deterministic function of its configuration and seed;
-floating-point output uses 12 significant digits, exact values print as
-integers or fractions.
+Every command is a deterministic function of its configuration, which for
+`sample` includes its --seed; floating-point output uses 12 significant
+digits, exact values print as integers or fractions.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ def parse_number(s: str, flag: str):
 
 
 # smallest allowed value of each integer option
-_INT_MINIMUM = {"n": 0, "n_max": 0, "census_n_max": 0, "draws": 0, "steps": 0,
-                "burn_in": 0, "thin": 1, "seed": 0}
+_INT_MINIMUM = {"n": 0, "n_max": 0, "census_n_max": 0, "draws": 0, "burn_in": 0, "thin": 1,
+                "seed": 0}
 
 
 @dataclasses.dataclass
@@ -70,18 +70,17 @@ class ExperimentConfig:
     """Flat bag of experiment options; JSON round-trips exactly."""
 
     family: str = "forests"
-    lam: str = "1"
+    lam: str | None = None  # None means 1
     nu: str = "1"
     lambda0: str | None = None
     lambda1: str | None = None
-    n: int | None = None
+    n: int = 6
     n_max: int = 6
     census_n_max: int = 6
     rho: str | None = None
     gamma: str | None = None
     method: str = "exact"
     draws: int = 1000
-    steps: int | None = None
     burn_in: int = 100000
     thin: int = 10
     seed: int = 0
@@ -104,8 +103,6 @@ class ExperimentConfig:
                 raise ValueError(f"{flag(field.name)} must be a string, got {value!r}")
         for name, low in _INT_MINIMUM.items():
             value = getattr(self, name)
-            if value is None and name in ("n", "steps"):
-                continue
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{flag(name)} must be an integer, got {value!r}")
             if value < low:
@@ -131,10 +128,14 @@ class ExperimentConfig:
         if self.lambda0 is not None or self.lambda1 is not None:
             if self.lambda0 is None or self.lambda1 is None:
                 raise ValueError("lambda0 and lambda1 must be given together")
+            if self.lam is not None:
+                raise ValueError(f"{_flag('lam')} cannot be given with {_flag('lambda0')} "
+                                 f"and {_flag('lambda1')}")
             return Weighting.extended(parse_number(self.lambda0, _flag("lambda0")),
                                       parse_number(self.lambda1, _flag("lambda1")),
                                       parse_number(self.nu, _flag("nu")))
-        return Weighting(parse_number(self.lam, _flag("lam")), parse_number(self.nu, _flag("nu")))
+        return Weighting(parse_number("1" if self.lam is None else self.lam, _flag("lam")),
+                         parse_number(self.nu, _flag("nu")))
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -241,27 +242,17 @@ def cmd_sample(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     from .enumeration import build_census, lattice_mode
     from . import sampling
 
-    if cfg.steps is not None and cfg.method != "mcmc":
-        raise ValueError(f"{_flag('steps')} applies only to {_flag('method')} mcmc, "
-                         f"got {_flag('method')} {cfg.method}")
     w = cfg.weighting()  # checked for every method, though trees take no weights
-    n = cfg.n if cfg.n is not None else 6
     if cfg.method == "tree":
-        text = trees_to_jsonl(n, sampling.random_tree_chunks(n, cfg.seed, cfg.draws))
+        text = trees_to_jsonl(cfg.n, sampling.random_tree_chunks(cfg.n, cfg.seed, cfg.draws))
     elif cfg.method == "exact":
         fam = family_from_spec(cfg.family)
-        text = masks_to_jsonl(n, sampling.exact_masks(fam, w, n, cfg.seed, cfg.draws))
+        text = masks_to_jsonl(cfg.n, sampling.exact_masks(fam, w, cfg.n, cfg.seed, cfg.draws))
     elif cfg.method == "mcmc":
         fam = family_from_spec(cfg.family)
-        draws = cfg.draws
-        if cfg.steps is not None:
-            # a total step budget implies the draw count at the given thinning
-            if cfg.steps < cfg.burn_in:
-                raise ValueError(f"{_flag('steps')} must be >= {_flag('burn_in')} "
-                                 f"({cfg.burn_in}), got {cfg.steps}")
-            draws = (cfg.steps - cfg.burn_in) // cfg.thin
-        text = masks_to_jsonl(n, sampling.mcmc_masks(fam, w, n, draws, burn_in=cfg.burn_in,
-                                                     thin=cfg.thin, seed=cfg.seed))
+        text = masks_to_jsonl(cfg.n, sampling.mcmc_masks(fam, w, cfg.n, cfg.draws,
+                                                         burn_in=cfg.burn_in, thin=cfg.thin,
+                                                         seed=cfg.seed))
     elif cfg.method == "boltzmann":
         fam = family_from_spec(cfg.family)
         census = build_census(fam, cfg.census_n_max)
@@ -341,7 +332,7 @@ def cmd_families_check(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             "counterexample": repr(rep.counterexample) if rep.counterexample else None,
             "details": rep.details,
         }
-    scan = dichotomy_scan(fam, min(n_max, 4), args.k_max)
+    scan = dichotomy_scan(fam, min(n_max, 4), 4)
     out["dichotomy"] = [
         {"graph": repr(en.rep), "class": en.classification, "k": en.limited_k}
         for en in scan
@@ -387,8 +378,6 @@ _OPTIONS = {
     "gamma": ("--gamma", {}),
     "method": ("--method", {"choices": ["exact", "boltzmann", "mcmc", "tree"]}),
     "draws": ("--draws", {"type": int}),
-    "steps": ("--steps", {"type": int, "help": "total mcmc steps, burn-in included "
-                                               "(overrides --draws; mcmc only)"}),
     "burn_in": ("--burn-in", {"type": int}),
     "thin": ("--thin", {"type": int}),
     "seed": ("--seed", {"type": int, "help": "64-bit RNG seed"}),
@@ -414,9 +403,9 @@ class Command(NamedTuple):
 
 def _command(help: str, run, *options) -> Command:
     """`options` names config fields, for their flags in _OPTIONS, or gives
-    (flag, keywords) of an argument of this command alone; --config, --seed
-    and --out follow on every command."""
-    options += (_CONFIG, "seed", "out")
+    (flag, keywords) of an argument of this command alone; --config and
+    --out follow on every command."""
+    options += (_CONFIG, "out")
     return Command(help, tuple((_OPTIONS[o][0], {"dest": o, **_OPTIONS[o][1]})
                                if isinstance(o, str) else o for o in options), run)
 
@@ -431,7 +420,7 @@ COMMANDS = {
                           "family", "lam", "nu", "gamma", "n_max", "census_n_max"),
     "sample": _command("draw graphs; one JSON graph per output line", cmd_sample,
                        "family", "lam", "nu", "lambda0", "lambda1", "n", "method", "draws",
-                       "steps", "burn_in", "thin", "rho", "census_n_max"),
+                       "burn_in", "thin", "rho", "census_n_max", "seed"),
     "stats": _command("histograms of a JSONL sample file as CSV", cmd_stats,
                       ("--in", {"dest": "infile", "required": True})),
     "pendant": _command("pendant appearance counts of H in G", cmd_pendant,
@@ -439,8 +428,7 @@ COMMANDS = {
                         ("--h", {"dest": "h_graph", "required": True}),
                         ("--root", {"type": int, "default": 1}), "gamma", "lam", "nu"),
     "families-check": _command("bounded-scale closure-property verification",
-                               cmd_families_check, "family", "n_max",
-                               ("--kmax", {"dest": "k_max", "type": int, "default": 4})),
+                               cmd_families_check, "family", "n_max"),
     "verify": _command("run acceptance criteria (default: all)", cmd_verify,
                        ("suites", {"nargs": "*", "help": "criterion names, or empty for all"})),
 }

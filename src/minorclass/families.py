@@ -592,23 +592,30 @@ class FreelyAddableVerdict:
         return self.counterexample is None
 
 
-def freely_addable_at_scale(h: Graph, fam: GraphFamily, n_max: int = 5) -> FreelyAddableVerdict:
-    """Check that g + h (disjoint union) stays in the family for members g up to n_max.
-    An n_max past where member_masks stops raises ResourceCapError at once."""
+def _member_classes(fam: GraphFamily, n_max: int) -> dict[bytes, Graph]:
+    """The unlabelled members of order <= n_max: each class's canonical code
+    and its first labelled member in (order, mask) order.  An n_max past
+    where member_masks stops raises ResourceCapError before any member is
+    canonicalized."""
     from .canon import canonicalize
     from .enumeration import check_listing, member_masks
 
     check_listing(fam, n_max)
-    seen = set()
-    for n in range(0, n_max + 1):
+    reps: dict[bytes, Graph] = {}
+    for n in range(n_max + 1):
         for mask in member_masks(fam, n, connected=False).tolist():
             g = Graph(n, mask)
-            code = canonicalize(g).code
-            if code in seen:
-                continue
-            seen.add(code)
-            if not fam.base_member(disjoint_union(g, h)):
-                return FreelyAddableVerdict(None, g)
+            reps.setdefault(canonicalize(g).code, g)
+    return reps
+
+
+def freely_addable_at_scale(h: Graph, fam: GraphFamily, n_max: int = 5) -> FreelyAddableVerdict:
+    """Check that g + h (disjoint union) stays in the family for members g up
+    to n_max, one g per unlabelled class (_member_classes).  An n_max past
+    where member_masks stops raises ResourceCapError at once."""
+    for g in _member_classes(fam, n_max).values():
+        if not fam.base_member(disjoint_union(g, h)):
+            return FreelyAddableVerdict(None, g)
     return FreelyAddableVerdict(n_max, None)
 
 
@@ -625,28 +632,20 @@ def dichotomy_scan(fam: GraphFamily, n_max: int = 4, k_max: int = 4) -> list[Dic
     limited (with its least k), or undetermined.
 
     A limited certificate wins over a freely-addable non-refutation, so no
-    member is ever reported as both.  An n_max past where member_masks stops
-    raises ResourceCapError before any member is canonicalized.
+    member is ever reported as both.  The classes are listed once
+    (_member_classes, as freely_addable_at_scale lists them), so each
+    labelled member is canonicalized once.  An n_max past where member_masks
+    stops raises ResourceCapError before any member is canonicalized.
     """
-    from .canon import canonicalize
-    from .enumeration import check_listing, member_masks
-
-    check_listing(fam, n_max)
-    reps: dict[bytes, Graph] = {}
-    for n in range(1, n_max + 1):
-        for mask in member_masks(fam, n, connected=False).tolist():
-            g = Graph(n, mask)
-            code = canonicalize(g).code
-            if code not in reps:
-                reps[code] = g
+    classes = _member_classes(fam, n_max)
     out = []
-    for code, g in sorted(reps.items(), key=lambda kv: (kv[1].n, kv[0])):
+    for code, g in sorted(classes.items(), key=lambda kv: (kv[1].n, kv[0])):
+        if g.n == 0:
+            continue
         lim = limited_at_scale(g, fam, k_max)
         if lim.is_limited:
             out.append(DichotomyEntry(g, code.hex(), "limited-with-k", lim.limited_with_k))
-            continue
-        free = freely_addable_at_scale(g, fam, n_max)
-        if free.holds_at_scale:
+        elif all(fam.base_member(disjoint_union(m, g)) for m in classes.values()):
             out.append(DichotomyEntry(g, code.hex(), "freely-addable-at-scale"))
         else:
             out.append(DichotomyEntry(g, code.hex(), "undetermined"))

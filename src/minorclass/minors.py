@@ -9,8 +9,8 @@ connected growth with an exclusion discipline so no set is generated twice.
 Disconnected h is handled directly, which is needed for excluded minors like
 disjoint unions of triangles.
 
-The search is exact; a fixed node budget (DEFAULT_BUDGET) guards against
-blow-up on larger inputs.
+The search is exact; a fixed node budget, DEFAULT_BUDGET, read at each call,
+guards against blow-up on larger inputs.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ def _h_order(h: Graph) -> list[tuple[int, int]]:
     return order
 
 
-def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff h is a minor of g.  Raises ResourceCapError when the budget runs out."""
+def has_minor(g: Graph, h: Graph) -> bool:
+    """True iff h is a minor of g.  Raises ResourceCapError when the search
+    visits more than DEFAULT_BUDGET nodes."""
     if h.n == 0:
         return True
     if h.n > g.n or h.edge_count > g.edge_count:
@@ -86,7 +87,7 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> bool:
         if idx == len(order):
             return True
         nodes[0] += 1
-        if nodes[0] > budget:
+        if nodes[0] > DEFAULT_BUDGET:
             raise ResourceCapError("minor-test search budget exceeded")
         hv, parent = order[idx]
         req = [branch[w] for w in range(h.n) if hadj[hv] >> w & 1 and branch[w]]
@@ -98,7 +99,7 @@ def has_minor(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> bool:
 
         def grow(s: int, ext: int) -> bool:
             nodes[0] += 1
-            if nodes[0] > budget:
+            if nodes[0] > DEFAULT_BUDGET:
                 raise ResourceCapError("minor-test search budget exceeded")
             nbrs = neighbours_of_set(s)
             if all(nbrs & r for r in req):

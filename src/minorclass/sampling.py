@@ -421,11 +421,13 @@ def collect_stats(samples: Sequence[Graph], rooted: Sequence[RootedGraph] = (),
 # -- statistical checks ---------------------------------------------------------------------
 
 
-def poisson_chi_square(hist: dict, draws: int, mu: float,
-                       min_expected: float = 5.0) -> tuple[float, int, float]:
+_MIN_EXPECTED = 5  # the least expected count of a chi-square bin
+
+
+def poisson_chi_square(hist: dict, draws: int, mu: float) -> tuple[float, int, float]:
     """Chi-square goodness of fit of a count histogram against Poisson(mu).
 
-    Bins with expected count below min_expected are merged rightward into the
+    Bins with expected count below _MIN_EXPECTED are merged rightward into the
     tail.  Returns (statistic, degrees of freedom, p-value); p = 1 when fewer
     than two bins survive.
     """
@@ -436,11 +438,11 @@ def poisson_chi_square(hist: dict, draws: int, mu: float,
     pmf = [math.exp(-mu) * mu ** k / math.factorial(k) for k in range(kmax + 1)]
     exp = [draws * p for p in pmf]
     exp_tail = draws * (1 - sum(pmf))
-    # merge from the right so the tail bin reaches min_expected
+    # merge from the right so the tail bin reaches _MIN_EXPECTED
     bins_obs: list[float] = []
     bins_exp: list[float] = []
     for o, ex in zip(obs, exp):
-        if bins_exp and bins_exp[-1] < min_expected:
+        if bins_exp and bins_exp[-1] < _MIN_EXPECTED:
             bins_obs[-1] += o
             bins_exp[-1] += ex
         else:
@@ -448,7 +450,7 @@ def poisson_chi_square(hist: dict, draws: int, mu: float,
             bins_exp.append(float(ex))
     # attach the analytic tail mass to the last bin
     bins_exp[-1] += exp_tail
-    while len(bins_exp) >= 2 and bins_exp[-1] < min_expected:
+    while len(bins_exp) >= 2 and bins_exp[-1] < _MIN_EXPECTED:
         bins_exp[-2] += bins_exp[-1]
         bins_obs[-2] += bins_obs[-1]
         bins_exp.pop()

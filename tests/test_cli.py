@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -251,8 +252,9 @@ def test_bad_config_values_exit_2_naming_the_flag(argv, flag, capsys):
 @pytest.mark.parametrize("data, message", [
     ({"lam": 2}, "--lambda must be a string, got 2"),
     ({"family": 3}, "--family must be a string, got 3"),
+    ({"n": None}, "--n must be an integer, got None"),
     ([1], "--config must hold a JSON object, got list"),
-], ids=["number-lambda", "number-family", "list"])
+], ids=["number-lambda", "number-family", "null-n", "list"])
 def test_wrongly_typed_config_exits_2_naming_the_flag(data, message, tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(data))
@@ -294,11 +296,8 @@ def _sample(cfg, tmp_path):
     (("gamma",), ExperimentConfig(gamma="1/0", census_n_max=0), _constants),
     (("gamma",), ExperimentConfig(gamma="1/0"), _pendant),
     (("rho",), ExperimentConfig(method="boltzmann", census_n_max=3, rho="1/0"), _sample),
-    (("steps", "method"), ExperimentConfig(method="exact", steps=70), _sample),
-    (("steps", "burn_in"), ExperimentConfig(method="mcmc", steps=70), _sample),
     (("seed",), ExperimentConfig(seed=1 << 64), _validate),
-], ids=["lambda0", "lambda1", "lambda", "nu", "constants-gamma", "pendant-gamma", "rho",
-        "steps-method", "steps-burn-in", "seed"])
+], ids=["lambda0", "lambda1", "lambda", "nu", "constants-gamma", "pendant-gamma", "rho", "seed"])
 def test_messages_name_the_flags_of_the_command_table(fields, cfg, run, monkeypatch, tmp_path):
     """A message naming a flag reads it from the table: renaming the flag
     there renames it in the message."""
@@ -318,29 +317,6 @@ def test_boltzmann_on_an_empty_census_exits_2(rho, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "configuration error: empty census\n"
-
-
-def test_mcmc_steps_below_burn_in_exit_2(capsys):
-    argv = ["sample", "--method", "mcmc", "--family", "forests", "--n", "5", "--draws", "3"]
-    code = main(argv + ["--steps", "70"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "configuration error: --steps must be >= --burn-in (100000), got 70" in captured.err
-    # a budget that covers the burn-in sets the draw count
-    code, out = run_cli(argv + ["--steps", "130", "--burn-in", "100", "--thin", "10"], capsys)
-    assert code == 0
-    assert len(out.splitlines()) == 3
-
-
-@pytest.mark.parametrize("method", ["exact", "tree"])
-def test_steps_outside_mcmc_exit_2(method, capsys):
-    code = main(["sample", "--method", method, "--n", "4", "--draws", "3", "--steps", "70"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert f"configuration error: --steps applies only to --method mcmc, got --method {method}" \
-        in captured.err
 
 
 def test_mcmc_series_parallel_beyond_member_arrays(capsys):
@@ -448,6 +424,59 @@ def test_minor_budget_is_not_an_option(tmp_path, capsys):
     path.write_text(json.dumps({"minor_budget": 9}))
     assert main(["families-check", "--config", str(path)]) == 2
     assert capsys.readouterr().err == "configuration error: unknown config keys: ['minor_budget']\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--method", "mcmc", "--steps", "100"],
+    ["families-check", "--family", "planar", "--kmax", "3"],
+    *([*argv, "--seed", "3"] for argv in (
+        ["enumerate"], ["census"], ["constants"], ["stats", "--in", "s.jsonl"],
+        ["pendant", "--graph", "g.txt", "--h", "h.txt"], ["families-check"], ["verify"])),
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_options_that_nothing_reads_are_not_flags(argv, capsys):
+    """--steps, --kmax, and --seed on every command but sample are no flags."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_steps_in_a_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"method": "mcmc", "steps": 100}))
+    assert main(["sample", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: unknown config keys: ['steps']\n"
+
+
+def test_lambda_with_split_weights_exits_2(tmp_path, capsys):
+    """--lambda given with --lambda0/--lambda1 is refused, not dropped, from
+    flags or from a config file."""
+    argv = ["enumerate", "--family", "forests", "--nmax", "3"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"lam": "5", "lambda0": "1", "lambda1": "1"}))
+    for extra in (["--lambda", "5", "--lambda0", "1", "--lambda1", "1"],
+                  ["--lambda", "5", "--config", str(path)],
+                  ["--config", str(path)]):
+        assert main(argv + extra) == 2, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: --lambda cannot be given with "
+                                "--lambda0 and --lambda1\n"), extra
+    # --lambda alone, or lambda0 and lambda1 alone, still run
+    assert main(argv + ["--lambda", "5"]) == 0
+    assert main(argv + ["--lambda0", "1", "--lambda1", "1"]) == 0
+
+
+def test_command_table_has_no_orphan():
+    """Every config field has one flag in _OPTIONS and a command that takes
+    it, so no option is left that nothing sets."""
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(cli._OPTIONS) == sorted(fields)
+    for name in fields:
+        assert any(kw.get("dest") == name for cmd in cli.COMMANDS.values()
+                   for _, kw in cmd.options), name
 
 
 def test_enumerate_all_reaches_the_n8_sweep(monkeypatch, capsys):
@@ -795,15 +824,14 @@ def test_membership_and_census_do_not_load_numpy_ma():
 
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--family", "planar", "--lambda", "1/2", "--nu", "2", "--lambda0", "1",
-     "--lambda1", "3", "--nmax", "5", "--config", "c.json", "--seed", "3",
-     "--out", "o.csv"],
+     "--lambda1", "3", "--nmax", "5", "--config", "c.json", "--out", "o.csv"],
     ["census", "--family", "planar", "--nmax", "4"],
     ["constants", "--gamma", "27", "--lambda", "2", "--nmax", "5", "--census-nmax", "0"],
-    ["sample", "--method", "mcmc", "--n", "5", "--draws", "4", "--steps", "100",
-     "--burn-in", "10", "--thin", "2", "--rho", "0.1", "--census-nmax", "3"],
+    ["sample", "--method", "mcmc", "--n", "5", "--draws", "4", "--burn-in", "10",
+     "--thin", "2", "--rho", "0.1", "--census-nmax", "3"],
     ["stats", "--in", "s.jsonl"],
     ["pendant", "--graph", "g.txt", "--h", "h.txt", "--root", "2", "--gamma", "3"],
-    ["families-check", "--family", "planar", "--kmax", "3"],
+    ["families-check", "--family", "planar"],
     ["verify", "cayley-trees", "tree-series"],
 ], ids=lambda argv: argv[0])
 def test_parser_of_one_command_parses_and_helps_like_the_full_parser(argv, capsys):

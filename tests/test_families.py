@@ -379,6 +379,42 @@ def test_dichotomy_scans():
     assert not any(en.classification == "limited-with-k" for en in scan)
 
 
+def test_dichotomy_scan_canonicalizes_each_member_once(monkeypatch):
+    """The scan lists the classes once: each of the 76 labelled graphs on at
+    most 4 vertices (all planar) is canonicalized once, not once per
+    representative."""
+    from minorclass import canon
+
+    seen = []
+    canonicalize = canon.canonicalize
+
+    def counted(g):
+        seen.append((g.n, g.mask))
+        return canonicalize(g)
+    monkeypatch.setattr(canon, "canonicalize", counted)
+    scan = dichotomy_scan(builtin_family("planar"), 4, 4)
+    assert len(seen) == len(set(seen)) == 76
+    assert len(scan) == 18  # the unlabelled graphs on 1 to 4 vertices
+
+
+@pytest.mark.parametrize("fam", [
+    builtin_family("ex-k-disjoint-cycles:1"),
+    excluded_minor_family("ex-c3c4", (disjoint_union(cycle_graph(3), cycle_graph(4)),)),
+], ids=lambda fam: fam.name)
+def test_dichotomy_scan_classifies_as_the_per_member_checks(fam):
+    """Each entry is what limited_at_scale and freely_addable_at_scale say of
+    its representative on their own."""
+    for en in dichotomy_scan(fam, 4, 3):
+        lim = limited_at_scale(en.rep, fam, 3)
+        if lim.is_limited:
+            want = ("limited-with-k", lim.limited_with_k)
+        elif freely_addable_at_scale(en.rep, fam, 4).holds_at_scale:
+            want = ("freely-addable-at-scale", None)
+        else:
+            want = ("undetermined", None)
+        assert (en.classification, en.limited_k) == want, en.rep
+
+
 class _Canonicalized(Exception):
     pass
 

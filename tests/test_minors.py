@@ -15,6 +15,7 @@ from minorclass.graphs import (
     path_graph,
     star_graph,
 )
+from minorclass import minors
 from minorclass.minors import has_minor
 
 
@@ -77,10 +78,12 @@ def test_transitive_on_corpus():
     assert has_minor(chain[2], chain[0])
 
 
-def test_budget_error():
-    # a negative instance forces the search to exhaust, tripping the budget
+def test_budget_error(monkeypatch):
+    # a negative instance forces the search to exhaust, tripping the budget,
+    # which has_minor reads when it is called
+    monkeypatch.setattr(minors, "DEFAULT_BUDGET", 20)
     with pytest.raises(ResourceCapError):
-        has_minor(cycle_graph(9), complete_graph(4), budget=20)
+        has_minor(cycle_graph(9), complete_graph(4))
 
 
 def _contract(g, u, v):
