@@ -13,7 +13,9 @@ rows start from an empty slice cache in every repeat, and the census,
 closure-check and dichotomy rows from built membership arrays and an empty
 canonical cache.
 Without --quick a row also times the streamed sweep of all 2^28 masks at
-n = 8, which takes seconds.
+n = 8, which takes seconds; the row beside it times the weight table of all
+graphs to n = 8 from the random-cluster series (`all_table`), which sweeps
+nothing.
 
     python3 benchmarks/bench_kernels.py [--quick]
 """
@@ -84,6 +86,14 @@ def bench_forest_slice(n):
 def bench_sweep(n, mode, want_bridges, label):
     t = _cold(K.sweep_counts, n, None, mode, want_bridges=want_bridges)
     return f"sweep_counts n={n} {label}", "numpy", t
+
+
+def bench_all_table(n_max, w, label):
+    """The exact a, c and b columns of all graphs up to n_max from the
+    random-cluster series, with no lattice."""
+    from minorclass.enumeration import all_table
+
+    return f"all_table n<={n_max} {label}", "python", _time(all_table, w, n_max)
 
 
 def bench_exact_sample(n, draws):
@@ -370,6 +380,7 @@ def main():
         bench_sweep(n_sweep + 1, K.MODE_FORESTS, False, "forests"),
         # the only row that reaches the streamed sweep: blocks of 2^21 masks
         *([] if args.quick else [bench_sweep(8, K.MODE_ALL, False, "all")]),
+        bench_all_table(8, Weighting.extended(Fraction(1, 2), 2, 3), "split (1/2, 2, 3)"),
         bench_exact_sample(n_sweep, 1000),
         bench_frag_distribution("planar", n_sweep),
         bench_mcmc(steps, 7),

@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._kernels import MODE_FORESTS
+from ._kernels import MODE_ALL, MODE_FORESTS
 from .errors import EmptySliceError, ResourceCapError
 from .families import family_from_spec
 from .graphs import RootedGraph, Weighting, graph_from_text, pendant_appearances, \
@@ -210,6 +210,9 @@ def cmd_constants(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         _write_text(cfg.out, json.dumps(out, indent=2, sort_keys=True) + "\n")
         return 0
     fam = family_from_spec(cfg.family)
+    if cfg.gamma is None and lattice_mode(fam) == MODE_ALL:
+        # n a_(n-1) / a_n tends to 0, so the gamma read from it grows with n without bound
+        raise ValueError("the class of all graphs has no growth constant; give --gamma")
     census = None
     if cfg.census_n_max > 0:
         census = build_census(fam, cfg.census_n_max)
@@ -435,15 +438,16 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser.  Every subcommand is registered, so usage and the
-    command list never change; given `command`, only that subcommand gets its
-    arguments, which is all that parsing a command line naming it needs."""
+    """The CLI parser: every subcommand, or given `command` only that one,
+    which is all that parsing a command line naming it needs.  The command
+    list is spelt out in that case, so usage and error texts stay the same."""
     ap = argparse.ArgumentParser(prog="minorclass",
                                  description="weighted random graphs from minor-closed classes")
-    sub = ap.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
         if command in (None, name):
+            p = sub.add_parser(name, help=cmd.help)
             for flag, kw in cmd.options:
                 p.add_argument(flag, **kw)
     return ap

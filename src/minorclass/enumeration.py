@@ -7,7 +7,11 @@ applies the weighting, so rational parameters give exact rational totals.
 A family swept as the forests has a closed form instead: each tree on k
 vertices weighs lambda0^(k-1) * nu * k^(k-2) (Cayley), and the exponential
 formula lifts that to every order, so its weight table (`forest_table`)
-sweeps nothing at any n; the forest-slice sweep stays as its oracle.
+sweeps nothing at any n; the forest-slice sweep stays as its oracle.  The
+family of all graphs has one too: its weighted count is the random-cluster
+series of the complete graph, with the bridges reweighed through the block
+decomposition (`all_table`), and the streamed sweep of every mask stays as
+its oracle.
 Every exact per-mask weight comes from the same cells: `mask_cells` reads
 each member's (edges, bridges, components) from the lattice and weighs each
 occupied cell once (`Weighting.cell_weight`), and the exact sampler and the
@@ -389,13 +393,15 @@ def ratio_sequence(values: Sequence) -> list:
 def compute_weight_table(fam: "GraphFamily", w: Weighting, n_max: int,
                          verbose: bool = False) -> WeightTable:
     """Exact table up to n_max: forest_table for a family swept as the
-    forests (a = c for the trees), else brute_force_tau per slice, whose caps
-    are checked for n_max before any slice is enumerated.  verbose prints a
-    progress line per slice from n = 6 to standard error only."""
+    forests (a = c for the trees), all_table for the family of all graphs,
+    both at any n_max, else brute_force_tau per slice, whose caps are
+    checked for n_max before any slice is enumerated.  verbose prints a
+    progress line per swept slice from n = 6 to standard error only."""
     import sys
 
-    if lattice_mode(fam) == _kernels.MODE_FORESTS:
-        t = forest_table(w, n_max)
+    mode = lattice_mode(fam)
+    if mode != _kernels.MODE_MEMBER_ARRAY:
+        t = (forest_table if mode == _kernels.MODE_FORESTS else all_table)(w, n_max)
         return WeightTable(fam.name, w, t.c if fam.connected_only else t.a, t.c, t.b)
     _check_caps(fam, n_max)
     a, c, b = [], [], []
@@ -415,6 +421,60 @@ def forest_table(w: Weighting, n_max: int) -> WeightTable:
     a = egf_lift(c, n_max)
     b = [0] * (n_max + 1)
     return WeightTable("forests", w, a, c, b)
+
+
+def all_table(w: Weighting, n_max: int) -> WeightTable:
+    """The table of all graphs from the random-cluster series, sweeping nothing.
+
+    On the diagonal lambda1 the weighted count of all graphs on [n] at nu = 1
+    is g_n = (1 + lambda1)^C(n,2) (Tutte's dichromatic polynomial of K_n), and
+    the connected counts c1 follow by the exponential formula in reverse.
+    With lambda0 != lambda1 only the bridges are reweighed.  A rooted
+    connected graph is its root with the blocks through it, each carrying a
+    rooted connected graph at its other vertices: F = x e^(B'(F)), where the
+    K2 block, a bridge, gives the term lambda1 F of B'(F).  Weighing it by
+    lambda0 instead multiplies x by e^(delta F), delta = lambda0 - lambda1,
+    so the rooted series F~ = x C~' solves F~ = F1(x e^(delta F~)) with
+    F1 = x C1'.  Solved order by order with no division: W = x E with
+    E = e^(delta F~), P_k = W^k / k! by P_k' = W' P_(k-1), F~ = sum f1_k P_k,
+    and E' = delta F~' E.  Then c = nu c~ and a is its exponential-formula
+    lift.  The 2-core column strips the pendant trees: a connected graph is
+    a tree or its 2-core with a rooted tree hung from each vertex, and
+    substituting z e^(-lambda0 z) for x undoes the hanging, so b_n =
+    nu sum_k C(n,k) (c~_k - k^(k-2) lambda0^(k-1)) (-k lambda0)^(n-k).
+
+    Rational weights give exact values; float weights are taken at their
+    exact rational values and each entry is rounded to float once.
+    """
+    lam0, lam1, nu = (Fraction(x) if isinstance(x, float) else x
+                      for x in (w.lambda0, w.lambda1, w.nu))
+    comb = math.comb
+    g = [(1 + lam1) ** comb(n, 2) for n in range(n_max + 1)]
+    ct = [0]  # connected counts at nu = 1, on the diagonal lambda1 until reweighed
+    for n in range(1, n_max + 1):
+        ct.append(g[n] - sum(comb(n - 1, k - 1) * ct[k] * g[n - k] for k in range(1, n)))
+    delta = lam0 - lam1
+    if delta:
+        f1 = [n * x for n, x in enumerate(ct)]
+        e, wt, ft = [1], [0], [0]
+        p = [[1] + [0] * n_max]  # p[k][n] = n! [x^n] W^k / k!
+        for n in range(1, n_max + 1):
+            wt.append(n * e[n - 1])
+            p.append([0] * (n_max + 1))
+            for k in range(1, n + 1):
+                p[k][n] = sum(comb(n - 1, j - 1) * wt[j] * p[k - 1][n - j]
+                              for j in range(1, n - k + 2))
+            ft.append(sum(f1[k] * p[k][n] for k in range(1, n + 1)))
+            e.append(delta * sum(comb(n - 1, j - 1) * ft[j] * e[n - j] for j in range(1, n + 1)))
+        ct = [0] + [Fraction(ft[n], n) for n in range(1, n_max + 1)]
+    c = [nu * x for x in ct]
+    cores = [0] + [ct[k] - k ** max(k - 2, 0) * lam0 ** (k - 1)  # c~ less the trees
+                   for k in range(1, n_max + 1)]
+    b = [nu * sum(comb(n, k) * cores[k] * (-k * lam0) ** (n - k) for k in range(1, n + 1))
+         for n in range(n_max + 1)]
+    rounded = _simplify if w.is_rational else float
+    a, c, b = ([rounded(x) for x in col] for col in (egf_lift(c, n_max), c, b))
+    return WeightTable("all", w, a, c, b)
 
 
 # -- core-size decomposition -----------------------------------------------------
@@ -630,11 +690,12 @@ def build_census(fam: "GraphFamily", n_max: int) -> UnlabelledCensus:
     mode = lattice_mode(fam)
     if mode == _kernels.MODE_FORESTS:
         _kernels.forest_slice(n_max)  # each lower slice is built once, with its vertex sets
-    # The whole slices are read below n_max (_canonical_deletion) and, unless
-    # the family is swept as the forests, at n_max; asking for the top one
+    # The whole slices are read below n_max (_canonical_deletion) and, for a
+    # family swept by membership array, at n_max; asking for the top one
     # first builds each lower one once, with its vertex sets.
-    top = max(0, n_max - 1 if mode == _kernels.MODE_FORESTS else n_max)
+    top = max(0, n_max if mode == _kernels.MODE_MEMBER_ARRAY else n_max - 1)
     _kernels._record(min(top, _kernels.RECORD_CAP), extendable=top > _kernels.RECORD_CAP)
+    sizes = all_table(Weighting(1, 1), n_max).c if mode == _kernels.MODE_ALL else None
     rows = []
     reps = [0]  # canonical masks of the (n-1)-vertex classes; the empty graph below n = 1
     for n in range(1, n_max + 1):
@@ -659,13 +720,10 @@ def build_census(fam: "GraphFamily", n_max: int) -> UnlabelledCensus:
             canon_mask, aut = _canon_data(n, mask)
             found[canon_mask] = aut
         labelled = sum(math.factorial(n) // aut for aut in found.values())
-        # `all` past the whole slices has no member array: its sweep is streamed
-        connected = (sum(int(np.count_nonzero(b.kappa == 1)) for _, b in _kernels._blocks(n, False))
-                     if mode == _kernels.MODE_ALL and n > _kernels.RECORD_CAP else
-                     member_masks(fam, n, connected=True).size)
+        connected = sizes[n] if sizes is not None else member_masks(fam, n, connected=True).size
         if labelled != connected:
             raise AssertionError(f"census at n={n}: the classes hold {labelled} labelled "
-                                 f"graphs, the sweep counts {connected} connected members")
+                                 f"graphs, the family has {connected} connected members")
         reps = sorted(found)
         rows += [(n, m, found[m]) for m in reps]
     v, masks, aut = np.array(rows, dtype=np.int64).reshape(-1, 3).T

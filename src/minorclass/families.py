@@ -11,6 +11,7 @@ of each order, with no per-graph membership call.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 from dataclasses import dataclass, field, fields, replace
@@ -634,18 +635,23 @@ def dichotomy_scan(fam: GraphFamily, n_max: int = 4, k_max: int = 4) -> list[Dic
     A limited certificate wins over a freely-addable non-refutation, so no
     member is ever reported as both.  The classes are listed once
     (_member_classes, as freely_addable_at_scale lists them), so each
-    labelled member is canonicalized once.  An n_max past where member_masks
-    stops raises ResourceCapError before any member is canonicalized.
+    labelled member is canonicalized once, and each labelled graph the
+    checks of limited_at_scale and freely_addable_at_scale build is asked
+    about once: copies(g, 2) is the union of g with itself, and the union
+    with the empty class is g.  An n_max past where member_masks stops
+    raises ResourceCapError before any member is canonicalized.
     """
     classes = _member_classes(fam, n_max)
+    ask = functools.cache(fam.base_member)
     out = []
     for code, g in sorted(classes.items(), key=lambda kv: (kv[1].n, kv[0])):
         if g.n == 0:
             continue
-        lim = limited_at_scale(g, fam, k_max)
-        if lim.is_limited:
-            out.append(DichotomyEntry(g, code.hex(), "limited-with-k", lim.limited_with_k))
-        elif all(fam.base_member(disjoint_union(m, g)) for m in classes.values()):
+        # g is a member: it was listed from the family's members
+        least = next((k for k in range(2, k_max + 1) if not ask(copies(g, k))), None)
+        if least is not None:
+            out.append(DichotomyEntry(g, code.hex(), "limited-with-k", least))
+        elif all(ask(disjoint_union(m, g)) for m in classes.values()):
             out.append(DichotomyEntry(g, code.hex(), "freely-addable-at-scale"))
         else:
             out.append(DichotomyEntry(g, code.hex(), "undetermined"))

@@ -79,6 +79,30 @@ def test_constants_estimated_from_table(capsys):
     assert data["forest_closed_forms"]["conn_limit"] == pytest.approx(math.exp(-0.5))
 
 
+def test_constants_for_all_graphs_need_gamma(monkeypatch, capsys):
+    """The class of all graphs has no growth constant: without --gamma,
+    constants exits 2 before any census or table is built; with it, the
+    constants follow from the given gamma."""
+    from minorclass import enumeration
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the check")
+
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "build_census", no_build)
+        m.setattr(enumeration, "compute_weight_table", no_build)
+        assert main(["constants", "--family", "all", "--nmax", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: the class of all graphs has no growth "
+                            "constant; give --gamma\n")
+    code, out = run_cli(["constants", "--family", "all", "--gamma", "3", "--census-nmax", "3"],
+                        capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["gamma"] == 3.0 and data["note"] == "gamma supplied"
+
+
 def test_sample_and_stats_round_trip(tmp_path, capsys):
     out_path = tmp_path / "samples.jsonl"
     code, _ = run_cli(["sample", "--family", "forests", "--method", "exact", "--n", "5",
@@ -366,13 +390,13 @@ _MEMBER_ARRAYS_STOP = ("membership arrays for minor-tested families stop at n=7;
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["enumerate", "--family", "all", "--nmax", "9"], "brute force is limited to n <= 8"),
+    (["census", "--family", "all", "--nmax", "9"], "brute force is limited to n <= 8"),
     (["enumerate", "--family", "series-parallel", "--nmax", "8"], _MEMBER_ARRAYS_STOP),
     (["census", "--family", "planar", "--nmax", "8"], _MEMBER_ARRAYS_STOP),
     (["sample", "--method", "exact", "--family", "planar", "--n", "8"], _MEMBER_ARRAYS_STOP),
     (["sample", "--method", "exact", "--family", "all", "--n", "8"],
      "listing every graph stops at n=7"),
-], ids=["enumerate-all-9", "enumerate-sp-8", "census-planar-8", "exact-planar-8", "exact-all-8"])
+], ids=["census-all-9", "enumerate-sp-8", "census-planar-8", "exact-planar-8", "exact-all-8"])
 def test_each_limit_is_raised_by_the_layer_whose_data_stops_there(argv, message, capsys):
     assert main(argv) == 3
     captured = capsys.readouterr()
@@ -479,25 +503,27 @@ def test_command_table_has_no_orphan():
                    for _, kw in cmd.options), name
 
 
-def test_enumerate_all_reaches_the_n8_sweep(monkeypatch, capsys):
-    """enumerate --family all --nmax 8 passes every check and streams the
-    n = 8 slice (stubbed here: the real sweep takes seconds)."""
+@pytest.mark.parametrize("argv", [[], ["--lambda0", "1/2", "--lambda1", "2", "--nu", "3"]],
+                         ids=["diagonal", "split"])
+def test_enumerate_all_sweeps_nothing_at_any_nmax(argv, monkeypatch, capsys):
+    """enumerate --family all reads the random-cluster series: no slice is
+    swept at --nmax 8 or past the lattice at 10, and no progress line is
+    printed.  At lambda = nu = 1, c_n is OEIS A001187."""
     from minorclass import _kernels
 
-    class Reached(Exception):
-        pass
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a slice was swept")
 
-    sweep = _kernels.sweep_counts
-
-    def stop_at_8(n, *args, **kwargs):
-        if n == 8:
-            raise Reached
-        return sweep(n, *args, **kwargs)
-
-    monkeypatch.setattr(_kernels, "sweep_counts", stop_at_8)
-    with pytest.raises(Reached):
-        main(["enumerate", "--family", "all", "--nmax", "8"])
-    assert capsys.readouterr().err.endswith("enumerating n=8 (268435456 edge masks)...\n")
+    monkeypatch.setattr(_kernels, "sweep_counts", no_sweep)
+    monkeypatch.setattr(_kernels, "_blocks", no_sweep)
+    code, out = run_cli(["enumerate", "--family", "all", "--nmax", "10", *argv], capsys)
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 11
+    if not argv:
+        assert [rows[n]["c_n"] for n in (8, 9, 10)] == [
+            "251548592", "66296291072", "34496488594816"]
+        assert rows[10]["a_n"] == str(2 ** 45)
 
 
 def test_exact_forests_at_n8_are_deterministic(capsys):
@@ -670,12 +696,13 @@ def test_boltzmann_output_is_one_line_per_count_row(argv, capsys):
 @pytest.mark.parametrize("family, argv, rows", [
     ("forests", ["--nmax", "7"], []),
     ("trees", ["--nmax", "7"], []),
-    ("all", ["--nmax", "7"], ["32768 edge masks", "2097152 edge masks"]),
+    ("all", ["--nmax", "7"], []),
+    ("series-parallel", ["--nmax", "6"], ["32768 edge masks"]),
 ])
 def test_enumerate_progress_names_the_rows_it_reads(family, argv, rows, capsys):
-    """The progress line counts every edge mask of a swept slice; a family
-    swept as the forests reads its table from Cayley's formula, sweeps no
-    slice and prints none."""
+    """The progress line counts every edge mask of a swept slice; the forests
+    and the trees read their table from Cayley's formula and all graphs from
+    the random-cluster series, so they sweep no slice and print none."""
     assert main(["enumerate", "--family", family, *argv]) == 0
     err = capsys.readouterr().err
     assert err == "".join(f"enumerating n={n} ({r})...\n" for n, r in enumerate(rows, 6))
@@ -836,8 +863,8 @@ def test_membership_and_census_do_not_load_numpy_ma():
 ], ids=lambda argv: argv[0])
 def test_parser_of_one_command_parses_and_helps_like_the_full_parser(argv, capsys):
     """The parser main builds for a named command gives the same Namespace
-    and the same --help text as the parser with every command's arguments,
-    and registers every command, with arguments only on the named one."""
+    and the same --help text as the parser with every command, and
+    registers the named command alone."""
     full, one = cli.build_parser(), cli.build_parser(argv[0])
     assert one.parse_args(argv) == full.parse_args(argv)
     helps = []
@@ -851,9 +878,7 @@ def test_parser_of_one_command_parses_and_helps_like_the_full_parser(argv, capsy
         main([argv[0], "--help"])
     assert capsys.readouterr().out == helps[0]
     subcommands, = (a for a in one._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(subcommands.choices) == list(cli.COMMANDS)
-    for name, sub in subcommands.choices.items():
-        assert (len(sub._actions) > 1) == (name == argv[0])  # -h alone on the others
+    assert list(subcommands.choices) == [argv[0]]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["bogus"], [], ["--bogus", "stats", "--in", "x"]])
@@ -861,6 +886,24 @@ def test_command_lines_naming_no_command_use_the_full_parser(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv)
     want = (exc.value.code, capsys.readouterr())
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr()) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--bogus"], ["enumerate", "--nmax", "x"], ["enumerate", "--nmax"],
+    ["enumerate", "extra"], ["census", "--nmax", "2", "extra"], ["sample", "--method", "nope"],
+    ["stats"], ["pendant", "--graph"], ["families-check", "--family"],
+], ids=" ".join)
+def test_parse_errors_of_a_named_command_are_those_of_the_full_parser(argv, capsys):
+    """main parses a named command with that command's parser alone; its
+    usage line, error text and exit code are those of the parser of every
+    command."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    want = (exc.value.code, capsys.readouterr())
+    assert want[0] == 2 and want[1].err.startswith("usage: minorclass ")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert (exc.value.code, capsys.readouterr()) == want

@@ -2,6 +2,7 @@
 core-size decomposition."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from minorclass.enumeration import (
     exact_frag_mean,
     f_nk,
     f_nk_bruteforce,
+    all_table,
     factorial_growth_check,
     falling_moment_check,
     forest_table,
@@ -83,7 +85,6 @@ def test_cap_errors():
 
 @pytest.mark.parametrize("name,n_max", [
     ("series-parallel", 8),   # past the membership-array cap
-    ("all", 9),               # past the lattice cap
     ("planar", 8),            # past the membership-array cap
 ])
 def test_weight_table_checks_caps_before_any_slice(name, n_max, monkeypatch):
@@ -95,6 +96,61 @@ def test_weight_table_checks_caps_before_any_slice(name, n_max, monkeypatch):
     monkeypatch.setattr(_kernels, "sweep_counts", no_sweep)
     with pytest.raises(ResourceCapError):
         compute_weight_table(builtin_family(name), W11, n_max)
+
+
+_RNG = random.Random(31)
+_WEIGHTINGS = [
+    W11,
+    Weighting.extended(Fraction(1, 2), 2, 3),
+    Weighting.extended(2, Fraction(1, 3), Fraction(3, 2)),
+    Weighting(Fraction(1, 2), Fraction(1, 4)),
+    *(Weighting.extended(*(Fraction(_RNG.randint(1, 9), _RNG.randint(1, 9)) for _ in range(3)))
+      for _ in range(3)),
+]
+
+
+@pytest.mark.parametrize("w", _WEIGHTINGS, ids=repr)
+def test_all_table_equals_the_lattice(w):
+    """The random-cluster series gives the lattice's a, c and b of all graphs
+    to n = 6, value and type (int where the Fraction is whole)."""
+    t = compute_weight_table(ALL, w, 6)
+    for n in range(7):
+        got, want = (t.a[n], t.c[n], t.b[n]), tuple(brute_force_tau(ALL, w, n))
+        assert got == want and list(map(type, got)) == list(map(type, want)), n
+
+
+def test_all_table_equals_the_lattice_at_n7_off_the_diagonal():
+    w = Weighting.extended(2, Fraction(1, 3), Fraction(1, 2))
+    t = all_table(w, 7)
+    assert (t.a[7], t.c[7], t.b[7]) == tuple(brute_force_tau(ALL, w, 7))
+
+
+def test_all_table_of_float_weights_is_the_exact_value_rounded():
+    """Float weights are taken at their exact rational values: each entry is
+    within 1e-12 of the lattice's float sums, and is the float of the table
+    of the same weights as Fractions."""
+    w = Weighting.extended(0.3, 1.7, 0.9)
+    t = all_table(w, 6)
+    exact = all_table(Weighting.extended(*map(Fraction, (0.3, 1.7, 0.9))), 6)
+    for n in range(7):
+        for got, want, x in zip((t.a[n], t.c[n], t.b[n]), brute_force_tau(ALL, w, n),
+                                (exact.a[n], exact.c[n], exact.b[n])):
+            assert isinstance(got, float) and got == float(x)
+            assert abs(got - want) <= 1e-12 * abs(want), n
+
+
+def test_all_table_reaches_past_the_lattice(monkeypatch):
+    """The table of all graphs sweeps nothing at any n_max: at lambda = nu =
+    1, c_8..c_10 are OEIS A001187 and a_n = 2^C(n,2)."""
+    from minorclass import _kernels
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a slice was swept")
+
+    monkeypatch.setattr(_kernels, "sweep_counts", no_sweep)
+    t = compute_weight_table(ALL, W11, 10)
+    assert t.c[8:] == [251_548_592, 66_296_291_072, 34_496_488_594_816]
+    assert t.a == [2 ** math.comb(n, 2) for n in range(11)]
 
 
 def test_forest_table_and_census_extend_each_forest_slice_once(monkeypatch):
@@ -116,12 +172,13 @@ def test_forest_table_and_census_extend_each_forest_slice_once(monkeypatch):
     assert calls == list(range(1, 8))
 
 
-@pytest.mark.parametrize("name, n_max, top", [("all", 7, 7), ("series-parallel", 6, 6),
+@pytest.mark.parametrize("name, n_max, top", [("all", 7, 6), ("series-parallel", 6, 6),
                                               ("planar", 5, 5), ("forests", 7, 6)])
 def test_census_extends_each_whole_slice_once(name, n_max, top, monkeypatch):
     """The census builds each whole lattice slice it reads once: up to n_max,
     or n_max - 1 for the forests, whose top order is read from the forest
-    slice.  The top slice is asked for first, so no lower slice is rebuilt to
+    slice, and for all graphs, whose class sizes are checked against the
+    random-cluster series.  The top slice is asked for first, so no lower slice is rebuilt to
     gain its vertex sets."""
     from minorclass import _kernels
 

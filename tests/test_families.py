@@ -397,6 +397,22 @@ def test_dichotomy_scan_canonicalizes_each_member_once(monkeypatch):
     assert len(scan) == 18  # the unlabelled graphs on 1 to 4 vertices
 
 
+def test_dichotomy_scan_asks_each_labelled_graph_once():
+    """The copies and unions the planar scan to order 4 builds are 345
+    labelled graphs, and the predicate is asked about each once (414 calls
+    when copies(g, 2), the union with the empty class and g itself were
+    asked again)."""
+    from minorclass.families import _planar_predicate
+
+    asked = []
+    fam = builtin_family("planar")
+    fam.predicate = lambda g: asked.append(g) or _planar_predicate(g)
+    scan = dichotomy_scan(fam, 4, 4)
+    assert len(asked) == len(set(asked)) == 345
+    assert len(scan) == 18
+    assert all(en.classification == "freely-addable-at-scale" for en in scan)
+
+
 @pytest.mark.parametrize("fam", [
     builtin_family("ex-k-disjoint-cycles:1"),
     excluded_minor_family("ex-c3c4", (disjoint_union(cycle_graph(3), cycle_graph(4)),)),
